@@ -20,10 +20,6 @@ Three decorator families:
   hold in ``SumCache.apply_batch_and_publish``).  A non-empty
   justification is required (``LD003``).
 
-* :func:`seqlock_reader` — marks a function as an approved *lock-free*
-  reader of a declared seqlock generation source; the seqlock rules
-  (``SQ001``/``SQ002``) check the retry protocol at those sites.
-
 Module-level declaration calls:
 
 * :func:`declare_lock` — names a lock node in the global lock-order
@@ -35,10 +31,12 @@ Module-level declaration calls:
   edge that the lexical analysis cannot see (acquisitions hidden behind
   untyped indirection).  Declared edges join the extracted graph before
   the cycle check, and bound what the runtime witness may observe.
-* :func:`declare_seqlock` — names a per-row generation source (the
-  seqlock pattern: writers bump odd/even under their lock, readers
-  copy between two equal even observations) and the copy primitives it
-  protects, so lock-free captures are machine-checked too.
+* :func:`declare_seqlock` — names a generation source (a
+  :class:`repro.core.seqlock.Seqlock`: writers bump odd/even under
+  their lock, readers copy between two equal even observations) and the
+  copy primitives it protects, so lock-free captures are machine-checked
+  too (``SQ001``/``SQ002``: a primitive runs only through
+  ``Seqlock.read`` or under the declared writer lock).
 
 The runtime half: :func:`make_lock` returns plain :mod:`threading` locks
 normally, and :class:`ContractLock` wrappers when ``REPRO_LOCK_WITNESS``
@@ -66,8 +64,6 @@ CONTRACTS_ATTR = "__concurrency_contracts__"
 REQUIRES_ATTR = "__requires_lock__"
 #: function attribute set by :func:`manual_guard`
 MANUAL_ATTR = "__manual_guard__"
-#: function attribute set by :func:`seqlock_reader`
-SEQLOCK_READER_ATTR = "__seqlock_reader__"
 
 #: environment switch for the runtime witness (checked at lock creation)
 WITNESS_ENV = "REPRO_LOCK_WITNESS"
@@ -135,28 +131,6 @@ def requires_lock(lock: str) -> Callable[[_F], _F]:
     return decorate
 
 
-def seqlock_reader(node: str) -> Callable[[_F], _F]:
-    """Mark a function as an approved lock-free seqlock reader of ``node``.
-
-    ``node`` names a generation source declared with
-    :func:`declare_seqlock`.  The decorated function is the *only* kind
-    of place allowed to call that seqlock's protected copy primitives
-    without holding the writer lock — and it must implement the retry
-    protocol (read the generation, copy, re-read and compare inside a
-    retry loop).  The static rules: a marked reader whose protected call
-    sits outside any retry loop is ``SQ001``; a protected call from an
-    unmarked, lock-free call site is ``SQ002``.  Zero runtime cost.
-    """
-    if not node:
-        raise ContractError("seqlock_reader needs a seqlock node name")
-
-    def decorate(func: _F) -> _F:
-        setattr(func, SEQLOCK_READER_ATTR, str(node))
-        return func
-
-    return decorate
-
-
 def manual_guard(reason: str) -> Callable[[_F], _F]:
     """Exempt a method from lexical lock-discipline checking.
 
@@ -209,10 +183,11 @@ class SeqlockDecl:
     """One declared seqlock generation source (lock-free reader protocol).
 
     ``node`` names the generation counters (``"Class.attr"``),
-    ``protects`` the copy primitives whose lock-free call sites must be
-    :func:`seqlock_reader`-marked retry loops, and ``writer_lock`` the
-    lock under which writers bump the generations (call sites holding it
-    need no retry — they exclude every writer).
+    ``protects`` the copy primitives whose lock-free call sites must go
+    through ``Seqlock.read``, and ``writer_lock`` the lock under which
+    writers bump the generations (call sites holding it need no retry —
+    they exclude every writer; ``None`` for a single-writer-by-protocol
+    seqlock no lock can exclude, e.g. one shared across processes).
     """
 
     __slots__ = ("node", "protects", "writer_lock")

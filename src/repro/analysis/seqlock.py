@@ -1,28 +1,34 @@
 """Rule SQ — seqlock reader discipline.
 
-``declare_seqlock`` publishes a generation-counter protocol: writers
-bump a counter odd before mutating and even after, and the *protected
-primitives* (e.g. ``refresh_row``/``copy_row``) may copy shared rows
-lock-free **only** from inside a retry loop that validates the counter —
-or while holding the declared writer lock, which excludes every bump.
-A primitive call outside both shapes reads rows a writer may be
-mid-commit on: a torn capture that no test reliably reproduces, which
-is exactly why it is checked statically.
+``declare_seqlock`` publishes a generation-counter protocol (the one in
+:mod:`repro.core.seqlock`): writers bump a cell odd before mutating and
+even after, and the *protected primitives* (e.g. ``refresh_row`` /
+``copy_row``) copy shared state that is only consistent between two
+equal even observations of that cell.  Exactly two shapes may run a
+primitive:
 
-* **SQ001** — a ``@seqlock_reader``-marked function calls a protected
-  primitive outside any retry loop and outside a ``with`` on the
-  declared writer lock.  The marking *claims* the retry protocol; a
-  straight-line call breaks the claim.
-* **SQ002** — a protected primitive called from a function that is
-  neither ``@seqlock_reader``-marked nor holding the writer lock,
-  outside the store internals that own the protocol.  Unmarked callers
-  get no retry loop at all, so the only legal shape is the lock.
+* handed **as a callable to** ``<seqlock>.read(idx, primitive, *args)``
+  (or called inside a lambda handed to it) — the one bounded retry loop
+  validates the generation around the copy;
+* under a ``with`` on the **declared writer lock** (its own attribute,
+  e.g. ``_lock``, or the public ``writer_lock`` accessor) — holding the
+  writers' serialization point means no generation can change mid-copy,
+  which is what a starved reader's fallback leans on.  A seqlock declared
+  without a writer lock (a cross-process one) has only the first shape.
 
-A call under ``with <store>.writer_lock`` (or the declared lock's own
-attribute, e.g. ``_lock``) is exempt from both rules: holding the
-writers' serialization point means no generation can change mid-copy —
-the bounded-spin starvation fallback in the streaming cache leans on
-exactly this exemption.
+Anything else reads state a writer may be mid-commit on: a torn capture
+that no test reliably reproduces, which is exactly why it is checked
+statically.
+
+* **SQ001** — a protected primitive *called* outside both shapes.
+* **SQ002** — a protected primitive *taken as a value* (assigned, passed
+  to an executor, stored in a table) outside both shapes: the reference
+  escapes to a call site the analyzer cannot see, so the only place it
+  may be handed to is ``Seqlock.read``.
+
+A primitive's own body may call other primitives — ``refresh_row`` is
+``copy_row`` per family — because whoever runs the outer one already
+discharged the obligation.
 """
 
 from __future__ import annotations
@@ -39,143 +45,126 @@ from repro.analysis.core import (
     qualname,
 )
 
-#: modules that own the seqlock protocol (counter bumps + primitives)
-_ALLOWED_SUFFIXES = ("core/sum_store.py",)
+#: the method of :class:`repro.core.seqlock.Seqlock` that runs a callable
+#: inside the validated window
+_READ_METHOD = "read"
 
 #: the public accessor name for a declared writer lock (the streaming
 #: cache reaches the store's ``_lock`` through it)
 _WRITER_LOCK_ATTR = "writer_lock"
 
 
-def _module_allowed(module: Module) -> bool:
-    path = module.display_path.replace("\\", "/")
-    return any(path.endswith(suffix) for suffix in _ALLOWED_SUFFIXES)
-
-
-def _seqlock_reader_mark(method: MethodInfo) -> bool:
-    for dec in method.node.decorator_list:
-        func = dec.func if isinstance(dec, ast.Call) else dec
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        if name == "seqlock_reader":
-            return True
-    return False
-
-
-def _writer_lock_attrs(project: Project) -> frozenset[str]:
-    """Attribute names that denote a declared seqlock writer lock.
+def _protected_primitives(
+    project: Project,
+) -> dict[str, tuple[str, frozenset[str]]]:
+    """primitive name -> (seqlock node, attribute names of its writer lock).
 
     Built from the declarations, not hardcoded: ``writer_lock=
     "ColumnarSumStore._lock"`` makes both the raw ``_lock`` attribute
-    and the public ``writer_lock`` accessor count as holding it.
+    and the public ``writer_lock`` accessor count as holding it; a
+    seqlock declared without one has no lock shape at all.
     """
-    attrs = {_WRITER_LOCK_ATTR}
-    for spec in project.registry.seqlocks.values():
-        writer_lock = spec.get("writer_lock")
-        if isinstance(writer_lock, str) and "." in writer_lock:
-            attrs.add(writer_lock.rsplit(".", 1)[1])
-    return frozenset(attrs)
-
-
-def _protected_primitives(project: Project) -> dict[str, str]:
-    """primitive method name -> seqlock node that protects it."""
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, frozenset[str]]] = {}
     for node, spec in project.registry.seqlocks.items():
+        writer_lock = spec.get("writer_lock")
+        lock_attrs: frozenset[str] = frozenset()
+        if isinstance(writer_lock, str) and "." in writer_lock:
+            lock_attrs = frozenset(
+                {_WRITER_LOCK_ATTR, writer_lock.rsplit(".", 1)[1]}
+            )
         protects = spec.get("protects") or ()
         for name in protects:  # type: ignore[union-attr]
-            out[str(name)] = node
+            out[str(name)] = (node, lock_attrs)
     return out
 
 
-def _holds_writer_lock(item: ast.withitem, lock_attrs: frozenset[str]) -> bool:
+def _lock_attr(item: ast.withitem) -> str | None:
     expr = item.context_expr
     if isinstance(expr, ast.Call):  # e.g. store.locked() style helpers
         expr = expr.func
-    return isinstance(expr, ast.Attribute) and expr.attr in lock_attrs
+    return expr.attr if isinstance(expr, ast.Attribute) else None
 
 
 class _SeqlockWalker:
-    """Statement walker tracking loop nesting and writer-lock scopes."""
+    """Statement walker tracking held lock attributes and ``read`` args."""
 
     def __init__(
         self,
         module: Module,
         cls: ClassInfo | None,
         method: MethodInfo,
-        primitives: dict[str, str],
-        lock_attrs: frozenset[str],
+        primitives: dict[str, tuple[str, frozenset[str]]],
         findings: list[Finding],
     ) -> None:
         self.module = module
         self.cls = cls
         self.method = method
         self.primitives = primitives
-        self.lock_attrs = lock_attrs
         self.findings = findings
-        self.marked = _seqlock_reader_mark(method)
-        self.allowed = _module_allowed(module)
 
     def run(self) -> None:
+        if self.method.node.name in self.primitives:
+            return  # the caller of this primitive holds the obligation
         for stmt in self.method.node.body:
-            self._walk(stmt, in_loop=False, under_lock=False)
+            self._walk(stmt, held=frozenset(), in_read=False)
 
-    def _walk(self, node: ast.AST, *, in_loop: bool, under_lock: bool) -> None:
+    def _walk(
+        self, node: ast.AST, *, held: frozenset[str], in_read: bool
+    ) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs get their own iter_functions pass
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            for child in ast.iter_child_nodes(node):
-                self._walk(child, in_loop=True, under_lock=under_lock)
-            return
         if isinstance(node, (ast.With, ast.AsyncWith)):
-            held = under_lock or any(
-                _holds_writer_lock(item, self.lock_attrs)
-                for item in node.items
-            )
+            inner = held | {
+                attr for attr in map(_lock_attr, node.items) if attr
+            }
             for child in node.body:
-                self._walk(child, in_loop=in_loop, under_lock=held)
+                self._walk(child, held=inner, in_read=in_read)
             return
-        if isinstance(node, ast.Call):
-            self._check_call(node, in_loop=in_loop, under_lock=under_lock)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            self._check("SQ001", func, held=held, in_read=in_read)
+            self._walk(func.value, held=held, in_read=in_read)
+            handed = in_read or func.attr == _READ_METHOD
+            for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                self._walk(arg, held=held, in_read=handed)
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            self._check("SQ002", node, held=held, in_read=in_read)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, in_loop=in_loop, under_lock=under_lock)
+            self._walk(child, held=held, in_read=in_read)
 
-    def _check_call(
-        self, call: ast.Call, *, in_loop: bool, under_lock: bool
+    def _check(
+        self,
+        rule: str,
+        node: ast.Attribute,
+        *,
+        held: frozenset[str],
+        in_read: bool,
     ) -> None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
+        spec = self.primitives.get(node.attr)
+        if spec is None or in_read:
             return
-        seqlock = self.primitives.get(func.attr)
-        if seqlock is None or self.allowed or under_lock:
+        seqlock, lock_attrs = spec
+        if lock_attrs & held:
             return
-        if self.marked:
-            if not in_loop:
-                self._report(
-                    "SQ001",
-                    call,
-                    f".{func.attr}() outside the retry loop in a "
-                    f"@seqlock_reader function; {seqlock} readers must "
-                    f"revalidate the generation counter or hold the "
-                    f"writer lock",
-                )
-        else:
-            self._report(
-                "SQ002",
-                call,
-                f".{func.attr}() is protected by {seqlock} but the "
-                f"caller is neither @seqlock_reader-marked nor holding "
-                f"the declared writer lock",
-            )
-
-    def _report(self, rule: str, node: ast.AST, message: str) -> None:
+        shapes = "through Seqlock.read" + (
+            " or under the declared writer lock" if lock_attrs else
+            " (no writer lock is declared)"
+        )
+        what = (
+            f".{node.attr}() is called" if rule == "SQ001"
+            else f".{node.attr} escapes as a value"
+        )
         line = getattr(node, "lineno", self.method.node.lineno)
         self.findings.append(
             Finding(
                 rule=rule,
                 path=self.module.display_path,
                 line=line,
-                message=message,
+                message=(
+                    f"{what} but is protected by {seqlock}; it may only "
+                    f"run {shapes}"
+                ),
                 symbol=qualname(self.cls, self.method),
                 snippet=self.module.snippet(line),
             )
@@ -184,12 +173,8 @@ class _SeqlockWalker:
 
 def check_seqlock(project: Project) -> list[Finding]:
     primitives = _protected_primitives(project)
-    if not primitives:
-        return []
-    lock_attrs = _writer_lock_attrs(project)
     findings: list[Finding] = []
-    for module, cls, method in iter_functions(project):
-        _SeqlockWalker(
-            module, cls, method, primitives, lock_attrs, findings
-        ).run()
+    if primitives:
+        for module, cls, method in iter_functions(project):
+            _SeqlockWalker(module, cls, method, primitives, findings).run()
     return findings

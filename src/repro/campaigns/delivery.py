@@ -39,7 +39,6 @@ from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sharded_store import ShardedSumStore
 from repro.core.sum_model import SumRepository
-from repro.core.sum_store import ColumnarSumStore
 from repro.datagen.behavior import BehaviorModel
 from repro.datagen.campaigns_plan import CampaignSpec
 from repro.datagen.catalog import AFFINITY_LINKS, emotions_linked_to
@@ -70,15 +69,15 @@ class EngineConfig:
     punish_ignore: float = 0.3
     seed: int = 7
     #: SUM storage backend: "object" (dict of SmartUserModels),
-    #: "columnar" (struct-of-arrays ColumnarSumStore; same semantics,
-    #: batch reads and updates become array slices) or "sharded"
-    #: (``n_shards`` columnar partitions behind a hash router — per-shard
-    #: write locks, per-shard vocabularies, generation-stamped
-    #: checkpoints for the replica refresh protocol) or "multiproc"
+    #: "sharded" (``n_shards`` struct-of-arrays partitions behind a hash
+    #: router; same semantics, batch reads and updates become array
+    #: slices — per-shard write locks, per-shard vocabularies,
+    #: generation-stamped checkpoints for the replica refresh protocol;
+    #: ``n_shards=1`` is the single columnar store) or "multiproc"
     #: (sharded, with every column page on shared memory so per-shard
     #: writer *processes* can own mutation — see repro.streaming.procplane)
     sum_backend: str = "object"
-    #: partition count of the "sharded" backend (ignored otherwise);
+    #: partition count of the columnar backends (ignored by "object");
     #: match the streaming updater's ``n_shards`` so each shard worker
     #: is pinned to exactly one store partition
     n_shards: int = 4
@@ -108,8 +107,6 @@ class CampaignEngine:
         self.config = config or EngineConfig()
         if self.config.sum_backend == "object":
             self.sums = SumRepository()
-        elif self.config.sum_backend == "columnar":
-            self.sums = ColumnarSumStore()
         elif self.config.sum_backend == "sharded":
             self.sums = ShardedSumStore(n_shards=self.config.n_shards)
         elif self.config.sum_backend == "multiproc":
@@ -121,7 +118,7 @@ class CampaignEngine:
         else:
             raise ValueError(
                 f"unknown sum_backend {self.config.sum_backend!r}; "
-                "expected 'object', 'columnar', 'sharded' or 'multiproc'"
+                "expected 'object', 'sharded' or 'multiproc'"
             )
         self.eit = GradualEIT(question_bank or QuestionBank.default_bank(per_task=5))
         self.policy = ReinforcementPolicy()

@@ -204,18 +204,6 @@ class ShardedBatch:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
         return self._gather("sensibility_matrix", order, default)
 
-    def subjective_matrix(
-        self, order: Sequence[str], default: float = 0.5
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` subjective tendencies."""
-        return self._gather("subjective_matrix", order, default)
-
-    def evidence_matrix(
-        self, order: Sequence[str], default: float = 0.0
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` observation counters (as float64)."""
-        return self._gather("evidence_matrix", order, default)
-
 
 class ShardedSumStore:
     """``P`` independent columnar SUM partitions behind one router.
@@ -465,10 +453,10 @@ class ShardedSumStore:
     def decay_tick(self, policy, user_ids: Sequence[int] | None = None) -> int:
         """One decay tick (default: every user); returns rows touched.
 
-        Resolution, routing and validation happen in *one* pass over the
-        ids (this is a population-cadence operation — per-id Python work
-        is the cost that matters), and each shard's rows decay as one
-        vectorized call under that shard's own lock.
+        Unknown ids raise one :class:`~repro.core.sum_model.
+        UnknownUserError` naming them all before any shard decays; each
+        shard's rows then decay as one vectorized call under that
+        shard's own lock, inside the rows' seqlock write window.
         """
         if self.readonly:
             raise TypeError(
@@ -477,27 +465,12 @@ class ShardedSumStore:
             )
         if user_ids is None:
             return sum(shard.decay_tick(policy) for shard in self.shards)
-        n = len(self.shards)
-        by_shard: list[list[int]] = [[] for __ in range(n)]
-        missing: list[int] = []
-        for uid in user_ids:
-            uid = int(uid)
-            row = self.shards[uid % n]._row_of.get(uid)
-            if row is None:
-                missing.append(uid)
-            else:
-                by_shard[uid % n].append(row)
-        if missing:
-            raise UnknownUserError(missing)
-        touched = 0
-        for s, rows in enumerate(by_shard):
-            if not rows:
-                continue
-            shard = self.shards[s]
-            with shard._lock:
-                shard._decay_rows(np.asarray(rows, dtype=np.intp), policy)
-            touched += len(rows)
-        return touched
+        ids = [int(uid) for uid in user_ids]
+        self.rows_for(ids)
+        return sum(
+            self.shards[s].decay_tick(policy, [ids[p] for p in positions])
+            for s, positions in self._grouped(ids).items()
+        )
 
     # -- maintenance ---------------------------------------------------------
 

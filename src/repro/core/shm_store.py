@@ -42,24 +42,33 @@ from __future__ import annotations
 
 import atexit
 import json
-import os
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.analysis.contracts import (
     declare_lock,
+    declare_seqlock,
     guarded_by,
     make_lock,
     requires_lock,
 )
+from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sharded_store import ShardedSumStore
 from repro.core.sum_store import ColumnarSumStore
 
 declare_lock("ShmArena._lock")
+# Slot 0 of every control block is a one-cell seqlock over the layout
+# manifest.  No writer lock: the shard's owning process is the single
+# writer by protocol, and no lock could exclude it from another process
+# anyway — so the only legal reader shape is Seqlock.read.
+declare_seqlock(
+    "ShardControlBlock.layout_seq",
+    protects=("_read_published",),
+)
 
 #: module-wide ledger of segment names this process created or attached
 #: and has not yet released — the test-suite leak check reads it
@@ -295,10 +304,11 @@ class ShardControlBlock:
         5  layout length   (bytes of JSON payload currently published)
 
     then ``LAYOUT_CAPACITY`` bytes of JSON: the shard's array layout
-    (segment names, shapes, dtypes, column orders).  Writers publish
-    under the seqlock (epoch odd while writing); readers retry until
-    they observe one even epoch across the whole read — so a reader can
-    never adopt a torn layout, whichever process it runs in.
+    (segment names, shapes, dtypes, column orders).  Slot 0 is a
+    one-cell :class:`~repro.core.seqlock.Seqlock` living in the segment
+    itself: the writer publishes inside its odd window, readers accept a
+    read only across one unchanged even epoch — so a reader can never
+    adopt a torn layout, whichever process it runs in.
     """
 
     SLOT_EPOCH = 0
@@ -322,6 +332,9 @@ class ShardControlBlock:
             buffer=shm.buf,
             offset=self._HEADER_BYTES,
         )
+        self._layout_seq = Seqlock(
+            self._slots[self.SLOT_EPOCH : self.SLOT_EPOCH + 1]
+        )
 
     @classmethod
     def create(cls) -> "ShardControlBlock":
@@ -344,6 +357,8 @@ class ShardControlBlock:
         return self._shm.name
 
     def close(self, unlink: bool = False) -> None:
+        # every view exporting the segment's buffer must go first
+        self._layout_seq = None  # type: ignore[assignment]
         self._slots = None  # type: ignore[assignment]
         self._payload = None  # type: ignore[assignment]
         _release_segment(self._shm, unlink=unlink)
@@ -390,46 +405,53 @@ class ShardControlBlock:
                 f"{self.LAYOUT_CAPACITY}"
             )
         slots = self._slots
-        slots[self.SLOT_EPOCH] += 1  # odd: write in progress
-        self._payload[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        slots[self.SLOT_LAYOUT_LEN] = len(data)
-        slots[self.SLOT_N_USERS] = int(n_users)
-        slots[self.SLOT_APPLIED_SEQ] = int(applied_seq)
-        slots[self.SLOT_EPOCH] += 1  # even: committed
+        with self._layout_seq.write(0):
+            self._payload[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+            slots[self.SLOT_LAYOUT_LEN] = len(data)
+            slots[self.SLOT_N_USERS] = int(n_users)
+            slots[self.SLOT_APPLIED_SEQ] = int(applied_seq)
+
+    def _read_published(self) -> tuple[bytes, int, int]:
+        """One raw read of ``(payload bytes, n_users, applied_seq)``.
+
+        Protected by the layout seqlock; decoded only after the read
+        validated, so torn bytes never reach the JSON parser.
+        """
+        slots = self._slots
+        length = int(slots[self.SLOT_LAYOUT_LEN])
+        return (
+            bytes(self._payload[:length]),
+            int(slots[self.SLOT_N_USERS]),
+            int(slots[self.SLOT_APPLIED_SEQ]),
+        )
 
     def read_layout(
         self, timeout: float = 5.0
     ) -> tuple[dict[str, Any], int, int] | None:
         """``(layout, n_users, applied_seq)`` at one consistent epoch.
 
-        Returns ``None`` when nothing was ever published.  Retries while
-        a writer holds the seqlock odd; a writer stuck mid-publish past
+        Returns ``None`` when nothing was ever published.  A starved
+        read cannot fall back to a lock — the writer is another process —
+        so it waits and reads again; a writer stuck mid-publish past
         ``timeout`` raises (that process is gone or wedged — callers
         fall back to crash recovery).
         """
-        slots = self._slots
         deadline = time.monotonic() + timeout
         while True:
-            e1 = int(slots[self.SLOT_EPOCH])
-            if e1 == 0:
+            if int(self._slots[self.SLOT_EPOCH]) == 0:
                 return None
-            if e1 % 2 == 0:
-                length = int(slots[self.SLOT_LAYOUT_LEN])
-                n_users = int(slots[self.SLOT_N_USERS])
-                applied_seq = int(slots[self.SLOT_APPLIED_SEQ])
-                data = bytes(self._payload[:length])
-                if int(slots[self.SLOT_EPOCH]) == e1:
-                    return (
-                        json.loads(data.decode("utf-8")),
-                        n_users,
-                        applied_seq,
-                    )
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    "shard control block seqlock held odd past "
-                    f"{timeout}s; writer process wedged or dead"
+            try:
+                data, n_users, applied_seq = self._layout_seq.read(
+                    0, self._read_published
                 )
-            time.sleep(0.0005)
+                return json.loads(data.decode("utf-8")), n_users, applied_seq
+            except SeqlockStarved:
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        "shard control block seqlock held odd past "
+                        f"{timeout}s; writer process wedged or dead"
+                    ) from None
+                time.sleep(0.0005)
 
 
 # -- layout (de)serialization helpers ----------------------------------------
@@ -451,7 +473,7 @@ def shard_layout(arena: ShmArena, shard: ColumnarSumStore) -> dict[str, Any]:
         # the per-row seqlock counters ride the manifest too: a reader
         # process that kept watching the pre-growth segment would miss
         # every odd window the writer opens on the replacement
-        "row_gen": _array_spec(arena, shard._row_gen.values),
+        "row_gen": _array_spec(arena, shard.row_generations.cells),
         "row_capacity": int(shard._capacity),
         "families": {},
     }
@@ -478,32 +500,21 @@ def adopt_layout(
     (post-``sync``) — the shard lock below serializes the swap against
     *this* process's readers, not the remote writer.
     """
+    def attach(spec: Mapping[str, Any]) -> np.ndarray:
+        return arena.attach(spec["segment"], spec["shape"], spec["dtype"])
+
     with shard._lock:
-        spec = layout["user_ids"]
-        shard._user_ids = arena.attach(
-            spec["segment"], spec["shape"], spec["dtype"]
-        )
-        spec = layout["ei"]
-        shard._ei = arena.attach(spec["segment"], spec["shape"], spec["dtype"])
-        spec = layout.get("row_gen")
-        if spec is not None:
-            # swap the counters in place: families alias the same
-            # _RowGenerations object, so rebinding .values repoints every
-            # writer bump and every lock-free reader at once
-            shard._row_gen.values = arena.attach(
-                spec["segment"], spec["shape"], spec["dtype"]
-            )
+        shard._user_ids = attach(layout["user_ids"])
+        shard._ei = attach(layout["ei"])
+        # swap the cells in place: families alias the same Seqlock
+        # object, so rebinding .cells repoints every writer bump and
+        # every lock-free reader at once
+        shard.row_generations.cells = attach(layout["row_gen"])
         shard._capacity = int(layout["row_capacity"])
         for name, family in shard._named_families():
             published = layout["families"][name]
-            spec = published["values"]
-            family.values = arena.attach(
-                spec["segment"], spec["shape"], spec["dtype"]
-            )
-            spec = published["mask"]
-            family.mask = arena.attach(
-                spec["segment"], spec["shape"], spec["dtype"]
-            )
+            family.values = attach(published["values"])
+            family.mask = attach(published["mask"])
             order = [str(column) for column in published["order"]]
             # fresh registries (frozen captures share the old ones by
             # reference)
@@ -524,7 +535,7 @@ def adopt_layout(
         # arrays were swapped wholesale: advance the layout epoch (even
         # to even) so mirror captures staged against the old segments
         # restage everything instead of trusting stale stamps
-        shard._layout_epoch += 2
+        shard.layout_epoch.cells[0] += 2
 
 
 def copy_shard_into(src: ColumnarSumStore, dst: ColumnarSumStore) -> None:

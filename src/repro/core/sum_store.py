@@ -34,9 +34,9 @@ double operations, just batched differently (the property suite in
 ``tests/properties/test_columnar_batch.py`` pins this down).
 
 Persistence is columnar too: :meth:`ColumnarSumStore.save` writes the
-population as ``.npz`` column pages through the :mod:`repro.db` Catalog,
-and :meth:`dumps`/:meth:`loads` keep the :class:`SumRepository` JSON
-format as a compatible import/export path.
+population as dense, mmap-able ``.npy`` column pages through the
+:mod:`repro.db` Catalog, and :meth:`dumps`/:meth:`loads` keep the
+:class:`SumRepository` JSON format as a compatible import/export path.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from collections.abc import MutableMapping
 from pathlib import Path
 from types import MappingProxyType
@@ -66,6 +65,7 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
+from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.updates import DecayOp, PunishOp, RewardOp
 
@@ -100,78 +100,38 @@ class _MutationClock:
     def bump(self) -> None:
         self.value += 1
 
-class _RowGenerations:
-    """Per-row seqlock generation counters — readers retry, never block.
 
-    Writers bump a row's counter to *odd* before mutating it and back to
-    *even* after committing (always under the store lock, so bumps never
-    race each other); a lock-free reader copies a row only between two
-    equal even observations of its counter, re-fetching ``values`` each
-    attempt so an array replacement (row growth) is caught by identity.
-    The array lives behind the store allocator, so a shared-memory store
-    publishes the counters to every process mapping its pages — the
-    per-row variant of the layout handshake
-    :class:`~repro.core.shm_store.ShardControlBlock` proves out.
-    """
-
-    __slots__ = ("values", "_alloc")
-
-    def __init__(
-        self,
-        capacity: int,
-        alloc: Callable[[tuple[int, ...], Any], np.ndarray],
-    ) -> None:
-        self._alloc = alloc
-        self.values = alloc((capacity,), np.int64)
-
-    def grow(self, new_capacity: int) -> None:
-        grown = self._alloc((new_capacity,), np.int64)
-        grown[: self.values.shape[0]] = self.values
-        self.values = grown
-
-    def begin(self, rows: Any) -> None:
-        """Mark ``rows`` mid-write (even -> odd); store lock held."""
-        self.values[rows] += 1
-
-    def end(self, rows: Any) -> None:
-        """Mark ``rows`` committed (odd -> even); store lock held."""
-        self.values[rows] += 1
-
-
-class _NullRowGenerations(_RowGenerations):
-    """No-op generations for frozen captures (no live writers to race)."""
-
-    def __init__(self) -> None:
-        super().__init__(0, _zeros)
-
-    def begin(self, rows: Any) -> None:
-        pass
-
-    def end(self, rows: Any) -> None:
-        pass
-
-
-_NULL_ROW_GEN = _NullRowGenerations()
+#: absorbs the odd/even bumps of a write through a frozen view — the
+#: read-only arrays reject the write itself, and nothing ever reads this
+_FROZEN_ROW_GEN = Seqlock(np.zeros(1, dtype=np.int64))
 
 
 # Column families share their owning store's RLock (one serialization
 # domain per store), so "_ColumnFamily.lock" is the same runtime object
-# as "ColumnarSumStore._lock" and the analyzer treats them as one node.
+# as "ColumnarSumStore._lock" and the analyzer treats them as one node;
+# the public ``writer_lock`` accessor hands out that same object.
 declare_lock(
     "ColumnarSumStore._lock",
     reentrant=True,
-    aliases=("_ColumnFamily.lock",),
+    aliases=("_ColumnFamily.lock", "ColumnarSumStore.writer_lock"),
 )
 
-# Lock-free reader captures: every mutation path bumps the touched rows'
-# generation counters odd before writing and even after (always under
-# the store lock), and readers copy a row only between two equal even
-# observations.  The mirror copy primitives may therefore be called
-# lock-free *only* from @seqlock_reader-marked retry loops — or under
-# the writer lock itself, which excludes every generation bump.
+# Lock-free reader captures (the protocol is repro.core.seqlock): every
+# mutation path bumps the touched rows' generation cells odd before
+# writing and even after (always under the store lock), so the mirror
+# copy primitives may be called lock-free *only* through Seqlock.read —
+# or under the writer lock itself, which excludes every generation bump.
 declare_seqlock(
     "ColumnarSumStore.row_generations",
     protects=("refresh_row", "copy_row"),
+    writer_lock="ColumnarSumStore._lock",
+)
+# One more cell for the column layout: odd while compact_vocab() swaps
+# family registries and arrays.  Whatever slices columns by position —
+# a frozen row, a staged mirror capture — runs inside one even window.
+declare_seqlock(
+    "ColumnarSumStore.layout_epoch",
+    protects=("_freeze_row", "_capture_staged"),
     writer_lock="ColumnarSumStore._lock",
 )
 
@@ -296,14 +256,15 @@ class _ColumnFamily:
         frozen: bool = False,
         alloc: Callable[[tuple[int, ...], Any], np.ndarray] | None = None,
         clock: _MutationClock | None = None,
-        row_gen: _RowGenerations | None = None,
+        *,
+        row_gen: Seqlock,
     ) -> None:
         self.lock = lock
         self._alloc = alloc if alloc is not None else _zeros
         self.clock = clock if clock is not None else _MutationClock()
-        #: the owning store's per-row seqlock counters; scalar row writes
+        #: the owning store's per-row seqlock cells; scalar row writes
         #: through views bump them so lock-free captures can retry
-        self.row_gen = row_gen if row_gen is not None else _NULL_ROW_GEN
+        self.row_gen = row_gen
         self._dtype = np.dtype(dtype)
         #: columns the family was constructed with; compaction never drops
         #: them (the emotion seeds pin the shared intensity/sensibility/
@@ -368,15 +329,6 @@ class _ColumnFamily:
         grown_m[: self.mask.shape[0]] = self.mask
         self.values, self.mask = grown_v, grown_m
 
-    @requires_lock("lock")
-    def clear_row(self, row: int) -> None:
-        self.row_gen.begin(row)
-        try:
-            self.values[row, :] = 0
-            self.mask[row, :] = False
-        finally:
-            self.row_gen.end(row)
-
 
 class _FrozenFamily:
     """Read-only point-in-time copy of some rows of a column family.
@@ -415,8 +367,8 @@ class _FrozenFamily:
         # absorbs the pre-write clock bump; the read-only arrays still
         # reject the write itself
         self.clock = _MutationClock()
-        # frozen rows have no live writers; generation bumps are no-ops
-        self.row_gen = _NULL_ROW_GEN
+        # frozen rows have no live writers or lock-free readers
+        self.row_gen = _FROZEN_ROW_GEN
 
     @classmethod
     def capture(cls, family: _ColumnFamily, rows: np.ndarray) -> "_FrozenFamily":
@@ -490,8 +442,8 @@ class FrozenSumBatch:
     one — never a torn read.
     """
 
-    __slots__ = ("user_ids", "emotional", "sensibility", "subjective",
-                 "evidence", "_stamps", "_versions", "_resolve")
+    __slots__ = ("user_ids", "emotional", "sensibility",
+                 "_stamps", "_versions", "_resolve")
 
     def __init__(
         self,
@@ -500,8 +452,6 @@ class FrozenSumBatch:
         emotional: _FrozenFamily,
         sensibility: _FrozenFamily,
         resolve: Callable[[int], "SmartUserModel"] | None = None,
-        subjective: _FrozenFamily | None = None,
-        evidence: _FrozenFamily | None = None,
     ) -> None:
         self.user_ids = list(user_ids)
         # ``versions`` maps uid -> stamp at capture (absent means 0); the
@@ -511,11 +461,6 @@ class FrozenSumBatch:
         self._versions: dict[int, int] | None = None
         self.emotional = emotional
         self.sensibility = sensibility
-        # only staged when the owning mirror opted in (mirror scope):
-        # batch consumers beyond the Advice stage — feature extraction,
-        # evidence analytics — then get the same snapshot isolation
-        self.subjective = subjective
-        self.evidence = evidence
         self._resolve = resolve
 
     @property
@@ -559,34 +504,6 @@ class FrozenSumBatch:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
         rows = np.arange(len(self.user_ids), dtype=np.intp)
         return self.sensibility.read_matrix(rows, order, default)
-
-    def subjective_matrix(
-        self, order: Sequence[str], default: float = 0.5
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` subjective tendencies at capture.
-
-        Requires a mirror built with ``families=("subjective",)`` — the
-        default mirror stages only what the Advice stage reads.
-        """
-        if self.subjective is None:
-            raise TypeError(
-                "subjective columns were not staged in this capture; "
-                "build the mirror/cache with families=('subjective',)"
-            )
-        rows = np.arange(len(self.user_ids), dtype=np.intp)
-        return self.subjective.read_matrix(rows, order, default)
-
-    def evidence_matrix(
-        self, order: Sequence[str], default: float = 0.0
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` observation counters (as float64)."""
-        if self.evidence is None:
-            raise TypeError(
-                "evidence columns were not staged in this capture; "
-                "build the mirror/cache with families=('evidence',)"
-            )
-        rows = np.arange(len(self.user_ids), dtype=np.intp)
-        return self.evidence.read_matrix(rows, order, default)
 
 
 class _MirrorFamily:
@@ -650,64 +567,34 @@ class _MirrorFamily:
 class ColumnMirror:
     """Copy-on-write staging columns for published reads.
 
-    The streaming cache refreshes a user's mirror row (under that user's
-    write lock) on the first read after a publish; captures then slice
-    the mirror, which writers never touch — so a capture cannot observe
-    a half-applied batch even while writers stream into the live arrays.
-    By default only the families the Advice-stage batch read path
-    consumes (emotional intensities and sensibilities) are mirrored;
-    pass extra ``families`` (``"subjective"``, ``"evidence"``) to give
-    batch consumers beyond the Advice stage the same snapshot isolation.
-    Scalar snapshot reads go through :meth:`ColumnarSumStore.freeze_view`
-    instead.
+    The streaming cache refreshes a user's mirror row on the first read
+    after a publish; captures then slice the mirror, which writers never
+    touch — so a capture cannot observe a half-applied batch even while
+    writers stream into the live arrays.  Exactly the two families the
+    Advice-stage batch read path consumes (emotional intensities and
+    sensibilities) are mirrored.  Scalar snapshot reads go through
+    :meth:`ColumnarSumStore.freeze_view` instead.
     """
 
-    #: always staged: the two families the serving read path slices
-    REQUIRED_FAMILIES = ("emotional", "sensibility")
+    __slots__ = ("emotional", "sensibility")
 
-    __slots__ = ("store", "families")
-
-    def __init__(
-        self,
-        store: "ColumnarSumStore",
-        families: Sequence[str] | None = None,
-    ) -> None:
-        extras = tuple(families or ())
-        allowed = set(ColumnarSumStore._FAMILY_NAMES)
-        unknown = sorted(set(extras) - allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown mirror families {unknown}; have {sorted(allowed)}"
-            )
-        staged = list(self.REQUIRED_FAMILIES) + [
-            name for name in extras if name not in self.REQUIRED_FAMILIES
-        ]
-        live = dict(store._named_families())
-        self.store = store
-        self.families: dict[str, _MirrorFamily] = {
-            name: _MirrorFamily(live[name]) for name in staged
-        }
-
-    @property
-    def emotional(self) -> _MirrorFamily:
-        return self.families["emotional"]
-
-    @property
-    def sensibility(self) -> _MirrorFamily:
-        return self.families["sensibility"]
+    def __init__(self, store: "ColumnarSumStore") -> None:
+        self.emotional = _MirrorFamily(store._emotional)
+        self.sensibility = _MirrorFamily(store._sensibility)
 
     def sync_shape(self) -> None:
-        for family in self.families.values():
-            family.sync_shape()
+        self.emotional.sync_shape()
+        self.sensibility.sync_shape()
 
     def refresh_row(self, row: int) -> None:
         """Copy one user's live row slices into the mirror.
 
-        Caller must hold the user's write lock: the copy races nothing,
-        so the mirrored row is exactly one published version.
+        Protected by the row-generation seqlock: call it through
+        ``store.row_generations.read`` or under ``store.writer_lock``, so
+        the mirrored row is exactly one committed state.
         """
-        for family in self.families.values():
-            family.copy_row(row)
+        self.emotional.copy_row(row)
+        self.sensibility.copy_row(row)
 
     def capture(
         self,
@@ -718,18 +605,16 @@ class ColumnMirror:
     ) -> FrozenSumBatch:
         """Freeze ``rows`` of the mirror into a bit-stable batch."""
         rows = np.asarray(rows, dtype=np.intp)
-        frozen: dict[str, _FrozenFamily] = {}
-        for name, family in self.families.items():
+
+        def frozen(family: _MirrorFamily) -> _FrozenFamily:
             live = family.live
-            frozen[name] = _FrozenFamily(
-                live.index, live.order,
-                family.values[rows], family.mask[rows],
+            return _FrozenFamily(
+                live.index, live.order, family.values[rows], family.mask[rows]
             )
+
         return FrozenSumBatch(
-            user_ids, versions, frozen["emotional"], frozen["sensibility"],
-            resolve,
-            subjective=frozen.get("subjective"),
-            evidence=frozen.get("evidence"),
+            user_ids, versions, frozen(self.emotional),
+            frozen(self.sensibility), resolve,
         )
 
 
@@ -759,6 +644,8 @@ class _RowMapView(MutableMapping):
         with family.lock:
             j = family.ensure_column(name)
             family.clock.bump()
+            # begin/end spelled out rather than write(): this is the one
+            # per-cell writer, and the context manager doubles its cost
             family.row_gen.begin(self._row)
             try:
                 family.values[self._row, j] = value
@@ -948,18 +835,6 @@ class SumBatch:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
         return self.store._sensibility.read_matrix(self.rows, order, default)
 
-    def subjective_matrix(
-        self, order: Sequence[str], default: float = 0.5
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` subjective tendencies; absent → default."""
-        return self.store._subjective.read_matrix(self.rows, order, default)
-
-    def evidence_matrix(
-        self, order: Sequence[str], default: float = 0.0
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` observation counters (as float64)."""
-        return self.store._evidence.read_matrix(self.rows, order, default)
-
 
 @guarded_by(
     "_lock",
@@ -1002,15 +877,18 @@ class ColumnarSumStore:
         #: (:mod:`repro.core.shm_store`) without touching any write path
         self._alloc = alloc if alloc is not None else _zeros
         self._clock = _MutationClock()
-        #: per-row seqlock counters: every mutation path bumps the
-        #: touched rows odd before writing and even after (under _lock),
-        #: so lock-free captures retry instead of taking the write lock
-        self._row_gen = _RowGenerations(capacity, self._alloc)
+        #: per-row seqlock cells: every mutation path bumps the touched
+        #: rows odd before writing and even after (under _lock), so
+        #: lock-free row copies read through it instead of taking the
+        #: write lock
+        self.row_generations = Seqlock(self._alloc((capacity,), np.int64))
         #: column-layout seqlock epoch: odd while compact_vocab() swaps
-        #: family registries/arrays; captures compare it before and after
-        #: and restage their mirrors on any change, so compaction no
-        #: longer requires quiesced readers or a manual invalidate()
-        self._layout_epoch = 0
+        #: family registries/arrays; captures run inside one even window
+        #: and restage their mirrors when the value moved, so compaction
+        #: requires neither quiesced readers nor a manual invalidate().
+        #: Allocated like every other block, so on shared pages a writer
+        #: process's compaction is visible to the parent's captures.
+        self.layout_epoch = Seqlock(self._alloc((1,), np.int64))
         self._row_of: dict[int, int] = {}
         self._user_ids = self._alloc((capacity,), np.int64)
         self._n = 0
@@ -1018,19 +896,19 @@ class ColumnarSumStore:
         self._emotional = _ColumnFamily(
             np.float64, capacity, self._lock,
             seed_names=EMOTION_NAMES, frozen=True,
-            alloc=self._alloc, clock=self._clock, row_gen=self._row_gen,
+            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
         )
         self._sensibility = _ColumnFamily(
             np.float64, capacity, self._lock, seed_names=EMOTION_NAMES,
-            alloc=self._alloc, clock=self._clock, row_gen=self._row_gen,
+            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
         )
         self._subjective = _ColumnFamily(
             np.float64, capacity, self._lock,
-            alloc=self._alloc, clock=self._clock, row_gen=self._row_gen,
+            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
         )
         self._evidence = _ColumnFamily(
             np.int64, capacity, self._lock, seed_names=EMOTION_NAMES,
-            alloc=self._alloc, clock=self._clock, row_gen=self._row_gen,
+            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
         )
         ei = self._alloc((capacity, len(BRANCH_ORDER)), np.float64)
         ei[:] = 0.5
@@ -1068,34 +946,17 @@ class ColumnarSumStore:
         return self._clock.value
 
     @property
-    def row_generations(self) -> _RowGenerations:
-        """The per-row seqlock counters lock-free captures retry on."""
-        return self._row_gen
-
-    @property
     def writer_lock(self) -> threading.RLock:
         """The store lock every generation bump happens under.
 
-        The pessimistic fallback for seqlock readers: a capture that has
-        spun without ever observing an even generation (a saturated
+        The pessimistic fallback for seqlock readers: a capture whose
+        :meth:`~repro.core.seqlock.Seqlock.read` starved (a saturated
         writer spends its whole duty cycle inside the odd window, and
         numpy releases the GIL exactly there) may take this lock for one
-        row copy — holding it excludes every writer, so no retry is
-        needed.  Fallback only; the optimistic retry loop stays the fast
-        path.
+        copy — holding it excludes every writer, so no retry is needed.
+        Fallback only; the optimistic read stays the fast path.
         """
         return self._lock
-
-    @property
-    def layout_epoch(self) -> int:
-        """Column-layout seqlock epoch (odd while a compaction swaps).
-
-        Captures read it before and after slicing: an odd value means a
-        :meth:`compact_vocab` is mid-swap, a changed value means the
-        column layout their mirror was staged under no longer matches
-        the live arrays — either way the capture restages and retries.
-        """
-        return self._layout_epoch
 
     # -- freshness floors (replica duck-type of the SumCache surface) -------
 
@@ -1145,9 +1006,9 @@ class ColumnarSumStore:
         grown_ids = self._alloc((new_capacity,), np.int64)
         grown_ids[: self._n] = self._user_ids[: self._n]
         self._user_ids = grown_ids
-        # replacing the generation array invalidates any in-flight
-        # lock-free capture by identity (readers re-check `values is`)
-        self._row_gen.grow(new_capacity)
+        # replacing the generation cells invalidates any in-flight
+        # lock-free capture by identity
+        self.row_generations.grow(self._alloc((new_capacity,), np.int64))
         for family in self._families():
             family.grow_rows(new_capacity)
         grown_ei = self._alloc((new_capacity, len(BRANCH_ORDER)), np.float64)
@@ -1267,31 +1128,30 @@ class ColumnarSumStore:
         :func:`seal_attributes`).  The caller is responsible for
         quiescing the user's writers during the capture (the streaming
         cache holds the user's write lock); a concurrent
-        :meth:`compact_vocab` is tolerated via the layout-epoch retry.
+        :meth:`compact_vocab` is tolerated by capturing inside one
+        layout-epoch window.
         """
         user_id = int(user_id)
         row = self.row_index(user_id)
-        while True:
-            epoch = self._layout_epoch
-            if epoch & 1:  # compaction mid-swap; wait for the new layout
-                time.sleep(0)
-                continue
-            frozen = _FrozenRowStore(self, row)
-            if self._layout_epoch == epoch:
-                break
+        try:
+            frozen = self.layout_epoch.read(0, self._freeze_row, row)
+        except SeqlockStarved:
+            with self._lock:  # starved: exclude compaction outright
+                frozen = self._freeze_row(row)
         view = SumRowView(frozen, user_id, 0)
         seal_attributes(view.emotional)
         seal_attributes(view.ei_profile)
         seal_attributes(view)
         return view
 
-    def mirror(self, families: Sequence[str] | None = None) -> ColumnMirror:
-        """A fresh copy-on-write read mirror over this store's columns.
+    def _freeze_row(self, row: int) -> "_FrozenRowStore":
+        """One raw capture of ``row`` across every family.
 
-        ``families`` names extra column families (``"subjective"``,
-        ``"evidence"``) to stage beyond the Advice-stage defaults.
+        Protected by the layout-epoch seqlock: a compaction swapping
+        registries and arrays mid-capture would pair one family's old
+        index with another's new columns.
         """
-        return ColumnMirror(self, families)
+        return _FrozenRowStore(self, row)
 
     # -- vocabulary compaction ----------------------------------------------
 
@@ -1323,14 +1183,12 @@ class ColumnarSumStore:
             )
         with self._lock:
             dropped = 0
-            self._layout_epoch += 1  # odd: captures stall and restage
-            try:
+            # odd while columns move: captures stall, then restage
+            with self.layout_epoch.write(0):
                 for family in (
                     self._sensibility, self._subjective, self._evidence
                 ):
                     dropped += self._compact_family(family)
-            finally:
-                self._layout_epoch += 1  # even: new layout published
             if dropped:
                 self._clock.bump()
             return dropped
@@ -1455,12 +1313,8 @@ class ColumnarSumStore:
         # half-applied op sequence (rows are unique after the merge, so
         # the fancy-indexed bump is one increment per row).
         if n_rounds:
-            self._row_gen.begin(rows)
-        try:
-            self._apply_rounds(entries, rows, n_rounds, policy)
-        finally:
-            if n_rounds:
-                self._row_gen.end(rows)
+            with self.row_generations.write(rows):
+                self._apply_rounds(entries, rows, n_rounds, policy)
         return [len(ops) for __, ops in items]
 
     @requires_lock("_lock")
@@ -1621,11 +1475,8 @@ class ColumnarSumStore:
             )
             if len(rows):
                 self._clock.bump()
-                self._row_gen.begin(rows)
-                try:
+                with self.row_generations.write(rows):
                     self._decay_rows(rows, policy)
-                finally:
-                    self._row_gen.end(rows)
             return int(len(rows))
 
     # -- JSON import/export (SumRepository-compatible) ----------------------
@@ -1674,9 +1525,8 @@ class ColumnarSumStore:
         """Export to an object-backed :class:`SumRepository` (deep copy)."""
         return SumRepository.loads(self.dumps())
 
-    # -- Catalog persistence (.npz column pages) -----------------------------
+    # -- Catalog persistence (dense .npy column pages) -----------------------
 
-    _PRESENT_SUFFIX = "__present"
     _FAMILY_NAMES = ("emotional", "sensibility", "subjective", "evidence")
 
     def _named_families(self) -> tuple[tuple[str, _ColumnFamily], ...]:
@@ -1690,19 +1540,16 @@ class ColumnarSumStore:
         versions: Mapping[int, int] | None = None,
         global_version: int | None = None,
     ) -> Path:
-        """Persist through the :mod:`repro.db` Catalog, two layouts at once.
+        """Persist through the :mod:`repro.db` Catalog.
 
-        * per-family ``.npz`` tables (the PR 3 interchange format: one
-          value + ``__present`` column per attribute), still readable by
-          any table consumer;
-        * dense ``.npy`` column pages per family (``<family>__values`` /
-          ``<family>__mask``) plus ``user_ids`` and ``ei`` — the serving
-          format :meth:`load` can memory-map read-only, so every replica
-          on a host shares one physical copy of the population.
-
-        Neither layout round-trips values through per-element Python
-        ``float()``/``int()`` lists anymore: columns are handed to the
-        catalog as numpy slices and bulk-cast.
+        One layout: dense ``.npy`` column pages per family
+        (``<family>__values`` / ``<family>__mask``) plus ``user_ids`` and
+        ``ei`` — which :meth:`load` can memory-map read-only, so every
+        replica on a host shares one physical copy of the population —
+        and a small ``users`` table for the cold per-row state
+        (objective attributes, EIT question sets).  Columns are handed
+        to the catalog as numpy slices and bulk-cast, never through
+        per-element Python ``float()``/``int()`` lists.
 
         The refresh protocol's stamps ride in the catalog meta:
         ``generation`` (the checkpoint's monotonic counter, usually
@@ -1753,34 +1600,6 @@ class ColumnarSumStore:
             )
         )
 
-        ei_schema = Schema(
-            [Column("user_id", ColumnType.INT64)]
-            + [Column(b.value, ColumnType.FLOAT64) for b in BRANCH_ORDER]
-        )
-        ei_columns: dict[str, Sequence[Any]] = {"user_id": ids}
-        for j, branch in enumerate(BRANCH_ORDER):
-            ei_columns[branch.value] = self._ei[live, j]
-        catalog.register(Table.from_columns(ei_schema, ei_columns, name="ei"))
-
-        for table_name, family in self._named_families():
-            ctype = (
-                ColumnType.INT64 if family is self._evidence
-                else ColumnType.FLOAT64
-            )
-            columns: dict[str, Sequence[Any]] = {"user_id": ids}
-            schema_columns = [Column("user_id", ColumnType.INT64)]
-            for name in family.order:
-                j = family.index[name]
-                schema_columns.append(Column(name, ctype))
-                schema_columns.append(
-                    Column(name + self._PRESENT_SUFFIX, ColumnType.BOOL)
-                )
-                columns[name] = family.values[live, j]
-                columns[name + self._PRESENT_SUFFIX] = family.mask[live, j]
-            catalog.register(
-                Table.from_columns(Schema(schema_columns), columns, name=table_name)
-            )
-
         # -- dense pages: the mmap-able serving layout ---------------------
         catalog.put_array("user_ids", ids.astype(np.int64, copy=False))
         catalog.put_array("ei", self._ei[live])
@@ -1816,9 +1635,9 @@ class ColumnarSumStore:
         With ``mmap=True`` the dense column pages are memory-mapped
         read-only instead of copied: serving replicas on one host share a
         single page-cache copy of the population, and every write path on
-        the returned store raises (``readonly`` is ``True``).  Requires
-        the dense pages — directories written before they existed load
-        copy-wise from the ``.npz`` tables and cannot be mmapped.
+        the returned store raises (``readonly`` is ``True``).  A
+        directory without the dense pages is not a saved store: both
+        modes raise :class:`~repro.db.storage.StorageError`.
         """
         from repro.db.catalog import Catalog
         from repro.db.storage import StorageError
@@ -1826,18 +1645,10 @@ class ColumnarSumStore:
         catalog = Catalog.load(directory, mmap_arrays=mmap)
         meta = catalog.meta.get("sum_store")
         if meta is None or "user_ids" not in catalog.arrays:
-            if mmap:
-                raise StorageError(
-                    f"{directory} has no dense column pages to mmap; "
-                    "re-save the store with this version first"
-                )
-            return cls._load_from_tables(catalog)
-        return cls._load_from_pages(catalog, meta, mmap=mmap)
-
-    @classmethod
-    def _load_from_pages(
-        cls, catalog: Any, meta: dict[str, Any], mmap: bool
-    ) -> "ColumnarSumStore":
+            raise StorageError(
+                f"{directory} has no dense column pages; it was not "
+                "written by ColumnarSumStore.save"
+            )
         ids = catalog.array("user_ids")
         n = len(ids)
         users = catalog.get("users")
@@ -1915,48 +1726,4 @@ class ColumnarSumStore:
                     f"{page_name}__mask"
                 )
         store._ei[rows] = catalog.array("ei")
-        return store
-
-    @classmethod
-    def _load_from_tables(cls, catalog: Any) -> "ColumnarSumStore":
-        """Copy-wise load from the per-family ``.npz`` tables (legacy dirs)."""
-        users = catalog.get("users")
-        ids = [int(uid) for uid in users.column("user_id")]
-        store = cls(initial_capacity=max(len(ids), 1))
-        rows = store.rows_for(ids, create=True)
-        for row, objective, asked, answered in zip(
-            rows,
-            users.column("objective"),
-            users.column("asked_questions"),
-            users.column("answered_questions"),
-        ):
-            store._objective[row] = json.loads(objective)
-            store._asked[row] = set(json.loads(asked))
-            store._answered[row] = set(json.loads(answered))
-
-        def check_alignment(table: Any) -> None:
-            # A data-integrity check, not a debug assert: misaligned
-            # pages would scatter every user's values into wrong rows.
-            if [int(u) for u in table.column("user_id")] != ids:
-                raise ValueError(
-                    f"table {table.name!r} user_id column does not match "
-                    "the users table; catalog directory is corrupt"
-                )
-
-        ei = catalog.get("ei")
-        check_alignment(ei)
-        for j, branch in enumerate(BRANCH_ORDER):
-            store._ei[rows, j] = np.asarray(ei.column(branch.value), dtype=np.float64)
-
-        for table_name, family in store._named_families():
-            table = catalog.get(table_name)
-            check_alignment(table)
-            for name in table.schema.names:
-                if name == "user_id" or name.endswith(cls._PRESENT_SUFFIX):
-                    continue
-                j = family.ensure_column(name)
-                family.values[rows, j] = table.column(name)
-                family.mask[rows, j] = np.asarray(
-                    table.column(name + cls._PRESENT_SUFFIX), dtype=bool
-                )
         return store

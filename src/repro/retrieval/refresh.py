@@ -21,11 +21,10 @@ deterministic tests or as a daemon cadence (:meth:`start`).
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
-from typing import Callable
 
 from repro.analysis.contracts import declare_lock, guarded_by, make_lock
+from repro.core.cadence import CadenceDriven
 from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
 from repro.retrieval.index import ClusteredANNIndex
 from repro.retrieval.retriever import CandidateRetriever
@@ -34,39 +33,8 @@ from repro.retrieval.retriever import CandidateRetriever
 declare_lock("IndexRefresher._build_lock")
 
 
-class _Cadence(threading.Thread):
-    """Run ``tick`` every ``interval`` seconds until stopped (daemon).
-
-    Local clone of the replica plane's cadence runner: this package
-    sits *below* :mod:`repro.serving.replica` in the import graph
-    (the service imports retrieval), so it cannot borrow that one.
-    """
-
-    def __init__(
-        self, tick: Callable[[], object], interval: float, name: str
-    ) -> None:
-        super().__init__(name=name, daemon=True)
-        self._tick = tick
-        self._interval = float(interval)
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing loop
-        while not self._stop_event.wait(self._interval):
-            try:
-                self._tick()
-            except Exception:
-                # a failed build must not kill the cadence; the old
-                # index keeps serving and the next tick retries
-                continue
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout)
-
-
 @guarded_by("_build_lock", "_built_fingerprint", "_built_version")
-class IndexRefresher:
+class IndexRefresher(CadenceDriven):
     """Rebuild the ANN index when the model or emotional state moves on.
 
     Parameters
@@ -118,7 +86,6 @@ class IndexRefresher:
         self.retriever = retriever
         self.cache = cache
         self.min_new_versions = int(min_new_versions)
-        self.interval = interval
         self.n_clusters = n_clusters
         self.n_iter = int(n_iter)
         self.seed = int(seed)
@@ -127,8 +94,11 @@ class IndexRefresher:
         #: built from (None until the first build)
         self._built_fingerprint: object | None = None
         self._built_version: int | None = None
-        self._thread: _Cadence | None = None
         registry = resolve_registry(telemetry)
+        self._init_cadence(
+            self.poll, interval, "retrieval-index-refresher",
+            registry.counter("serving.retrieval.cadence_failures"),
+        )
         self._m_rebuilds = registry.counter("serving.retrieval.index_rebuilds")
         self._m_build_seconds = registry.histogram(
             "serving.retrieval.index_build_seconds"
@@ -187,27 +157,3 @@ class IndexRefresher:
         self._m_build_seconds.observe(perf_counter() - started)
         self._g_items.set(float(indexed))
         return generation
-
-    # -- cadence -------------------------------------------------------------
-
-    def start(self) -> "IndexRefresher":
-        """Start polling on the configured ``interval``."""
-        if self.interval is None:
-            raise ValueError("no interval configured; call poll() instead")
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = _Cadence(
-                self.poll, self.interval, "retrieval-index-refresher"
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._thread.stop()
-            self._thread = None
-
-    def __enter__(self) -> "IndexRefresher":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

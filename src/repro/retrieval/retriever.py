@@ -8,13 +8,13 @@ object pair:
 
 * **writers** (:meth:`swap`, called by the
   :class:`~repro.retrieval.refresh.IndexRefresher` after a background
-  build) hold ``_swap_lock`` and bump the page epoch odd → store the new
-  ``(index, generation)`` → bump it even;
+  build) hold ``_swap_lock`` and store the new ``(index, generation)``
+  inside the page epoch's odd window;
 * **readers** (:meth:`current`, on the request hot path) run lock-free:
-  read the epoch, copy the pair, re-read and retry on any mismatch —
-  the classic seqlock shape, machine-checked by the analyzer's
-  ``SQ001``/``SQ002`` rules via the declarations below.  A bounded spin
-  falls back to taking the writer lock, so a reader can never starve.
+  one :meth:`~repro.core.seqlock.Seqlock.read` of the pair,
+  machine-checked by the analyzer's ``SQ001``/``SQ002`` rules via the
+  declarations below.  A starved read falls back to taking the writer
+  lock, so a reader can never starve.
 
 Generations are monotonic (a swap can only install a larger stamp), so
 candidate sets served to one caller never go backwards in freshness —
@@ -34,13 +34,15 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.contracts import (
     declare_lock,
     declare_seqlock,
     guarded_by,
     make_lock,
-    seqlock_reader,
 )
+from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.obs.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
@@ -59,10 +61,6 @@ declare_seqlock(
     protects=("_read_pair",),
     writer_lock="CandidateRetriever._swap_lock",
 )
-
-#: bounded lock-free retries before a reader falls back to the writer
-#: lock (same starvation discipline as the streaming cache's captures)
-_EPOCH_SPIN_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class RetrievalConfig:
             raise ValueError(f"ewma_alpha {self.ewma_alpha} outside (0, 1]")
 
 
-@guarded_by("_swap_lock", "_index", "_generation", "_epoch")
+@guarded_by("_swap_lock", "_index", "_generation")
 class CandidateRetriever:
     """Candidate generation over an atomically swappable ANN index.
 
@@ -149,7 +147,7 @@ class CandidateRetriever:
         self._swap_lock = make_lock("CandidateRetriever._swap_lock")
         #: seqlock epoch over the (index, generation) pair: odd while a
         #: swap is in flight, even when the pair is consistent
-        self._epoch = 0
+        self._epoch = Seqlock(np.zeros(1, dtype=np.int64))
         self._index: ClusteredANNIndex | None = None
         self._generation = 0
         self._search_ewma = 0.0
@@ -190,36 +188,31 @@ class CandidateRetriever:
     def _read_pair(self) -> tuple[ClusteredANNIndex | None, int]:
         """The seqlock-protected primitive: one raw read of the pair.
 
-        Callers must either hold ``_swap_lock`` or run the
-        :meth:`current` retry loop — enforced statically (``SQ002``).
+        Callers must either hold ``_swap_lock`` or go through the page
+        epoch's ``read`` — enforced statically (``SQ001``/``SQ002``).
         """
         return self._index, self._generation
 
-    @seqlock_reader("CandidateRetriever.page_epoch")
     def current(self) -> tuple[ClusteredANNIndex | None, int]:
         """Consistent ``(index, generation)`` snapshot, lock-free.
 
-        Retries while a swap is in flight (odd epoch, or the epoch moved
-        between the two reads); after :data:`_EPOCH_SPIN_LIMIT` failed
-        attempts it takes the writer lock instead — bounded work even
-        against a pathological swap storm.
+        Retried while a swap is in flight; a read starved by a
+        pathological swap storm takes the writer lock instead — bounded
+        work either way.
         """
-        for __ in range(_EPOCH_SPIN_LIMIT):
-            before = self._epoch
-            if before % 2 == 0:
-                pair = self._read_pair()
-                if self._epoch == before:
-                    return pair
-        with self._swap_lock:
-            return self._read_pair()
+        try:
+            return self._epoch.read(0, self._read_pair)
+        except SeqlockStarved:
+            with self._swap_lock:
+                return self._read_pair()
 
     def swap(self, index: ClusteredANNIndex, generation: int | None = None) -> int:
         """Atomically publish a new index; returns its generation stamp.
 
         Monotonic: an explicit ``generation`` lower than the current one
         is rejected, and the default stamp is ``current + 1``.  The
-        epoch goes odd before the pair mutates and even after, so
-        lock-free readers can never observe a torn pair.
+        pair mutates inside the epoch's odd window, so lock-free readers
+        can never observe a torn pair.
         """
         with self._swap_lock:
             if generation is None:
@@ -229,10 +222,9 @@ class CandidateRetriever:
                     f"generation {generation} would move backwards "
                     f"(currently {self._generation})"
                 )
-            self._epoch += 1
-            self._index = index
-            self._generation = int(generation)
-            self._epoch += 1
+            with self._epoch.write(0):
+                self._index = index
+                self._generation = int(generation)
             stamped = self._generation
         return stamped
 

@@ -37,12 +37,18 @@ from time import perf_counter
 from typing import Callable
 
 from repro.analysis.contracts import declare_lock, guarded_by
+from repro.core.cadence import CadenceDriven
 from repro.core.sharded_store import (
     ShardedSumStore,
     generation_dirs,
     read_manifest,
 )
-from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    NullRegistry,
+    labelled,
+    resolve_registry,
+)
 from repro.serving.service import RecommendationService
 
 
@@ -50,32 +56,7 @@ declare_lock("Checkpointer._checkpoint_lock")
 declare_lock("ReplicaRefresher._poll_lock")
 
 
-class _Cadence(threading.Thread):
-    """Run ``tick`` every ``interval`` seconds until stopped (daemon)."""
-
-    def __init__(self, tick: Callable[[], object], interval: float, name: str) -> None:
-        super().__init__(name=name, daemon=True)
-        self._tick = tick
-        self._interval = float(interval)
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing loop
-        while not self._stop_event.wait(self._interval):
-            try:
-                self._tick()
-            except Exception:
-                # A failed checkpoint/poll must not kill the cadence; the
-                # next tick retries (the manifest swap is atomic, so a
-                # half-written generation is never observable anyway).
-                continue
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout)
-
-
-class Checkpointer:
+class Checkpointer(CadenceDriven):
     """Primary-side cadence: persist new generations of the SUM plane.
 
     Parameters
@@ -122,10 +103,14 @@ class Checkpointer:
         self.directory = Path(directory)
         self.cache = cache
         self.retain = retain
-        self.interval = interval
-        self._thread: _Cadence | None = None
         self._checkpoint_lock = threading.Lock()
         registry = resolve_registry(telemetry)
+        self._init_cadence(
+            self.checkpoint, interval, "sum-checkpointer",
+            registry.counter(
+                labelled("replica.cadence_failures", driver="checkpointer")
+            ),
+        )
         self._m_checkpoints = registry.counter("replica.checkpoints")
         self._m_checkpoint_seconds = registry.histogram(
             "replica.checkpoint_seconds"
@@ -161,33 +146,9 @@ class Checkpointer:
             if generation < floor and generation != current:
                 shutil.rmtree(path, ignore_errors=True)
 
-    # -- cadence -------------------------------------------------------------
-
-    def start(self) -> "Checkpointer":
-        """Start checkpointing on the configured ``interval``."""
-        if self.interval is None:
-            raise ValueError("no interval configured; call checkpoint() instead")
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = _Cadence(
-                self.checkpoint, self.interval, "sum-checkpointer"
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._thread.stop()
-            self._thread = None
-
-    def __enter__(self) -> "Checkpointer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
 
 @guarded_by("_poll_lock", "generation", "_manifest_target")
-class ReplicaRefresher:
+class ReplicaRefresher(CadenceDriven):
     """Replica-side cadence: poll the manifest, load, atomically swap.
 
     Parameters
@@ -223,16 +184,20 @@ class ReplicaRefresher:
         self.directory = Path(directory)
         self.service = service
         self.mmap = bool(mmap)
-        self.interval = interval
         self._loader = loader if loader is not None else ShardedSumStore.load
         #: generation currently served (seeded from the service's sums
         #: when it already holds a generation-loaded store)
         self.generation: int | None = service.sum_generation()
         #: newest manifest generation seen by poll() (drives the lag gauge)
         self._manifest_target: int | None = self.generation
-        self._thread: _Cadence | None = None
         self._poll_lock = threading.Lock()
         registry = resolve_registry(telemetry)
+        self._init_cadence(
+            self.poll, interval, "sum-replica-refresher",
+            registry.counter(
+                labelled("replica.cadence_failures", driver="refresher")
+            ),
+        )
         self._m_refreshes = registry.counter("replica.refreshes")
         self._m_swap_seconds = registry.histogram("replica.swap_seconds")
         registry.gauge(
@@ -290,27 +255,3 @@ class ReplicaRefresher:
         self._m_refreshes.inc()
         self._m_swap_seconds.observe(perf_counter() - started)
         return refreshed
-
-    # -- cadence -------------------------------------------------------------
-
-    def start(self) -> "ReplicaRefresher":
-        """Start polling on the configured ``interval``."""
-        if self.interval is None:
-            raise ValueError("no interval configured; call poll() instead")
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = _Cadence(
-                self.poll, self.interval, "sum-replica-refresher"
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._thread.stop()
-            self._thread = None
-
-    def __enter__(self) -> "ReplicaRefresher":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

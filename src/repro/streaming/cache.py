@@ -9,8 +9,7 @@ machinery:
   hold (:meth:`SumCache.apply_and_publish` / batch-wide
   :meth:`SumCache.apply_batch_and_publish`) — dropping the cached
   snapshot and bumping the user's monotonic version counter atomically
-  with the mutation (the two-step :meth:`mutate` + :meth:`publish` pair
-  also exists, for callers that control their own read timing);
+  with the mutation;
 * readers receive **genuinely immutable** snapshots, rebuilt lazily on
   the first read after a publish.  On a columnar repository the snapshot
   is a copy of the user's row slices (no ``to_dict()``/``from_dict()``
@@ -32,8 +31,9 @@ With a :class:`~repro.core.sum_store.ColumnarSumStore` underneath, the
 cache keeps a :class:`~repro.core.sum_store.ColumnMirror` — a
 copy-on-write staging copy of the emotional and sensibility columns.
 The first read of a user after a publish copies that user's row slices
-into the mirror **without blocking writers**: the copy runs the seqlock
-read protocol against the store's per-row generation counters
+into the mirror **without blocking writers**: the copy is a
+:meth:`~repro.core.seqlock.Seqlock.read` against the store's per-row
+generation cells
 (:attr:`~repro.core.sum_store.ColumnarSumStore.row_generations`),
 retrying the handful of rows a writer is actively committing instead of
 taking any lock.  Every later read at the same version is a pure column
@@ -49,7 +49,6 @@ can run against live mirrors without quiescing anyone.
 from __future__ import annotations
 
 import threading
-import time
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -60,11 +59,16 @@ from repro.analysis.contracts import (
     make_lock,
     manual_guard,
     requires_lock,
-    seqlock_reader,
 )
 from repro.core.reward import ReinforcementPolicy
+from repro.core.seqlock import SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository
-from repro.core.sum_store import FrozenSumBatch, seal_attributes
+from repro.core.sum_store import (
+    ColumnMirror,
+    ColumnarSumStore,
+    FrozenSumBatch,
+    seal_attributes,
+)
 from repro.core.updates import (
     SumUpdateOp,
     applied_counts_by_user,
@@ -81,7 +85,7 @@ from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
 #   many at once, made safe by sorted-id acquisition order;
 # * each mirror shard's capture lock serializes that shard's refreshes
 #   and captures against each other.  Captures no longer take user locks
-#   or the store lock: row copies run the lock-free seqlock protocol
+#   or the store lock: row copies are lock-free Seqlock.read calls
 #   against ColumnarSumStore.row_generations, and writers only flag
 #   staleness (a GIL-atomic set.add) under their user lock.
 declare_lock("SumCache._registry_lock")
@@ -96,8 +100,8 @@ declare_lock("_MirrorShard.lock", reentrant=True)
 # which takes the store lock; hidden from the AST behind the
 # duck-typed repository, so asserted here.
 declare_order("SumCache._lock_for()", "ColumnarSumStore._lock")
-# A starved seqlock capture falls back to one row copy under the store
-# writer lock while holding its shard's capture lock.  Safe to nest this
+# A starved seqlock read falls back to one copy under the store writer
+# lock while holding its shard's capture lock.  Safe to nest this
 # way because writers never take a shard lock (they only bump versions
 # and flag staleness GIL-atomically), so the reverse edge cannot exist.
 declare_order("_MirrorShard.lock", "ColumnarSumStore._lock")
@@ -117,13 +121,13 @@ class _MirrorShard:
 
     __slots__ = ("store", "mirror", "versions", "stale", "lock", "epoch")
 
-    def __init__(self, store, families) -> None:
+    def __init__(self, store: ColumnarSumStore) -> None:
         self.store = store
-        self.mirror = store.mirror(families)
+        self.mirror = ColumnMirror(store)
         #: uid -> version stamp of the data staged in the mirror row
         self.versions: dict[int, int] = {}
         #: uids published since their last mirror refresh; writers add
-        #: under the user's lock (GIL-atomic — see _mark_mirror_stale),
+        #: under the user's lock (GIL-atomic — see _commit),
         #: readers refresh-and-discard under the shard lock — so a read
         #: is O(writes since last read), not O(population)
         self.stale: set[int] = set()
@@ -133,7 +137,7 @@ class _MirrorShard:
         #: the store layout epoch the mirror rows were staged under; a
         #: mismatch at capture time means compact_vocab() moved columns
         #: and every staged row must restage before serving
-        self.epoch = int(store.layout_epoch)
+        self.epoch = int(store.layout_epoch.cells[0])
 
 
 def _freeze_object_model(live: SmartUserModel) -> SmartUserModel:
@@ -176,16 +180,9 @@ class SumCache:
     :class:`~repro.serving.service.RecommendationService` as its ``sums``.
     """
 
-    #: optimistic seqlock attempts per row before a capture gives up and
-    #: copies under the store writer lock; large enough that any writer
-    #: with idle time between commits wins a round, small enough that a
-    #: saturated writer costs a capture ~1ms, not forever
-    _SEQLOCK_SPIN_LIMIT = 512
-
     def __init__(
         self,
         repository: SumRepository,
-        mirror_families: Sequence[str] | None = None,
         telemetry: MetricsRegistry | NullRegistry | None = None,
     ) -> None:
         self.repository = repository
@@ -206,17 +203,12 @@ class SumCache:
             shard_of = getattr(repository, "shard_of", None)
             self._shard_of = shard_of if shard_of is not None else (lambda uid: 0)
             self._mirror_shards: list[_MirrorShard] = [
-                _MirrorShard(store, mirror_families) for store in stores
+                _MirrorShard(store) for store in stores
             ]
             # The columnar resolver duck-type: RecommendationService
             # probes ``callable(sums.batch)`` to pick the zero-copy path,
             # so the attribute only exists when the backend can serve it.
             self.batch = self._snapshot_batch
-        elif mirror_families:
-            raise TypeError(
-                "mirror_families needs a columnar repository; the object "
-                "backend has no column mirror to scope"
-            )
         # Telemetry: counters recorded strictly after lock scopes release
         # (instrument locks are leaves); gauges are snapshot-time callbacks
         # reading GIL-atomic aggregates, so they take no cache lock at all.
@@ -247,14 +239,24 @@ class SumCache:
         "user's write lock, not the shard lock guarding `stale`: the "
         "capture side tolerates the flag landing at any point relative "
         "to its own discard because publishes bump the user's version "
-        "*before* flagging (see _capture_shard) — every interleaving "
+        "*before* flagging (see _capture_staged) — every interleaving "
         "converges to a refresh at the newest version"
     )
-    def _mark_mirror_stale(self, user_id: int) -> None:
-        """Flag a published user's mirror row as behind (caller holds the
-        user's lock; the capture side re-checks under the shard lock)."""
+    def _commit(self, user_id: int) -> int:
+        """Publish one user's applied mutation; returns the new version.
+
+        Caller holds the user's lock.  Drops the cached snapshot, bumps
+        the version, then flags the mirror row stale — in that order:
+        lock-free captures discard the stale flag *before* reading the
+        version, so flagging last means a capture either reads the new
+        version or leaves the flag set for the next capture to correct.
+        """
+        self._snapshots.pop(user_id, None)
+        version = self._versions.get(user_id, 0) + 1
+        self._versions[user_id] = version
         if self._columnar:
             self._mirror_shards[self._shard_of(user_id)].stale.add(user_id)
+        return version
 
     # -- locking -----------------------------------------------------------
 
@@ -278,19 +280,6 @@ class SumCache:
         """
         return self._lock_for(int(user_id))
 
-    def mutate(self, user_id: int, fn) -> object:
-        """Run ``fn(model)`` on the live model under the user's lock.
-
-        Two-step write path: pair with :meth:`publish`.  Between the two
-        calls a reader whose snapshot was just invalidated can observe
-        the pending mutation early (it rebuilds from the live model), so
-        the consumer workers use :meth:`apply_and_publish`, which closes
-        that window by committing inside the same lock hold.
-        """
-        user_id = int(user_id)
-        with self._lock_for(user_id):
-            return fn(self.repository.get_or_create(user_id))
-
     def apply_and_publish(self, user_id: int, fn) -> tuple[int, int]:
         """Run ``fn(model)`` and commit, all under one user-lock hold.
 
@@ -306,16 +295,10 @@ class SumCache:
         user_id = int(user_id)
         with self._lock_for(user_id):
             applied = int(fn(self.repository.get_or_create(user_id)))
-            version = self._versions.get(user_id, 0)
-            if applied:
-                self._snapshots.pop(user_id, None)
-                # version before stale: lock-free captures discard the
-                # stale flag before reading the version, so flagging
-                # *last* means a capture either reads the new version or
-                # leaves the flag set for the next capture to correct
-                version += 1
-                self._versions[user_id] = version
-                self._mark_mirror_stale(user_id)
+            version = (
+                self._commit(user_id) if applied
+                else self._versions.get(user_id, 0)
+            )
         if applied:
             self._m_publishes.inc()
         return applied, version
@@ -368,15 +351,11 @@ class SumCache:
             versions: dict[int, int] = {}
             bumped = 0
             for user_id in ids:
-                version = self._versions.get(user_id, 0)
                 if applied_by_user.get(user_id, 0):
-                    self._snapshots.pop(user_id, None)
-                    # version before stale (see apply_and_publish)
-                    version += 1
-                    self._versions[user_id] = version
-                    self._mark_mirror_stale(user_id)
+                    versions[user_id] = self._commit(user_id)
                     bumped += 1
-                versions[user_id] = version
+                else:
+                    versions[user_id] = self._versions.get(user_id, 0)
         finally:
             for lock in reversed(locks):
                 lock.release()
@@ -389,20 +368,6 @@ class SumCache:
         with self._registry_lock:
             self._global_version += 1
             return self._global_version
-
-    def publish(self, user_id: int) -> int:
-        """Commit one user's pending mutations; returns the new version."""
-        user_id = int(user_id)
-        with self._lock_for(user_id):
-            self._snapshots.pop(user_id, None)
-            # version before stale (see apply_and_publish)
-            version = self._versions.get(user_id, 0) + 1
-            self._versions[user_id] = version
-            self._mark_mirror_stale(user_id)
-        with self._registry_lock:
-            self._global_version += 1
-        self._m_publishes.inc()
-        return version
 
     def invalidate(self, user_ids: Iterable[int] | None = None) -> dict[int, int]:
         """Invalidate users written *outside* the streaming path.
@@ -422,11 +387,7 @@ class SumCache:
         versions: dict[int, int] = {}
         for user_id in ids:
             with self._lock_for(user_id):
-                self._snapshots.pop(user_id, None)
-                # version before stale (see apply_and_publish)
-                versions[user_id] = self._versions.get(user_id, 0) + 1
-                self._versions[user_id] = versions[user_id]
-                self._mark_mirror_stale(user_id)
+                versions[user_id] = self._commit(user_id)
         if versions:
             with self._registry_lock:
                 self._global_version += 1
@@ -476,47 +437,77 @@ class SumCache:
 
     # -- columnar batch read path ------------------------------------------
 
-    @seqlock_reader("ColumnarSumStore.row_generations")
     def _refresh_row_published(self, shard: _MirrorShard, row: int) -> None:
         """Copy one live row into the mirror — without any write lock.
 
-        The seqlock read protocol over
+        A :meth:`~repro.core.seqlock.Seqlock.read` over
         :attr:`~repro.core.sum_store.ColumnarSumStore.row_generations`:
-        read the row's generation counter (retrying while *odd* — a
-        writer is mid-commit), copy the row, then re-read and accept only
-        if the counter is unchanged *and* the generation array itself was
-        not replaced (row-capacity growth swaps it; identity is the
-        cross-swap tear detector).  Writers never block on this path, and
-        a reader only spins while the specific row it wants is actually
+        the copy is accepted only if the row's generation was even and
+        unchanged across it.  Writers never block on this path, and a
+        reader only spins while the specific row it wants is actually
         being written.
 
-        The spin is bounded: a writer saturating the row (back-to-back
-        batch commits keep the generation odd for essentially its whole
-        duty cycle, and numpy releases the GIL *inside* that window, so
-        it is exactly where this thread gets scheduled) would starve an
-        unbounded retry forever.  After the bound the capture falls back
-        to one row copy under
+        A writer saturating the row (back-to-back batch commits keep the
+        generation odd for essentially its whole duty cycle) starves the
+        bounded read; the capture then falls back to one row copy under
         :attr:`~repro.core.sum_store.ColumnarSumStore.writer_lock` —
         holding the writers' own lock excludes every generation bump, so
         the copy needs no retry.  Writers still never wait on readers;
         only a starved reader ever waits on writers.
         """
-        gens = shard.store.row_generations
-        for __ in range(self._SEQLOCK_SPIN_LIMIT):
-            observed = gens.values
-            if row >= observed.shape[0]:
-                time.sleep(0)  # racing a row-capacity growth; re-fetch
-                continue
-            before = int(observed[row])
-            if before & 1:  # a writer is mid-commit on this row
-                time.sleep(0)
-                continue
-            shard.mirror.refresh_row(row)
-            if gens.values is observed and int(observed[row]) == before:
-                return
-            time.sleep(0)
-        with shard.store.writer_lock:  # starved: exclude writers outright
-            shard.mirror.refresh_row(row)
+        store = shard.store
+        try:
+            store.row_generations.read(row, shard.mirror.refresh_row, row)
+        except SeqlockStarved:
+            with store.writer_lock:  # starved: exclude writers outright
+                shard.mirror.refresh_row(row)
+
+    @requires_lock("_MirrorShard.lock")
+    def _capture_staged(
+        self, shard: _MirrorShard, shard_ids: list[int], rows
+    ) -> tuple[FrozenSumBatch, int]:
+        """One refresh + capture pass; ``(batch, rows refreshed)``.
+
+        Protected by the layout-epoch seqlock: everything here slices
+        columns by position, so it must run inside one even window (or
+        under the store writer lock).  A layout that moved since this
+        mirror was staged — a ``compact_vocab()`` relocated columns, or a
+        resync swapped the arrays — restages every row first.
+        """
+        store = shard.store
+        epoch = int(store.layout_epoch.cells[0])
+        if shard.epoch != epoch:
+            shard.versions.clear()
+            shard.epoch = epoch
+        shard.mirror.sync_shape()
+        mirrored = shard.versions
+        stale = shard.stale
+        # Staleness is O(writes since the last read), not O(batch): set
+        # algebra runs in C, and only never-mirrored or freshly-published
+        # users pay a row copy.
+        ids_set = set(shard_ids)
+        need = ids_set.difference(mirrored)
+        if stale:
+            need |= ids_set.intersection(stale)
+        for uid in need:
+            # discard before reading the version: a publish bumps the
+            # version *before* re-flagging, so either we read the bumped
+            # version here or the flag lands after our discard and
+            # survives for the next capture
+            stale.discard(uid)
+            version = self._versions.get(uid, 0)
+            self._refresh_row_published(shard, store.row_index(uid))
+            mirrored[uid] = version
+        # Stamps only need to cover the requested ids: small reads build
+        # them per id, population-scale reads take one C-level dict copy
+        # (cheaper than a Python loop over the batch).  The batch
+        # resolves per-user stamps lazily.
+        if len(shard_ids) < len(mirrored) // 4:
+            stamps = {uid: mirrored.get(uid, 0) for uid in shard_ids}
+        else:
+            stamps = dict(mirrored)
+        batch = shard.mirror.capture(shard_ids, rows, stamps, resolve=self.get)
+        return batch, len(need)
 
     def _capture_shard(
         self, shard: _MirrorShard, shard_ids: list[int], rows
@@ -524,60 +515,25 @@ class SumCache:
         """Refresh + capture one mirror shard (its lock held throughout).
 
         The hot serving path: captures never take the store write lock or
-        any user lock.  Stale rows are copied via the per-row seqlock
-        retry (:meth:`_refresh_row_published`), and the whole capture
-        runs inside a layout-epoch window — if a
+        any user lock.  Stale rows are copied through the per-row seqlock
+        (:meth:`_refresh_row_published`), and the whole pass runs inside
+        one layout-epoch window — if a
         :meth:`~repro.core.sum_store.ColumnarSumStore.compact_vocab`
-        swapped the column layout mid-capture (or since the last one),
-        every staged row restages and the capture retries.
+        swaps the column layout mid-capture the pass restages and runs
+        again, and a capture starved of a quiet window takes the store
+        writer lock for one pass, like the row copy does.
         """
         store = shard.store
-        refreshed = 0
         with shard.lock:
-            while True:
-                epoch = int(store.layout_epoch)
-                if epoch & 1:  # compaction mid-swap; new layout imminent
-                    time.sleep(0)
-                    continue
-                if shard.epoch != epoch:
-                    # compact_vocab() moved columns since this mirror was
-                    # staged: every staged row is laid out wrong now
-                    shard.versions.clear()
-                    shard.epoch = epoch
-                shard.mirror.sync_shape()
-                mirrored = shard.versions
-                stale = shard.stale
-                # Staleness is O(writes since the last read), not
-                # O(batch): set algebra runs in C, and only never-
-                # mirrored or freshly-published users pay a row copy.
-                ids_set = set(shard_ids)
-                need = ids_set.difference(mirrored)
-                if stale:
-                    need |= ids_set.intersection(stale)
-                for uid in need:
-                    # discard before reading the version: a publish
-                    # bumps the version *before* re-flagging, so either
-                    # we read the bumped version here or the flag lands
-                    # after our discard and survives for the next capture
-                    stale.discard(uid)
-                    version = self._versions.get(uid, 0)
-                    self._refresh_row_published(shard, store.row_index(uid))
-                    mirrored[uid] = version
-                refreshed += len(need)
-                # Stamps only need to cover the requested ids: small
-                # reads build them per id, population-scale reads take
-                # one C-level dict copy (cheaper than a Python loop over
-                # the batch).  The batch resolves per-user stamps lazily.
-                if len(shard_ids) < len(mirrored) // 4:
-                    stamps = {uid: mirrored.get(uid, 0) for uid in shard_ids}
-                else:
-                    stamps = dict(mirrored)
-                batch = shard.mirror.capture(
-                    shard_ids, rows, stamps, resolve=self.get
+            try:
+                batch, refreshed = store.layout_epoch.read(
+                    0, self._capture_staged, shard, shard_ids, rows
                 )
-                if int(store.layout_epoch) == epoch:
-                    break
-                # a compaction landed mid-capture; restage and go again
+            except SeqlockStarved:
+                with store.writer_lock:  # starved: exclude compaction
+                    batch, refreshed = self._capture_staged(
+                        shard, shard_ids, rows
+                    )
         # instruments only after the shard lock releases (leaf-lock rule)
         self._m_captures.inc()
         if refreshed:
@@ -588,18 +544,17 @@ class SumCache:
         """Version-stamped columnar batch read — the serving fast path.
 
         The first read of a user after a publish copies that user's row
-        slices into the copy-on-write mirror under the user's write lock;
-        every subsequent read at the same version slices the mirror with
-        zero per-user work.  The returned batch is frozen (bit-stable no
-        matter how many batches land afterwards) and stamped with each
-        user's version at capture: old state at the old version or
-        batch-applied state at the new one, never a torn read.
+        slices into the copy-on-write mirror (lock-free, see
+        :meth:`_refresh_row_published`); every subsequent read at the
+        same version slices the mirror with zero per-user work.  The
+        returned batch is frozen (bit-stable no matter how many batches
+        land afterwards) and stamped with each user's version at
+        capture: old state at the old version or batch-applied state at
+        the new one, never a torn read.
 
         On a sharded repository each partition refreshes and captures
         under its own mirror lock; the per-shard captures gather into one
         :class:`~repro.core.sharded_store.ShardedBatch` in request order.
-        Per-user stamping is unaffected: every row is refreshed under its
-        user's write lock whichever shard it lives in.
 
         Unknown users raise one
         :class:`~repro.core.sum_model.UnknownUserError` naming them all;

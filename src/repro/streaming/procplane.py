@@ -39,19 +39,17 @@ restarts dead workers via the same generation/manifest machinery
 :class:`~repro.serving.replica.ReplicaRefresher` consumes, so served
 generations stay monotonic across crashes.
 
-Fork is the supported start method (``REPRO_MP_CONTEXT`` overrides for
-experiments): workers inherit the store's Python-side registries by
-copy-on-write at spawn time — only the numpy pages are shared — which is
-exactly the ownership split the plane needs.  Consequence: spawn workers
-*before* starting unrelated threads, and restart (not reuse) an updater
-after ``stop()``.
+Fork is the start method: workers inherit the store's Python-side
+registries by copy-on-write at spawn time — only the numpy pages are
+shared — which is exactly the ownership split the plane needs.
+Consequence: spawn workers *before* starting unrelated threads, and
+restart (not reuse) an updater after ``stop()``.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import queue as queue_mod
 import time
 from pathlib import Path
@@ -244,13 +242,9 @@ class ShardWorkerProcess:
         queue_capacity: int = 2_048,
         max_attempts: int = 3,
         mapper_state: Mapping[int, int] | None = None,
-        ctx: Any = None,
         control: ControlPlaneConfig | None = None,
     ) -> None:
-        if ctx is None:
-            ctx = multiprocessing.get_context(
-                os.environ.get("REPRO_MP_CONTEXT", "fork")
-            )
+        ctx = multiprocessing.get_context("fork")
         self.store = store
         self.shard_index = int(shard_index)
         self._io_lock = ctx.Lock()

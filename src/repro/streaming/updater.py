@@ -116,11 +116,6 @@ class StreamingUpdater:
         At-least-once redelivery budget before dead-lettering.
     flush_every:
         Write-behind buffer size, in events.
-    mirror_families:
-        Extra column families (``"subjective"``, ``"evidence"``) for the
-        cache's read mirror to stage beyond the Advice-stage defaults —
-        batch consumers of those families then get the same snapshot
-        isolation (columnar backends only).
     telemetry:
         A :class:`~repro.obs.metrics.MetricsRegistry` to instrument the
         whole subsystem (bus, workers, cache, write-behind).  Default
@@ -144,7 +139,6 @@ class StreamingUpdater:
         batch_max: int = 256,
         max_attempts: int = 3,
         flush_every: int = 512,
-        mirror_families: tuple[str, ...] | None = None,
         telemetry: MetricsRegistry | NullRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
         control_plane: ControlPlaneConfig | None = None,
@@ -163,9 +157,7 @@ class StreamingUpdater:
             )
         else:
             self.tracer = tracer
-        self.cache = SumCache(
-            sums, mirror_families=mirror_families, telemetry=self.telemetry
-        )
+        self.cache = SumCache(sums, telemetry=self.telemetry)
         self.bus = EventBus(telemetry=self.telemetry, tracer=self.tracer)
         self.topic: Topic = self.bus.create_topic(
             LIFELOG_TOPIC, partitions=n_shards,

@@ -1,21 +1,36 @@
 """Clean twin of ``sq_violations``: every legal seqlock reader shape.
 
-The same primitive calls that are violations there are legal here —
-inside a retry loop under a reader marking, under the declared writer
-lock (raw attribute or public accessor), or as the bounded-spin
-fallback that combines both.
+The same primitives that are violations there are legal here — handed
+as a callable to ``Seqlock.read`` (directly or inside a lambda), run
+under the declared writer lock (raw attribute or public accessor), or
+the starvation fallback that combines both.  A primitive's own body may
+call another primitive: its caller already holds the obligation.
 """
 
 import threading
-import time
 
-from repro.analysis.contracts import declare_seqlock, seqlock_reader
+from repro.analysis.contracts import declare_seqlock
+from repro.core.seqlock import SeqlockStarved
 
 declare_seqlock(
     "CleanMirrorTable.row_generations",
     protects=("refresh_row", "copy_row"),
     writer_lock="CleanMirrorTable._lock",
 )
+# single-writer-by-protocol (another process): no lock shape exists
+declare_seqlock(
+    "CleanControlBlock.layout_seq",
+    protects=("_read_published",),
+)
+
+
+class CleanMirror:
+    def __init__(self, families) -> None:
+        self.families = families
+
+    def refresh_row(self, row: int) -> None:
+        for family in self.families:
+            family.copy_row(row)
 
 
 class CleanMirrorTable:
@@ -29,41 +44,28 @@ class CleanMirrorTable:
         return self._lock
 
 
-class RetryingCapture:
-    """The optimistic shape: copy between two equal even generations."""
+class ReadingCapture:
+    """The optimistic shape: the primitive runs inside Seqlock.read."""
 
     def __init__(self, table: CleanMirrorTable) -> None:
         self.table = table
 
-    @seqlock_reader("CleanMirrorTable.row_generations")
     def capture(self, row: int) -> None:
-        gens = self.table.gens
-        while True:
-            before = int(gens[row])
-            if before & 1:
-                time.sleep(0)
-                continue
-            self.table.mirror.refresh_row(row)
-            if int(gens[row]) == before:
-                return
-            time.sleep(0)
+        self.table.gens.read(row, self.table.mirror.refresh_row, row)
 
-    @seqlock_reader("CleanMirrorTable.row_generations")
+    def capture_via_lambda(self, row: int) -> None:
+        self.table.gens.read(row, lambda: self.table.mirror.copy_row(row))
+
     def capture_bounded(self, row: int) -> None:
-        gens = self.table.gens
-        for _ in range(512):
-            before = int(gens[row])
-            if before & 1:
-                continue
-            self.table.mirror.refresh_row(row)
-            if int(gens[row]) == before:
-                return
-        with self.table.writer_lock:  # starved: exclude writers outright
-            self.table.mirror.refresh_row(row)
+        try:
+            self.table.gens.read(row, self.table.mirror.refresh_row, row)
+        except SeqlockStarved:
+            with self.table.writer_lock:  # starved: exclude writers
+                self.table.mirror.refresh_row(row)
 
 
 class LockedCopier:
-    """Unmarked callers are fine under the declared writer lock."""
+    """Any caller is fine under the declared writer lock."""
 
     def __init__(self, table: CleanMirrorTable) -> None:
         self.table = table
@@ -74,5 +76,18 @@ class LockedCopier:
 
     def snapshot_all(self, rows) -> None:
         with self.table.writer_lock:
+            copy = self.table.mirror.refresh_row
             for row in rows:
-                self.table.mirror.refresh_row(row)
+                copy(row)
+
+
+class CleanControlBlock:
+    def __init__(self, seq, slots) -> None:
+        self.seq = seq
+        self.slots = slots
+
+    def _read_published(self):
+        return bytes(self.slots)
+
+    def read_layout(self):
+        return self.seq.read(0, self._read_published)

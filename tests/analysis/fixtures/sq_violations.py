@@ -6,48 +6,77 @@ assert the finding set equals the marker set exactly.
 
 import threading
 
-from repro.analysis.contracts import declare_seqlock, seqlock_reader
+from repro.analysis.contracts import declare_seqlock
 
 declare_seqlock(
     "MirrorTable.row_generations",
     protects=("refresh_row", "copy_row"),
     writer_lock="MirrorTable._lock",
 )
+declare_seqlock(
+    "ControlBlock.layout_seq",
+    protects=("_read_published",),
+)
 
 
 class MirrorTable:
-    def __init__(self, mirror) -> None:
+    def __init__(self, mirror, gens) -> None:
         self._lock = threading.Lock()
+        self._other_lock = threading.Lock()
         self.mirror = mirror
+        self.gens = gens
 
 
 class TornCapture:
-    """Claims the reader protocol, then copies without any retry loop."""
+    """Runs the copy primitives with no validated window around them."""
 
     def __init__(self, table: MirrorTable) -> None:
         self.table = table
 
-    @seqlock_reader("MirrorTable.row_generations")
     def capture(self, row: int) -> None:
         self.table.mirror.refresh_row(row)  # [SQ001]
 
-    @seqlock_reader("MirrorTable.row_generations")
     def capture_many(self, rows) -> None:
-        copied = [r for r in rows]
-        for row in copied:
-            self.table.mirror.refresh_row(row)
-        self.table.mirror.copy_row(copied[-1])  # [SQ001]
+        for row in rows:  # a hand-rolled loop is not the protocol
+            if self.table.gens.cells[row] & 1:
+                continue
+            self.table.mirror.refresh_row(row)  # [SQ001]
+
+    def capture_after_read(self, row: int) -> None:
+        self.table.gens.read(row, self.table.mirror.refresh_row, row)
+        self.table.mirror.copy_row(row)  # [SQ001]
+
+    def capture_under_wrong_lock(self, row: int) -> None:
+        with self.table._other_lock:
+            self.table.mirror.copy_row(row)  # [SQ001]
 
 
-class UnmarkedCopier:
-    """No reader marking, no writer lock: a silent torn-read source."""
+class EscapingCopier:
+    """Hands the primitive to call sites the analyzer cannot follow."""
 
-    def __init__(self, table: MirrorTable) -> None:
+    def __init__(self, table: MirrorTable, pool) -> None:
         self.table = table
+        self.pool = pool
 
     def snapshot(self, row: int) -> None:
-        self.table.mirror.copy_row(row)  # [SQ002]
+        copy = self.table.mirror.copy_row  # [SQ002]
+        copy(row)
 
-    def snapshot_all(self, rows) -> None:
-        for row in rows:  # loops don't legitimize an unmarked caller
-            self.table.mirror.refresh_row(row)  # [SQ002]
+    def snapshot_async(self, row: int) -> None:
+        self.pool.submit(self.table.mirror.refresh_row, row)  # [SQ002]
+
+
+class ControlBlock:
+    def __init__(self, seq, slots) -> None:
+        self._lock = threading.Lock()
+        self.seq = seq
+        self.slots = slots
+
+    def _read_published(self):
+        return bytes(self.slots)
+
+    def read_layout(self):
+        # no writer lock is declared for this seqlock: a local lock
+        # cannot exclude the writer process, so it is no legal shape
+        with self._lock:
+            return self._read_published()  # [SQ001]

@@ -96,15 +96,27 @@ def test_sq_findings_name_the_seqlock_and_protocol():
     by_rule = {}
     for f in findings:
         by_rule.setdefault(f.rule, []).append(f)
-    assert all(
-        "MirrorTable.row_generations" in f.message for f in by_rule["SQ001"]
-    )
+    assert all("Seqlock.read" in f.message for f in findings)
     assert {f.symbol for f in by_rule["SQ001"]} == {
         "TornCapture.capture", "TornCapture.capture_many",
+        "TornCapture.capture_after_read",
+        "TornCapture.capture_under_wrong_lock",
+        "ControlBlock.read_layout",
     }
     assert {f.symbol for f in by_rule["SQ002"]} == {
-        "UnmarkedCopier.snapshot", "UnmarkedCopier.snapshot_all",
+        "EscapingCopier.snapshot", "EscapingCopier.snapshot_async",
     }
+    # a seqlock declared without a writer lock offers no lock shape, and
+    # the message says so instead of recommending one
+    (lockless,) = [
+        f for f in findings if "ControlBlock.layout_seq" in f.message
+    ]
+    assert "no writer lock is declared" in lockless.message
+    assert all(
+        "MirrorTable.row_generations" in f.message
+        and "declared writer lock" in f.message
+        for f in findings if f is not lockless
+    )
 
 
 def test_sq_declarations_reach_the_static_registry():
@@ -112,6 +124,9 @@ def test_sq_declarations_reach_the_static_registry():
     decl = project.registry.seqlocks["MirrorTable.row_generations"]
     assert decl["protects"] == ("refresh_row", "copy_row")
     assert decl["writer_lock"] == "MirrorTable._lock"
+    lockless = project.registry.seqlocks["ControlBlock.layout_seq"]
+    assert lockless["protects"] == ("_read_published",)
+    assert lockless["writer_lock"] is None
 
 
 def test_lo_cycle_names_both_locks_and_edges():

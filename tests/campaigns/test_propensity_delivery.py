@@ -176,6 +176,40 @@ class TestCampaignEngine:
         with pytest.raises(RuntimeError):
             engine.score_users([0, 1], small_world.catalog.get(0))
 
+    @pytest.mark.parametrize(
+        "backend, n_shards", [("object", 4), ("sharded", 1), ("sharded", 3),
+                              ("multiproc", 2)],
+    )
+    def test_engine_builds_on_every_sum_backend(
+        self, small_world, backend, n_shards
+    ):
+        engine = CampaignEngine(
+            small_world,
+            EngineConfig(seed=7, sum_backend=backend, n_shards=n_shards),
+        )
+        try:
+            engine.register_population()
+            assert len(engine.sums) == len(small_world.population)
+            reference = CampaignEngine(small_world, EngineConfig(seed=7))
+            reference.register_population()
+            # same registration on every backend, bit for bit
+            assert engine.sums.dumps() == reference.sums.dumps()
+            assert getattr(engine.sums, "n_shards", None) == (
+                None if backend == "object" else n_shards
+            )
+        finally:
+            close = getattr(engine.sums, "close", None)
+            if close is not None:
+                close()
+
+    @pytest.mark.parametrize("backend", ["columnar", "bogus"])
+    def test_engine_rejects_an_unknown_sum_backend_by_name(
+        self, small_world, backend
+    ):
+        # "columnar" was sharded with one partition; the value is gone
+        with pytest.raises(ValueError, match=f"unknown sum_backend '{backend}'"):
+            CampaignEngine(small_world, EngineConfig(sum_backend=backend))
+
     def test_ablation_flags_change_width(self, small_world):
         full = CampaignEngine(small_world, EngineConfig(seed=7))
         lean = CampaignEngine(

@@ -1,11 +1,8 @@
 """Shared fixtures: the SUM-backend test matrix + shm leak gate.
 
-CI runs the tier-1 suite once per SUM storage backend
-(``REPRO_SUM_BACKEND=object|columnar|sharded|multiproc``).  Tests that
-request the ``sum_backend`` / ``sum_backend_cls`` fixtures are
-parametrized over *all* backends on a plain local run, and pinned to a
-single one when the environment variable selects it — so the matrix legs
-don't redo each other's work.
+Tests that request the ``sum_backend`` / ``sum_backend_cls`` fixtures
+are parametrized over every SUM collection class, so one plain run of
+the suite — which is what CI does — covers the whole matrix.
 
 The ``multiproc`` backend allocates named shared-memory segments;
 ``_shm_leak_gate`` asserts every test session releases all of them (the
@@ -16,7 +13,6 @@ the host.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -37,25 +33,14 @@ SUM_BACKENDS = {
 }
 
 
-def _selected_backends() -> list[str]:
-    env = os.environ.get("REPRO_SUM_BACKEND", "").strip().lower()
-    if not env:
-        return list(SUM_BACKENDS)
-    if env not in SUM_BACKENDS:
-        raise pytest.UsageError(
-            f"REPRO_SUM_BACKEND={env!r} is not one of {sorted(SUM_BACKENDS)}"
-        )
-    return [env]
-
-
 def pytest_generate_tests(metafunc):
     if "sum_backend" in metafunc.fixturenames:
-        metafunc.parametrize("sum_backend", _selected_backends())
+        metafunc.parametrize("sum_backend", list(SUM_BACKENDS))
 
 
 @pytest.fixture
 def sum_backend_cls(sum_backend):
-    """The SUM collection class for the current matrix leg."""
+    """The SUM collection class for the current parametrization."""
     return SUM_BACKENDS[sum_backend]
 
 

@@ -87,11 +87,6 @@ class TestStoreSurface:
             b_sharded.sensibility_matrix(EMOTION_NAMES),
             b_single.sensibility_matrix(EMOTION_NAMES),
         )
-        prefs = ("pref[p0]", "pref[p1]", "pref[p2]")
-        assert np.array_equal(
-            b_sharded.subjective_matrix(prefs),
-            b_single.subjective_matrix(prefs),
-        )
         assert [m.user_id for m in b_sharded] == ids
 
     def test_feature_matrix_matches_object_backend(self):
@@ -161,6 +156,22 @@ class TestBatchApply:
         assert sharded.decay_tick(POLICY, [1, 2, 3]) == 3
         with pytest.raises(UnknownUserError):
             sharded.decay_tick(POLICY, [999])
+
+    def test_targeted_decay_tick_is_a_full_writer(self):
+        # it used to multiply the rows without opening their seqlock
+        # window or moving the mutation clock: lock-free captures could
+        # tear on it and delta checkpoints could skip the dirty shard
+        sharded = populate(ShardedSumStore(n_shards=4))
+        shard = sharded.shard_for(1)
+        row = shard.row_index(1)
+        generation = int(shard.row_generations.cells[row])
+        clock = shard.mutation_count
+        with pytest.raises(UnknownUserError):
+            sharded.decay_tick(POLICY, [1, 999])  # nothing decays
+        assert int(shard.row_generations.cells[row]) == generation
+        assert sharded.decay_tick(POLICY, [1]) == 1
+        assert int(shard.row_generations.cells[row]) == generation + 2
+        assert shard.mutation_count > clock
 
     def test_concurrent_writers_on_distinct_shards(self):
         store = ShardedSumStore(n_shards=4)

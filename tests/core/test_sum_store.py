@@ -250,13 +250,13 @@ class TestPersistence:
         assert loaded.dumps() == store.dumps()
 
     def test_catalog_pages_are_npz_columns(self, tmp_path):
+        # one layout on disk: the cold per-row state is the only table;
+        # every family lives in dense pages (see the next test)
         __, store = paired_backends()
         store.save(tmp_path / "sums")
         names = {p.name for p in (tmp_path / "sums").iterdir()}
         assert "catalog.json" in names
-        for table in ("users", "emotional", "sensibility", "subjective",
-                      "evidence", "ei"):
-            assert f"{table}.npz" in names
+        assert {n for n in names if n.endswith(".npz")} == {"users.npz"}
 
     def test_json_to_catalog_to_json(self, tmp_path):
         # the paper's JSON format remains a full-fidelity import/export
@@ -275,9 +275,9 @@ class TestPersistence:
             assert f"{family}__values.npy" in names
             assert f"{family}__mask.npy" in names
 
-    def test_tables_only_directory_still_loads(self, tmp_path):
-        # dirs written before the dense pages existed: strip the pages
-        # and the manifest's arrays section, then load copy-wise
+    def test_page_less_directory_raises_storage_error(self, tmp_path):
+        # a catalog directory without the dense pages was not written by
+        # save(): both load modes say so with the typed error
         __, store = paired_backends()
         directory = store.save(tmp_path / "sums")
         manifest_path = directory / "catalog.json"
@@ -286,12 +286,11 @@ class TestPersistence:
             (directory / filename).unlink()
         manifest.pop("meta", None)
         manifest_path.write_text(json.dumps(manifest))
-        loaded = ColumnarSumStore.load(directory)
-        assert loaded.dumps() == store.dumps()
         from repro.db.storage import StorageError
 
-        with pytest.raises(StorageError, match="mmap"):
-            ColumnarSumStore.load(directory, mmap=True)
+        for mmap in (False, True):
+            with pytest.raises(StorageError, match="dense column pages"):
+                ColumnarSumStore.load(directory, mmap=mmap)
 
 
 class TestMmapReplicas:

@@ -121,26 +121,28 @@ class TestSumCache:
         cache = SumCache(sums)
         assert cache.get(1).emotional["shy"] == pytest.approx(0.4)
 
-        cache.mutate(1, lambda m: m.activate_emotion("shy", 0.3))
-        # mutation applied to the live model but not yet visible
+        # a direct repository writer holds the user's write lock ...
+        with cache.write_lock(1):
+            sums.get(1).activate_emotion("shy", 0.3)
+        # ... so the live model moved, but nothing is visible yet
         assert sums.get(1).emotional["shy"] == pytest.approx(0.7)
         assert cache.get(1).emotional["shy"] == pytest.approx(0.4)
 
-        cache.publish(1)
+        cache.invalidate([1])  # the publish step of that path
         assert cache.get(1).emotional["shy"] == pytest.approx(0.7)
 
     def test_versions_start_at_zero_and_bump_on_publish(self):
         cache = SumCache(SumRepository())
         assert cache.version(1) == 0
-        cache.mutate(1, lambda m: m.activate_emotion("shy", 0.1))
-        assert cache.version(1) == 0
-        assert cache.publish(1) == 1
+        cache.repository.get_or_create(1).activate_emotion("shy", 0.1)
+        assert cache.version(1) == 0  # unpublished writes bump nothing
+        assert cache.invalidate([1]) == {1: 1}
         assert cache.version(1) == 1
 
     def test_invalidate_bumps_each_user_once(self):
         cache = SumCache(SumRepository())
         for uid in (1, 1, 2, 2, 2):
-            cache.mutate(uid, lambda m: m.activate_emotion("shy", 0.05))
+            cache.repository.get_or_create(uid).activate_emotion("shy", 0.05)
         versions = cache.invalidate([1, 1, 2, 2, 2])
         assert versions == {1: 1, 2: 1}
         assert cache.global_version == 1  # one batch, one global bump

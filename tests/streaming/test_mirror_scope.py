@@ -1,90 +1,18 @@
-"""Mirror scope + per-shard mirror isolation (ISSUE 5 satellites).
+"""Per-shard mirror isolation.
 
-The cache's copy-on-write mirror stages only what the Advice stage
-reads by default; ``mirror_families`` extends it to the subjective and
-evidence column families so batch consumers beyond the Advice stage get
-the same snapshot isolation.  On a sharded store the cache keeps one
-mirror (and one dirty set) per partition, so a write burst on shard 3
-never invalidates shard 0's staged rows.
+On a sharded store the cache keeps one copy-on-write mirror (and one
+dirty set) per partition, so a write burst on shard 3 never invalidates
+shard 0's staged rows.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sharded_store import ShardedSumStore
-from repro.core.sum_model import SumRepository
-from repro.core.sum_store import ColumnarSumStore
 from repro.core.updates import RewardOp
 from repro.streaming.cache import SumCache
-from repro.streaming.updater import StreamingUpdater
 
 POLICY = ReinforcementPolicy()
-
-
-def seeded_store(cls=ColumnarSumStore, n_users=8):
-    store = cls()
-    for uid in range(n_users):
-        model = store.get_or_create(uid)
-        model.set_subjective(f"pref[p{uid % 2}]", 0.25 + 0.05 * uid)
-        model.evidence["shy"] = uid
-    return store
-
-
-class TestMirrorScope:
-    def test_default_capture_does_not_stage_extra_families(self):
-        cache = SumCache(seeded_store())
-        batch = cache.batch([1, 2])
-        with pytest.raises(TypeError, match="subjective"):
-            batch.subjective_matrix(("pref[p0]",))
-        with pytest.raises(TypeError, match="evidence"):
-            batch.evidence_matrix(("shy",))
-
-    @pytest.mark.parametrize("cls", [ColumnarSumStore, ShardedSumStore])
-    def test_staged_families_are_snapshot_isolated(self, cls):
-        store = seeded_store(cls)
-        cache = SumCache(store, mirror_families=("subjective", "evidence"))
-        ids = list(range(8))
-        before = cache.batch(ids)
-        subjective = before.subjective_matrix(("pref[p0]", "pref[p1]")).copy()
-        evidence = before.evidence_matrix(("shy",)).copy()
-        assert np.array_equal(
-            evidence[:, 0], np.arange(8, dtype=float)
-        )
-
-        # a streamed batch lands: rewards bump evidence counters
-        cache.apply_batch_and_publish(
-            [(uid, (RewardOp(("shy",), 1.0),)) for uid in ids], POLICY
-        )
-        assert np.array_equal(
-            before.subjective_matrix(("pref[p0]", "pref[p1]")), subjective
-        )
-        assert np.array_equal(before.evidence_matrix(("shy",)), evidence)
-
-        after = cache.batch(ids)
-        assert np.array_equal(
-            after.evidence_matrix(("shy",))[:, 0],
-            np.arange(8, dtype=float) + 1.0,
-        )
-        # the staged values match the live store bit for bit
-        live = store.batch(ids)
-        assert np.array_equal(
-            after.subjective_matrix(("pref[p0]", "pref[p1]")),
-            live.subjective_matrix(("pref[p0]", "pref[p1]")),
-        )
-
-    def test_mirror_families_validated(self):
-        with pytest.raises(ValueError, match="unknown mirror families"):
-            SumCache(ColumnarSumStore(), mirror_families=("bogus",))
-        with pytest.raises(TypeError, match="columnar"):
-            SumCache(SumRepository(), mirror_families=("subjective",))
-
-    def test_updater_threads_mirror_families_through(self):
-        updater = StreamingUpdater(
-            seeded_store(), {}, mirror_families=("evidence",)
-        )
-        batch = updater.cache.batch([1, 2])
-        assert batch.evidence_matrix(("shy",)).shape == (2, 1)
 
 
 class TestPerShardMirrors:
