@@ -7,23 +7,27 @@ materialization — with and without a
 :class:`~repro.retrieval.retriever.CandidateRetriever` attached, on
 synthetic clustered catalogs of growing size.
 
-The full-scan service pays O(items) three times per request (the score
-grid, the Advice multiplier matrix, and one ``ScoredItem`` per catalog
-entry); the retrieval service pays one ANN probe plus O(k_candidates)
-re-ranking, so the gap must widen linearly with the catalog.  Both
-services share the same scorer and advice configuration, so comparing
-their responses measures true end-to-end recall@k, not an index-side
-proxy.
+The full-scan service pays O(items) per request in the score grid, the
+Advice multiplier row (item-table rows plus one matmul) and one
+partition of the adjusted row — all of them numpy passes; neither
+service builds more than ``k`` response objects.  The retrieval service
+pays one ANN probe plus O(k_candidates) re-ranking, so the gap still
+widens linearly with the catalog, from a much lower base than when the
+scan built one ``ScoredItem`` per catalog entry (29x / 332x / 2,432x
+then; about 2-4x / 10x / 90-140x now).  Both services share the same
+scorer and advice configuration, so comparing their responses measures
+true end-to-end recall@k, not an index-side proxy.
 
 Gates:
 
 * **recall@k >= 0.95** on every catalog leg (retrieved top-k vs the
   exact full-scan top-k, same users, same scores);
-* **speedup >= 10x** on every leg of 100k+ items (full mode), or
-  **>= 3x** on the largest smoke leg (CI runners are noisy; the full
-  committed numbers carry the real ratio).
+* **speedup >= 5x** on every leg of 100k+ items (full mode): half the
+  ~10x the 100k leg measures.  The smoke legs carry no speed gate —
+  at 20k items the honest ratio is 1.5-3x run to run and at 2k the
+  exact scan is the faster path, so no threshold has 2x head-room.
 
-Smoke mode for CI (small catalogs, same gates)::
+Smoke mode for CI (small catalogs; recall and parity gates only)::
 
     BENCH_SMOKE=1 PYTHONPATH=src python -m pytest \
         benchmarks/bench_candidate_retrieval.py -q
@@ -83,8 +87,7 @@ PROFILE = DomainProfile(
 )
 
 RECALL_GATE = 0.95
-SPEEDUP_GATE_FULL = 10.0
-SPEEDUP_GATE_SMOKE = 3.0
+SPEEDUP_GATE_FULL = 5.0
 
 
 class VectorScorer(ScorerBase):
@@ -239,19 +242,12 @@ def test_candidate_retrieval_speedup_and_recall():
             f"n={leg['n_items']:,} — widen n_probe/k_candidates or fix "
             "the index"
         )
-    if SMOKE:
-        largest = legs[-1]
-        assert largest["speedup"] >= SPEEDUP_GATE_SMOKE, (
-            f"retrieval speedup {largest['speedup']:.1f}x < "
-            f"{SPEEDUP_GATE_SMOKE}x at n={largest['n_items']:,}"
-        )
-    else:
-        for leg in legs:
-            if leg["n_items"] >= 100_000:
-                assert leg["speedup"] >= SPEEDUP_GATE_FULL, (
-                    f"retrieval speedup {leg['speedup']:.1f}x < "
-                    f"{SPEEDUP_GATE_FULL}x at n={leg['n_items']:,}"
-                )
+    for leg in legs:
+        if leg["n_items"] >= 100_000:
+            assert leg["speedup"] >= SPEEDUP_GATE_FULL, (
+                f"retrieval speedup {leg['speedup']:.1f}x < "
+                f"{SPEEDUP_GATE_FULL}x at n={leg['n_items']:,}"
+            )
 
 
 def test_exact_fallback_parity_on_the_service_path():

@@ -15,7 +15,9 @@ attribute, <1 suppresses them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import repeat
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +103,71 @@ class DomainProfile:
     def item_attributes(self) -> list[str]:
         """All item attributes referenced by this profile, sorted."""
         return list(self.layout()[1])
+
+
+class ItemTable(Mapping[object, Mapping[str, float]]):
+    """The item side of the Advice stage, computed once.
+
+    The item-side twin of :meth:`DomainProfile.layout`: item attributes
+    are design-time knowledge, so the clamped presence block is built by
+    one :meth:`AdviceEngine.presence_matrix` dict walk over the
+    mapping's keys and requests only gather rows from it.  Items the
+    mapping does not name share one trailing all-zero row.
+
+    The table is a read-only ``Mapping`` equal to its source (private
+    copies, inner mappings included), so a stale block is impossible:
+    there is no way to edit the attributes short of building a new
+    table.  Nothing it holds is written after construction except the
+    one-entry memo of :meth:`presence_rows`, a single store of an
+    immutable pair.
+    """
+
+    def __init__(
+        self,
+        item_attributes: Mapping[object, Mapping[str, float]],
+        profile: DomainProfile | None,
+    ) -> None:
+        self.profile = profile
+        self._source = {
+            item: MappingProxyType(dict(attributes))
+            for item, attributes in item_attributes.items()
+        }
+        self._rows = {item: row for row, item in enumerate(self._source)}
+        if profile is None:
+            presence = np.zeros((len(self._source) + 1, 0))
+        else:
+            # the extra, unknown key walks to the shared all-zero row
+            presence = AdviceEngine().presence_matrix(
+                [*self._source, object()], self._source, profile
+            )
+        presence.setflags(write=False)
+        self.presence = presence
+        self._memo: tuple[list[object], np.ndarray] = ([], presence[:0])
+
+    def __getitem__(self, item: object) -> Mapping[str, float]:
+        return self._source[item]
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._source)
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    def presence_rows(self, items: Sequence[object]) -> np.ndarray:
+        """Clamped ``(n_items, n_attributes)`` presences of ``items``, read-only.
+
+        A full scan names the same catalog request after request, so the
+        last list's block is kept — validated by ``==`` against a private
+        copy, never by identity: callers may edit their list in place.
+        """
+        known, block = self._memo
+        if type(items) is list and items == known:
+            return block
+        rows = map(self._rows.get, items, repeat(len(self._rows)))
+        block = self.presence[np.fromiter(rows, dtype=np.intp, count=len(items))]
+        block.setflags(write=False)
+        self._memo = (list(items), block)
+        return block
 
 
 @dataclass(frozen=True)
@@ -218,7 +285,17 @@ class AdviceEngine:
         item_attributes: Mapping[object, Mapping[str, float]],
         profile: DomainProfile,
     ) -> np.ndarray:
-        """Clamped ``(n_items, n_attributes)`` attribute-presence matrix."""
+        """Clamped ``(n_items, n_attributes)`` attribute-presence matrix.
+
+        An :class:`ItemTable` built for ``profile`` answers with a row
+        gather; any other mapping (a table built for another profile
+        included) is walked dict by dict — the reference the table is
+        built from and tested against.
+        """
+        if hasattr(item_attributes, "presence_rows") and (
+            item_attributes.profile == profile
+        ):
+            return item_attributes.presence_rows(items)
         attributes = profile.item_attributes()
         presence = np.zeros((len(items), len(attributes)))
         columns = {name: j for j, name in enumerate(attributes)}

@@ -121,16 +121,17 @@ class EmotionAwareRecommender:
             service = RecommendationService(
                 sums=self._resolver,
                 domain_profile=self.domain_profile,
-                item_attributes=self.item_attributes,
                 advice=self.advice,
             )
-            # Share (not copy) the attribute dict so post-construction
-            # mutation of self.item_attributes keeps the seed's semantics.
-            service.item_attributes = self.item_attributes
             service.register(
                 "base", LegacyScorerAdapter(self.base_scorer, self._resolver)
             )
             self._cached_service = service
+        # The service serves from a read-only item table, so the public
+        # dict is handed over again on every call: post-construction
+        # mutation of self.item_attributes keeps the seed's semantics, at
+        # O(catalog) per call next to the per-pair scorer loop.
+        self._cached_service.item_attributes = self.item_attributes
         self._resolver.retarget(resolver)
         return self._cached_service
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.advice import AdviceEngine, DomainProfile
+from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
 from repro.serving.scorer import ItemId
 
 
@@ -77,7 +77,9 @@ class EmbeddingProvider:
         collaborative embeddings (no context block).
     item_attributes:
         ``item -> {attribute: presence}`` metadata, same mapping the
-        Advice stage reads.  Items without attributes get zero affinity.
+        Advice stage reads, held as the same read-only
+        :class:`~repro.core.advice.ItemTable`.  Items without attributes
+        get zero affinity.
     context_weight:
         Weight of the emotional-affinity block relative to the factor
         block; defaults to the advice engine's ``gain_scale`` (the
@@ -100,7 +102,7 @@ class EmbeddingProvider:
                 )
         self.model = model
         self.domain_profile = domain_profile
-        self.item_attributes = dict(item_attributes or {})
+        self.item_attributes = ItemTable(item_attributes or {}, domain_profile)
         if context_weight is None:
             context_weight = AdviceEngine().gain_scale
         self.context_weight = float(context_weight)

@@ -9,14 +9,18 @@ The paper's two delivery functions become two request types:
 
 Responses carry per-item score breakdowns (base score, emotional
 multiplier, adjusted score) so callers can audit exactly what the Advice
-stage did to the ranking.
+stage did to the ranking.  ``response.ranked`` is a
+:class:`~repro.serving.ranking.Ranking` — the breakdown as parallel
+arrays; a :class:`ScoredItem` / :class:`SelectedUser` is built when an
+entry is indexed or iterated, not before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
+from repro.serving.ranking import Ranking
 from repro.serving.scorer import ItemId, validate_k
 
 
@@ -134,7 +138,7 @@ class RecommendationResponse:
 
     user_id: int
     scorer: str
-    ranked: tuple[ScoredItem, ...] = field(default_factory=tuple)
+    ranked: Ranking[ScoredItem]
     sum_version: int | None = None
     generation: int | None = None
     trace_id: int | None = None
@@ -146,7 +150,7 @@ class RecommendationResponse:
     @property
     def items(self) -> list[ItemId]:
         """Ranked item ids, best first."""
-        return [entry.item for entry in self.ranked]
+        return list(self.ranked.ids)
 
     @property
     def best(self) -> ScoredItem:
@@ -181,7 +185,7 @@ class SelectionResponse:
 
     item: ItemId
     scorer: str
-    ranked: tuple[SelectedUser, ...] = field(default_factory=tuple)
+    ranked: Ranking[SelectedUser]
     sum_version: int | None = None
     generation: int | None = None
     trace_id: int | None = None
@@ -190,4 +194,4 @@ class SelectionResponse:
 
     def pairs(self) -> list[tuple[int, float]]:
         """Legacy ``(user_id, adjusted_score)`` view, best first."""
-        return [(entry.user_id, entry.adjusted_score) for entry in self.ranked]
+        return list(zip(self.ranked.ids, self.ranked.adjusted.tolist()))

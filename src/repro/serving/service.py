@@ -12,8 +12,9 @@ path:
   (users ranked by propensity for one item).
 
 Both run as ``score_batch`` + one vectorized
-:meth:`~repro.core.advice.AdviceEngine.multiplier_matrix` pass — no
-per-pair dict churn anywhere on the serving path.
+:meth:`~repro.core.advice.AdviceEngine.multiplier_matrix` pass, ranked
+on arrays by :func:`~repro.serving.ranking.top_k` — no per-pair dict
+churn and no per-cell objects anywhere on the serving path.
 
 With a :class:`~repro.retrieval.retriever.CandidateRetriever` attached,
 ``recommend`` inserts a retrieval stage between resolve and score
@@ -32,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.advice import AdviceEngine, DomainProfile
+from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
 from repro.core.sum_model import SmartUserModel, UnknownUserError
 from repro.obs.metrics import (
     SIZE_BUCKETS,
@@ -45,6 +46,7 @@ from repro.obs.tracing import NullTracer, Tracer, next_trace_id, resolve_tracer
 from repro.retrieval.retriever import CandidateRetriever
 from repro.serving.adapters import accepts_budget, as_scorer
 from repro.serving.budget import Budget, DeadlineExceeded
+from repro.serving.ranking import top_k
 from repro.serving.requests import (
     RecommendationRequest,
     RecommendationResponse,
@@ -70,7 +72,10 @@ class RecommendationService:
         Excitatory links of the interaction domain; omit for a plain
         (emotion-free) ranking service.
     item_attributes:
-        ``item -> {attribute: presence}`` metadata for the Advice stage.
+        ``item -> {attribute: presence}`` metadata for the Advice stage,
+        copied into a read-only :class:`~repro.core.advice.ItemTable`;
+        assigning a new mapping or ``domain_profile`` builds and
+        publishes a new one (a single attribute store).
     advice:
         The advice engine (default configuration if omitted).
     create_missing:
@@ -110,8 +115,7 @@ class RecommendationService:
     ) -> None:
         self.sums = sums
         self.retriever = retriever
-        self.domain_profile = domain_profile
-        self.item_attributes = dict(item_attributes or {})
+        self._item_table = ItemTable(item_attributes or {}, domain_profile)
         self.advice = advice or AdviceEngine()
         self.create_missing = bool(create_missing)
         self._scorers: dict[str, Scorer] = {}
@@ -170,6 +174,26 @@ class RecommendationService:
         captured at entry, the next request sees the new one.
         """
         self.retriever = retriever
+
+    @property
+    def item_attributes(self) -> ItemTable:
+        """The Advice stage's item side: a read-only, profile-carrying table."""
+        return self._item_table
+
+    @item_attributes.setter
+    def item_attributes(
+        self, mapping: Mapping[ItemId, Mapping[str, float]] | None
+    ) -> None:
+        self._item_table = ItemTable(mapping or {}, self._item_table.profile)
+
+    @property
+    def domain_profile(self) -> DomainProfile | None:
+        """Excitatory links the served item table was built for."""
+        return self._item_table.profile
+
+    @domain_profile.setter
+    def domain_profile(self, profile: DomainProfile | None) -> None:
+        self._item_table = ItemTable(self._item_table, profile)
 
     # -- registry ----------------------------------------------------------
 
@@ -347,7 +371,8 @@ class RecommendationService:
         # create_missing, exist by the time any scorer resolves them).
         # adjust=False used to skip this entirely and let unknown ids
         # leak into scorers as untyped per-scorer KeyErrors.
-        adjusting = adjust and self.domain_profile is not None
+        table = self._item_table  # one read: presences and their profile
+        adjusting = adjust and table.profile is not None
         if stamps is not None:
             stamps.append(perf_counter())
         models = None
@@ -377,7 +402,8 @@ class RecommendationService:
                 )
             items = list(retriever.catalog_items())
         else:
-            items = list(items)
+            # ndarray ids leave as Python scalars, like every other id
+            items = items.tolist() if isinstance(items, np.ndarray) else list(items)
         if stamps is not None:
             stamps.append(perf_counter())
         if accepts_budget(scorer):
@@ -406,12 +432,7 @@ class RecommendationService:
             else:
                 budget.check("score")
         if adjusting:
-            multiplier = self.advice.multiplier_matrix(
-                models,
-                items,
-                self.item_attributes,
-                self.domain_profile,
-            )
+            multiplier = self.advice.multiplier_matrix(models, items, table, table.profile)
         else:
             multiplier = np.ones_like(base)
         if stamps is not None:
@@ -555,24 +576,11 @@ class RecommendationService:
             raise
         if degraded:
             self._m_degraded.inc()
-        entries = [
-            ScoredItem(
-                item=item,
-                base_score=float(base[0, col]),
-                multiplier=float(multiplier[0, col]),
-                adjusted_score=float(adjusted[0, col]),
-            )
-            for col, item in enumerate(items)
-        ]
-        entries.sort(key=lambda entry: (-entry.adjusted_score, entry.item))
         response = RecommendationResponse(
-            user_id=int(request.user_id),
-            scorer=name,
-            ranked=tuple(entries[: request.k]),
-            sum_version=sum_version,
-            generation=generation,
-            trace_id=trace_id,
-            degraded=degraded,
+            user_id=int(request.user_id), scorer=name,
+            ranked=top_k(ScoredItem, items, base, multiplier, adjusted, request.k),
+            sum_version=sum_version, generation=generation,
+            trace_id=trace_id, degraded=degraded,
         )
         if stamps is not None:
             self._record_request(
@@ -617,20 +625,12 @@ class RecommendationService:
             raise
         if degraded:
             self._m_degraded.inc()
-        entries = [
-            SelectedUser(
-                user_id=uid,
-                base_score=float(base[row, 0]),
-                multiplier=float(multiplier[row, 0]),
-                adjusted_score=float(adjusted[row, 0]),
-            )
-            for row, uid in enumerate(ids)
-        ]
-        entries.sort(key=lambda entry: (-entry.adjusted_score, entry.user_id))
-        if request.k is not None:
-            entries = entries[: request.k]
         response = SelectionResponse(
-            item=request.item, scorer=name, ranked=tuple(entries),
+            item=request.item, scorer=name,
+            ranked=top_k(
+                SelectedUser, np.asarray(ids, dtype=np.int64),
+                base, multiplier, adjusted, request.k,
+            ),
             sum_version=sum_version, generation=generation,
             trace_id=trace_id, degraded=degraded,
         )
