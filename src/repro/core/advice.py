@@ -22,6 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.emotions import EMOTION_CATALOG
+from repro.core.interned import InternedIds
 from repro.core.sum_model import SmartUserModel
 
 
@@ -100,6 +101,30 @@ class DomainProfile:
             object.__setattr__(self, "_layout", cached)
         return cached
 
+    def link_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(emotion_rows, gains, starts)`` of the links — computed once.
+
+        Parallel read-only vectors sorted attribute-major, emotion-minor:
+        link ``l`` reads emotion column ``emotion_rows[l]`` of
+        :meth:`layout` with gain ``gains[l]``; attribute ``a`` owns links
+        ``starts[a]:starts[a + 1]``, at least one (that is how it got
+        into the layout).  Cached on the instance like :meth:`layout` —
+        a table keyed by ``id(profile)`` would outlive the profile.
+        """
+        cached = self.__dict__.get("_links")
+        if cached is None:
+            emotions, attributes, dense = self.layout()
+            linked = np.array(
+                [[a in self.links[e] for e in emotions] for a in attributes], dtype=bool
+            ).reshape(len(attributes), len(emotions))
+            columns, emotion_rows = np.nonzero(linked)  # row-major: the sort
+            starts = np.searchsorted(columns, np.arange(len(attributes)))
+            cached = (emotion_rows, dense[emotion_rows, columns], starts)
+            for array in cached:
+                array.setflags(write=False)
+            object.__setattr__(self, "_links", cached)
+        return cached
+
     def item_attributes(self) -> list[str]:
         """All item attributes referenced by this profile, sorted."""
         return list(self.layout()[1])
@@ -118,8 +143,8 @@ class ItemTable(Mapping[object, Mapping[str, float]]):
     copies, inner mappings included), so a stale block is impossible:
     there is no way to edit the attributes short of building a new
     table.  Nothing it holds is written after construction except the
-    one-entry memo of :meth:`presence_rows`, a single store of an
-    immutable pair.
+    one-entry memo of :meth:`intern`, a single store of an immutable
+    object.
     """
 
     def __init__(
@@ -142,7 +167,7 @@ class ItemTable(Mapping[object, Mapping[str, float]]):
             )
         presence.setflags(write=False)
         self.presence = presence
-        self._memo: tuple[list[object], np.ndarray] = ([], presence[:0])
+        self._memo = InternedIds((), presence[:0])
 
     def __getitem__(self, item: object) -> Mapping[str, float]:
         return self._source[item]
@@ -153,21 +178,56 @@ class ItemTable(Mapping[object, Mapping[str, float]]):
     def __len__(self) -> int:
         return len(self._source)
 
-    def presence_rows(self, items: Sequence[object]) -> np.ndarray:
-        """Clamped ``(n_items, n_attributes)`` presences of ``items``, read-only.
+    def intern(self, items: Sequence[object]) -> InternedIds:
+        """``items`` as :class:`~repro.core.interned.InternedIds` carrying
+        their clamped ``(n_items, n_attributes)`` presence rows.
 
         A full scan names the same catalog request after request, so the
-        last list's block is kept — validated by ``==`` against a private
+        last universe is kept — validated by ``==`` against its private
         copy, never by identity: callers may edit their list in place.
+        A hit answers with the ids as first spelled (``1 == 1.0``).
         """
-        known, block = self._memo
-        if type(items) is list and items == known:
-            return block
-        rows = map(self._rows.get, items, repeat(len(self._rows)))
-        block = self.presence[np.fromiter(rows, dtype=np.intp, count=len(items))]
+        known = self._memo
+        if isinstance(items, (list, tuple, InternedIds)) and known == items:
+            return known
+        ids = InternedIds(items)
+        if self.presence.shape[1]:
+            rows = map(self._rows.get, ids, repeat(len(self._rows)))
+            block = self.presence[np.fromiter(rows, dtype=np.intp, count=len(ids))]
+        else:  # no profile, no columns: nothing to look up
+            block = np.zeros((len(ids), 0))
         block.setflags(write=False)
-        self._memo = (list(items), block)
-        return block
+        self._memo = interned = InternedIds(ids, block)
+        return interned
+
+    def presence_rows(self, items: Sequence[object]) -> np.ndarray:
+        """Clamped ``(n_items, n_attributes)`` presences of ``items``, read-only."""
+        return self.intern(items).presence
+
+
+#: cells of the per-link factor temporary ``boosts_matrix`` allows itself
+#: at once (1 MB of float64): larger populations pass through in chunks
+_FACTOR_CELLS = 1 << 17
+
+
+def evidence_matrix(
+    models: Sequence[SmartUserModel], emotions: Sequence[str]
+) -> np.ndarray:
+    """``(n_users, n_emotions)`` intensity × sensibility evidence.
+
+    A columnar batch (anything with ``intensity_matrix``: ``SumBatch``,
+    ``FrozenSumBatch``) is read as column slices, a plain sequence of
+    user models one model at a time.  Absent sensibilities are 1.
+    """
+    if hasattr(models, "intensity_matrix"):
+        intensity = models.intensity_matrix(emotions)
+        relevance = models.sensibility_matrix(emotions, default=1.0)
+    else:
+        intensity = np.asarray([[m.emotional[e] for e in emotions] for m in models])
+        relevance = np.asarray(
+            [[m.sensibility.get(e, 1.0) for e in emotions] for m in models]
+        )
+    return np.asarray(intensity) * np.asarray(relevance)
 
 
 @dataclass(frozen=True)
@@ -241,42 +301,31 @@ class AdviceEngine:
         """Per-user attribute boosts as a ``(n_users, n_attributes)`` array.
 
         Row ``u`` equals :meth:`boosts` for ``models[u]`` with columns in
-        :meth:`DomainProfile.item_attributes` order.  One tensor product
-        replaces the per-user, per-link dict passes.
+        :meth:`DomainProfile.item_attributes` order.  One pass over the
+        profile's links replaces the per-user, per-link dict passes.
 
-        ``models`` may be a plain sequence of user models *or* a
-        :class:`~repro.core.sum_store.SumBatch`: the batch exposes its
-        intensity and sensibility blocks as column slices, so no
-        per-model scalar reads happen at all on the columnar path.
+        ``models`` is anything :func:`evidence_matrix` reads.  Evidence
+        must be finite — stores clamp intensities, so it is: a NaN cell
+        reaches only the attributes its emotion links, where a dense
+        ``0 · NaN`` product would poison the whole row.
         """
-        emotions, attributes, gains = profile.layout()
+        emotions, attributes, __ = profile.layout()
         if not len(models) or not attributes:
             return np.ones((len(models), len(attributes)))
-        if hasattr(models, "intensity_matrix"):
-            intensity = models.intensity_matrix(emotions)
-            relevance = models.sensibility_matrix(emotions, default=1.0)
-        else:
-            intensity = np.asarray(
-                [[m.emotional[e] for e in emotions] for m in models]
-            )
-            relevance = np.asarray(
-                [[m.sensibility.get(e, 1.0) for e in emotions] for m in models]
-            )
-        # factor[u, e, a] = 1 + gain_scale·gain·intensity·sensibility,
-        # floored at 0.05 exactly as in the scalar path; absent links have
-        # gain 0 and contribute a factor of exactly 1.  Accumulating one
-        # emotion at a time keeps the working set at (users × attributes)
-        # instead of materializing the full 3-D factor tensor; the
-        # per-element multiplication order is unchanged (e = 0..E−1), so
-        # the result is bit-identical.
-        evidence = intensity * relevance
-        boosts = np.ones((len(models), len(attributes)))
-        for row in range(len(emotions)):
-            factor = 1.0 + self.gain_scale * np.multiply.outer(
-                evidence[:, row], gains[row]
-            )
+        # factor[u, l] = 1 + gain_scale·gain·intensity·sensibility per
+        # *link*, floored at 0.05 exactly as in the scalar path, then one
+        # product per attribute over its links in emotion order; a cell
+        # without a link is a factor of exactly 1.0, skipped bit for bit.
+        emotion_rows, gains, starts = profile.link_layout()
+        evidence = evidence_matrix(models, emotions)
+        boosts = np.empty((len(models), len(attributes)))
+        chunk = max(1, _FACTOR_CELLS // len(gains))
+        for lo in range(0, len(boosts), chunk):
+            factor = evidence[lo:lo + chunk][:, emotion_rows] * gains
+            factor *= self.gain_scale
+            factor += 1.0
             np.maximum(factor, 0.05, out=factor)
-            boosts *= factor
+            np.multiply.reduceat(factor, starts, axis=1, out=boosts[lo:lo + chunk])
         return boosts
 
     def presence_matrix(
@@ -318,11 +367,15 @@ class AdviceEngine:
         ``multiplier[u, i] = Π_a boosts[u, a] ** presence[i, a]`` computed
         in log space, so the whole Advice stage is two matmul-shaped ops.
         """
-        boosts = self.boosts_matrix(models, profile)
-        if boosts.shape[1] == 0:
-            return np.ones((len(models), len(items)))
         presence = self.presence_matrix(items, item_attributes, profile)
-        return np.exp(np.log(boosts) @ presence.T)
+        return self.multiplier_rows(models, presence, profile)
+
+    def multiplier_rows(
+        self, models: Sequence[SmartUserModel], presence: np.ndarray, profile: DomainProfile
+    ) -> np.ndarray:
+        """:meth:`multiplier_matrix` over an already gathered presence block
+        (``InternedIds.presence`` of a table built for ``profile``)."""
+        return np.exp(np.log(self.boosts_matrix(models, profile)) @ presence.T)
 
     def adjust_matrix(
         self,

@@ -216,12 +216,14 @@ def _masked_matrix(
     captured from; ``family`` needs ``column_of``/``values``/``mask``.
     """
     out = np.full((len(rows), len(names)), float(default))
-    for k, name in enumerate(names):
-        j = family.column_of(name)
-        if j is None:
-            continue
-        out[:, k] = np.where(
-            family.mask[rows, j], family.values[rows, j], float(default)
+    columns = [family.column_of(name) for name in names]
+    held = [k for k, j in enumerate(columns) if j is not None]
+    if held:
+        # one gather over the names that have a column; the rest keep
+        # ``default``
+        grid = (rows[:, None], np.asarray([columns[k] for k in held]))
+        out[:, held] = np.where(
+            family.mask[grid], family.values[grid], float(default)
         )
     return out
 

@@ -31,37 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
+from repro.core.advice import AdviceEngine, DomainProfile, ItemTable, evidence_matrix
 from repro.serving.scorer import ItemId
-
-
-def _evidence_rows(
-    user_ids: Sequence[int],
-    context: object | None,
-    emotions: tuple[str, ...],
-) -> np.ndarray:
-    """``(n_users, n_emotions)`` intensity·sensibility evidence block.
-
-    ``context`` is whatever the serving resolve stage produced: a
-    columnar batch (anything with ``intensity_matrix``, e.g.
-    :class:`~repro.core.sum_store.FrozenSumBatch` — the rows come out as
-    column slices, no per-model scalar reads), a plain sequence of
-    :class:`~repro.core.sum_model.SmartUserModel`, or ``None`` for a
-    context-free query (zero evidence: retrieval degrades gracefully to
-    the pure collaborative ranking).
-    """
-    if not emotions or context is None:
-        return np.zeros((len(user_ids), len(emotions)))
-    if hasattr(context, "intensity_matrix"):
-        intensity = context.intensity_matrix(emotions)
-        relevance = context.sensibility_matrix(emotions, default=1.0)
-        return np.asarray(intensity) * np.asarray(relevance)
-    return np.asarray(
-        [
-            [m.emotional[e] * m.sensibility.get(e, 1.0) for e in emotions]
-            for m in context
-        ]
-    )
 
 
 class EmbeddingProvider:
@@ -167,7 +138,10 @@ class EmbeddingProvider:
         Unknown users get zero factors — their retrieval ranking then
         rides on item bias plus emotional context alone, which is
         exactly the cold-start behaviour of the exact pipeline (the
-        scorer's bias-only fallback, context-adjusted).
+        scorer's bias-only fallback, context-adjusted).  ``context`` is
+        what the serving resolve stage produced (anything
+        :func:`~repro.core.advice.evidence_matrix` reads) or ``None``:
+        zero evidence, the pure collaborative ranking.
         """
         __, factors, __bias = self.model.user_embeddings()
         factors = np.asarray(factors)
@@ -178,11 +152,10 @@ class EmbeddingProvider:
             p[known] = factors[rows[known]]
         blocks = [p, np.ones((len(user_ids), 1))]
         emotions = self._emotions()
-        if emotions:
-            blocks.append(
-                self.context_weight
-                * _evidence_rows(user_ids, context, emotions)
-            )
+        if emotions and context is not None:
+            blocks.append(self.context_weight * evidence_matrix(context, emotions))
+        elif emotions:
+            blocks.append(np.zeros((len(user_ids), len(emotions))))
         return np.hstack(blocks)
 
 

@@ -8,8 +8,8 @@ a dense ``page @ query`` matmul over rows that sit next to each other in
 memory — no gather, no fancy indexing on the hot path.
 
 Search is multi-probe maximum inner product: rank clusters by
-``centroid · query``, scan the ``n_probe`` best pages, take the global
-top-``k`` of the concatenated page scores.  Inner product (not L2) is
+``centroid · query``, scan the ``n_probe`` best pages into one score
+buffer, take its global top-``k``.  Inner product (not L2) is
 the right metric here because the embedding layout folds biases and
 context affinities into extra coordinates (see
 :mod:`repro.retrieval.embeddings`) — the retrieval score is then exactly
@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.interned import InternedIds
 from repro.serving.scorer import ItemId
 
 
@@ -132,7 +133,11 @@ class ClusteredANNIndex:
     Attributes
     ----------
     item_ids:
-        Tuple of indexed item ids, in page order (cluster-major).
+        Tuple of indexed item ids, in page order (cluster-major); Python
+        scalars however the builder spelled them.
+    ids:
+        The same ids as a read-only vector (``int64`` when every id is a
+        Python ``int``, else ``object``): page rows gather from it.
     pages:
         ``(n_items, dim)`` float64 matrix, rows grouped so each
         cluster's members are one contiguous slice; read-only.
@@ -144,22 +149,31 @@ class ClusteredANNIndex:
     """
 
     __slots__ = (
-        "item_ids", "pages", "offsets", "centroids", "_positions", "dim"
+        "item_ids", "ids", "pages", "offsets", "centroids", "_positions",
+        "_bounds", "dim",
     )
 
     def __init__(
         self,
-        item_ids: tuple[ItemId, ...],
+        item_ids: Sequence[ItemId],
         pages: np.ndarray,
         offsets: np.ndarray,
         centroids: np.ndarray,
     ) -> None:
-        self.item_ids = item_ids
+        interned = InternedIds(item_ids)
+        ids = interned.vector
+        if ids is None:
+            ids = np.fromiter(interned, dtype=object, count=len(interned))
+            ids.setflags(write=False)
+        self.item_ids = tuple(interned)
+        self.ids = ids
         self.pages = pages
         self.offsets = offsets
         self.centroids = centroids
         self.dim = int(pages.shape[1]) if pages.size else int(pages.shape[-1])
-        self._positions = {item: row for row, item in enumerate(item_ids)}
+        self._positions = {item: row for row, item in enumerate(self.item_ids)}
+        #: page boundaries as Python ints, read once
+        self._bounds: list[int] = offsets.tolist()
 
     # -- construction ------------------------------------------------------
 
@@ -204,7 +218,7 @@ class ClusteredANNIndex:
         pages.setflags(write=False)
         centroids.setflags(write=False)
         offsets.setflags(write=False)
-        ids = tuple(item_ids[int(row)] for row in order)
+        ids = [item_ids[row] for row in order.tolist()]
         return cls(ids, pages, offsets, centroids)
 
     # -- introspection -----------------------------------------------------
@@ -242,18 +256,19 @@ class ClusteredANNIndex:
 
     # -- search ------------------------------------------------------------
 
-    def search(
+    def search_rows(
         self,
         query: np.ndarray,
         k: int,
         *,
         n_probe: int = 8,
         allowed_rows: np.ndarray | None = None,
-    ) -> list[ItemId]:
-        """Top-``k`` item ids by inner product, best first.
+    ) -> np.ndarray:
+        """Page rows of the top-``k`` vectors by inner product, best first.
 
         Probes the ``n_probe`` clusters whose centroids score highest
-        against ``query`` and exact-scans their pages.  With
+        against ``query`` and exact-scans their pages into one buffer;
+        page rows are recovered for the ``k`` survivors only.  With
         ``allowed_rows`` the scan is restricted to those page rows
         (cluster structure is ignored — the restriction is already a
         candidate set, so a single dense pass over it is the cheapest
@@ -266,33 +281,40 @@ class ClusteredANNIndex:
             )
         if allowed_rows is not None:
             scores = self.pages[allowed_rows] @ query
-            top = _topk_desc(scores, min(k, len(scores)))
-            return [self.item_ids[int(allowed_rows[t])] for t in top]
+            return allowed_rows[_topk_desc(scores, min(k, len(scores)))]
         n_probe = max(1, min(int(n_probe), self.n_clusters))
-        cluster_scores = self.centroids @ query
-        probe = _topk_desc(cluster_scores, n_probe)
-        row_blocks: list[np.ndarray] = []
-        score_blocks: list[np.ndarray] = []
-        offsets = self.offsets
-        for c in probe:
-            lo, hi = int(offsets[c]), int(offsets[c + 1])
-            if lo == hi:
-                continue
-            score_blocks.append(self.pages[lo:hi] @ query)
-            row_blocks.append(np.arange(lo, hi, dtype=np.int64))
-        if not score_blocks:
-            return []
-        scores = np.concatenate(score_blocks)
-        rows = np.concatenate(row_blocks)
+        probe = _topk_desc(self.centroids @ query, n_probe).tolist()
+        bounds, pages = self._bounds, self.pages
+        # ends[j]: buffer cells used once probed cluster j is scanned
+        ends = np.cumsum([bounds[c + 1] - bounds[c] for c in probe])
+        scores = np.empty(ends[-1])
+        at = 0
+        for c, end in zip(probe, ends.tolist()):
+            if end > at:
+                np.dot(pages[bounds[c]:bounds[c + 1]], query, out=scores[at:end])
+                at = end
         top = _topk_desc(scores, min(k, len(scores)))
-        return [self.item_ids[int(rows[t])] for t in top]
+        # buffer cell -> page row: by its cluster's page end minus buffer end
+        shift = np.asarray([bounds[c + 1] for c in probe]) - ends
+        return top + shift[ends.searchsorted(top, side="right")]
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        *,
+        n_probe: int = 8,
+        allowed_rows: np.ndarray | None = None,
+    ) -> list[ItemId]:
+        """:meth:`search_rows` as item ids (Python scalars), best first."""
+        rows = self.search_rows(query, k, n_probe=n_probe, allowed_rows=allowed_rows)
+        return self.ids[rows].tolist()
 
     def exact_topk(self, query: np.ndarray, k: int) -> list[ItemId]:
         """Exact top-``k`` over every indexed vector (recall baseline)."""
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         scores = self.pages @ query
-        top = _topk_desc(scores, min(k, len(scores)))
-        return [self.item_ids[int(t)] for t in top]
+        return self.ids[_topk_desc(scores, min(k, len(scores)))].tolist()
 
 
 def _topk_desc(scores: np.ndarray, k: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from repro.analysis.contracts import (
     guarded_by,
     make_lock,
 )
+from repro.core.interned import InternedIds
 from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.obs.metrics import (
     SIZE_BUCKETS,
@@ -257,8 +258,9 @@ class CandidateRetriever:
         *,
         context: object | None = None,
         budget: Budget | None = None,
-    ) -> list[ItemId] | None:
-        """Candidate items for one user — or ``None`` for the exact scan.
+    ) -> InternedIds | None:
+        """Candidate items for one user, best first, gathered from the
+        index's id vector — or ``None`` for the exact scan.
 
         ``items=None`` means "the indexed catalog" (the whole-index
         search, the O(k) hot path); an explicit ``items`` list restricts
@@ -314,9 +316,10 @@ class CandidateRetriever:
         started = perf_counter()
         query = self.provider.query_vectors(list(user_ids), context)
         # single-user stage: recommend() serves one user per request
-        candidates = index.search(
+        rows = index.search_rows(
             query[0], k_candidates, n_probe=n_probe, allowed_rows=allowed
         )
+        candidates = InternedIds(index.ids[rows])
         elapsed = perf_counter() - started
         alpha = self.config.ewma_alpha
         self._search_ewma = (

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
+from repro.core.interned import InternedIds
 from repro.core.sum_model import SmartUserModel, UnknownUserError
 from repro.obs.metrics import (
     SIZE_BUCKETS,
@@ -331,7 +332,7 @@ class RecommendationService:
         budget: Budget | None = None,
         partial_ok: bool = False,
         retrieve_k: int | None = None,
-    ) -> tuple[str, list[ItemId], np.ndarray, np.ndarray, np.ndarray, bool]:
+    ) -> tuple[str, InternedIds, np.ndarray, np.ndarray, np.ndarray, bool]:
         """(resolved name, items, base, multiplier, adjusted, degraded).
 
         ``known_users=True`` skips the no-adjust membership validation —
@@ -400,10 +401,8 @@ class RecommendationService:
                     "request without items needs a retriever whose index "
                     "defines the catalog"
                 )
-            items = list(retriever.catalog_items())
-        else:
-            # ndarray ids leave as Python scalars, like every other id
-            items = items.tolist() if isinstance(items, np.ndarray) else list(items)
+            items = retriever.catalog_items()
+        items = table.intern(items)  # the request's one id translation
         if stamps is not None:
             stamps.append(perf_counter())
         if accepts_budget(scorer):
@@ -432,7 +431,7 @@ class RecommendationService:
             else:
                 budget.check("score")
         if adjusting:
-            multiplier = self.advice.multiplier_matrix(models, items, table, table.profile)
+            multiplier = self.advice.multiplier_rows(models, items.presence, table.profile)
         else:
             multiplier = np.ones_like(base)
         if stamps is not None:
@@ -576,9 +575,10 @@ class RecommendationService:
             raise
         if degraded:
             self._m_degraded.inc()
+        ids = items if items.vector is None else items.vector  # ints: lexsort
         response = RecommendationResponse(
             user_id=int(request.user_id), scorer=name,
-            ranked=top_k(ScoredItem, items, base, multiplier, adjusted, request.k),
+            ranked=top_k(ScoredItem, ids, base, multiplier, adjusted, request.k),
             sum_version=sum_version, generation=generation,
             trace_id=trace_id, degraded=degraded,
         )

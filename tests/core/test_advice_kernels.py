@@ -1,0 +1,178 @@
+"""The Advice user side and the masked family read, against their loops.
+
+Both kernels replaced a Python loop (per emotion, per name) with one
+numpy pass that performs the same operations per cell in the same
+order, so the loops stay here as references and the comparison is
+``array_equal``, not a tolerance.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.advice as advice_module
+from repro.core.advice import AdviceEngine, DomainProfile, evidence_matrix
+from repro.core.emotions import EMOTION_NAMES
+from repro.core.seqlock import Seqlock
+from repro.core.sum_model import SmartUserModel
+from repro.core.sum_store import (
+    ColumnarSumStore,
+    _ColumnFamily,
+    _FrozenFamily,
+    _masked_matrix,
+)
+
+ATTRIBUTES = ("innovative", "challenging", "supportive", "online", "cheap")
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+#: zero gains and full-strength inhibition included on purpose
+gains = st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-1.0, 1.0, allow_nan=False))
+
+
+def dense_boosts(engine, models, profile):
+    """``boosts_matrix`` as it was: one dense (n, A) factor per emotion."""
+    emotions, attributes, dense = profile.layout()
+    evidence = evidence_matrix(models, emotions)
+    boosts = np.ones((len(models), len(attributes)))
+    for row in range(len(emotions)):
+        factor = 1.0 + engine.gain_scale * np.multiply.outer(evidence[:, row], dense[row])
+        np.maximum(factor, 0.05, out=factor)
+        boosts *= factor
+    return boosts
+
+
+@st.composite
+def profiles(draw):
+    emotions = draw(st.lists(st.sampled_from(EMOTION_NAMES), max_size=5, unique=True))
+    targets = st.dictionaries(st.sampled_from(ATTRIBUTES), gains, max_size=4)
+    return DomainProfile("prop", {e: draw(targets) for e in emotions})
+
+
+@st.composite
+def populations(draw):
+    models = []
+    for uid in range(draw(st.integers(1, 6))):
+        model = SmartUserModel(uid)
+        for emotion in draw(st.lists(st.sampled_from(EMOTION_NAMES), max_size=6, unique=True)):
+            model.activate_emotion(emotion, draw(unit))
+            if draw(st.booleans()):
+                model.set_sensibility(emotion, draw(unit))
+        models.append(model)
+    return models
+
+
+class TestLinkKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profile=profiles(), models=populations(),
+        scale=st.one_of(st.just(1.0), st.floats(0.05, 1.0, allow_nan=False)),
+    )
+    def test_bit_equal_to_the_dense_loop_and_close_to_scalar_boosts(self, profile, models, scale):
+        engine = AdviceEngine(gain_scale=scale)
+        got = engine.boosts_matrix(models, profile)
+        assert got.shape == (len(models), len(profile.item_attributes()))
+        assert np.array_equal(got, dense_boosts(engine, models, profile))
+        # the scalar path associates gain_scale·gain·intensity·sensibility
+        # differently and walks links in dict order: last-bit differences
+        for row, model in enumerate(models):
+            scalar = engine.boosts(model, profile)
+            assert got[row].tolist() == pytest.approx(
+                [scalar[a] for a in profile.item_attributes()], rel=1e-12
+            )
+
+    def test_the_floor_is_hit_and_held(self):
+        # gain_scale·gain·evidence = -1 < -0.95: the factor floors at 0.05
+        profile = DomainProfile(
+            "floor", {"shy": {"online": -1.0, "cheap": 0.0}, "hopeful": {"cheap": 0.0}}
+        )
+        model = SmartUserModel(0)
+        model.activate_emotion("shy", 1.0)
+        engine = AdviceEngine(gain_scale=1.0)
+        got = engine.boosts_matrix([model], profile)
+        assert got.tolist() == [[1.0, 0.05]]  # cheap (zero gains), online
+        assert np.array_equal(got, dense_boosts(engine, [model], profile))
+
+    def test_profiles_without_links_or_without_users(self):
+        engine = AdviceEngine()
+        model = SmartUserModel(0)
+        assert engine.boosts_matrix([model], DomainProfile("none", {})).shape == (1, 0)
+        assert engine.boosts_matrix([model], DomainProfile("bare", {"shy": {}})).shape == (1, 0)
+        linked = DomainProfile("linked", {"shy": {"online": 0.5}})
+        assert engine.boosts_matrix([], linked).shape == (0, 1)
+        unlinked = DomainProfile("none", {})
+        assert engine.multiplier_matrix([model], ["a", "b"], {}, unlinked).tolist() == [[1.0, 1.0]]
+
+    LINKS = {"shy": {"online": 0.5, "cheap": -0.25}, "hopeful": {"online": 1.0}}
+
+    def test_link_layout_is_attribute_major_and_lives_on_the_profile(self):
+        profile = DomainProfile("p", self.LINKS)
+        emotion_rows, link_gains, starts = profile.link_layout()
+        # attributes: cheap, online; emotions: hopeful, shy
+        assert starts.tolist() == [0, 1]
+        assert emotion_rows.tolist() == [1, 0, 1]
+        assert link_gains.tolist() == [-0.25, 1.0, 0.5]
+        assert profile.link_layout() is profile.link_layout()
+        assert not any(a.flags.writeable for a in profile.link_layout())
+        twin = DomainProfile("p", {e: dict(t) for e, t in self.LINKS.items()})
+        assert twin == profile and twin.link_layout() is not profile.link_layout()
+
+    def test_large_populations_pass_through_in_chunks(self, monkeypatch):
+        profile = DomainProfile("p", self.LINKS)
+        store = ColumnarSumStore()
+        rng = np.random.default_rng(3)
+        for uid in range(50):
+            model = store.get_or_create(uid)
+            model.activate_emotion("shy", float(rng.random()))
+            model.activate_emotion("hopeful", float(rng.random()))
+            model.set_sensibility("hopeful", float(rng.random()))
+        batch = store.batch(list(range(50)))
+        engine = AdviceEngine()
+        whole = engine.boosts_matrix(batch, profile)
+        monkeypatch.setattr(advice_module, "_FACTOR_CELLS", 3 * 7)  # 7 rows a chunk
+        assert np.array_equal(engine.boosts_matrix(batch, profile), whole)
+        assert np.array_equal(whole, dense_boosts(engine, batch, profile))
+
+
+def per_name_loop(family, rows, names, default):
+    """``_masked_matrix`` as it was: three fancy reads per name."""
+    out = np.full((len(rows), len(names)), float(default))
+    for k, name in enumerate(names):
+        j = family.column_of(name)
+        if j is None:
+            continue
+        out[:, k] = np.where(family.mask[rows, j], family.values[rows, j], float(default))
+    return out
+
+
+class TestMaskedMatrix:
+    NAMES = ("a", "b", "c", "d", "e")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        interned=st.lists(st.sampled_from(NAMES), max_size=5, unique=True),
+        asked=st.lists(st.sampled_from(NAMES + ("zz",)), max_size=7),
+        rows=st.lists(st.integers(0, 5), max_size=8),
+        default=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equal_to_the_per_name_loop_live_and_frozen(
+        self, interned, asked, rows, default, seed
+    ):
+        family = _ColumnFamily(
+            np.float64, 6, threading.RLock(), seed_names=interned,
+            row_gen=Seqlock(np.zeros(6, dtype=np.int64)),
+        )
+        rng = np.random.default_rng(seed)
+        family.values[:] = rng.random(family.values.shape)
+        family.mask[:] = rng.random(family.mask.shape) < 0.6
+        rows = np.asarray(rows, dtype=np.intp)
+        want = per_name_loop(family, rows, asked, default)
+        got = _masked_matrix(family, rows, asked, default)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        frozen = _FrozenFamily.capture(family, rows)
+        every = np.arange(len(rows), dtype=np.intp)
+        assert np.array_equal(frozen.read_matrix(every, asked, default), want)
