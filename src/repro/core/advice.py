@@ -125,6 +125,32 @@ class DomainProfile:
             object.__setattr__(self, "_links", cached)
         return cached
 
+    def active_layout(
+        self, active: np.ndarray
+    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """``(emotions, emotion_rows, gains, starts)`` of the ``active``
+        attribute columns only (sorted, distinct), derived per call.
+
+        :meth:`link_layout` cut down to the links of those attributes:
+        ``emotions`` are the distinct emotions they read (the other
+        vectors index into *that* list), each attribute keeps its links
+        in the same emotion order, so a product over them is the product
+        the full layout takes, bit for bit.
+        """
+        emotion_rows, gains, starts = self.link_layout()
+        sizes = np.diff(np.append(starts, len(gains)))
+        keep = np.zeros(len(sizes), dtype=bool)
+        keep[active] = True
+        links = np.flatnonzero(np.repeat(keep, sizes))
+        used, rows = np.unique(emotion_rows[links], return_inverse=True)
+        emotions = self.layout()[0]
+        return (
+            [emotions[e] for e in used.tolist()],
+            rows,
+            gains[links],
+            np.cumsum(sizes[active]) - sizes[active],
+        )
+
     def item_attributes(self) -> list[str]:
         """All item attributes referenced by this profile, sorted."""
         return list(self.layout()[1])
@@ -186,11 +212,18 @@ class ItemTable(Mapping[object, Mapping[str, float]]):
         last universe is kept — validated by ``==`` against its private
         copy, never by identity: callers may edit their list in place.
         A hit answers with the ids as first spelled (``1 == 1.0``).
+
+        A universe of one id (every selection's) is cheaper to intern
+        than to compare — one dict look-up and a row view — so it never
+        enters the memo, and the catalog stays memoised across it.
         """
         known = self._memo
         if isinstance(items, (list, tuple, InternedIds)) and known == items:
             return known
         ids = InternedIds(items)
+        if len(ids) == 1:
+            row = self._rows.get(ids[0], len(self._rows))
+            return InternedIds(ids, self.presence[row:row + 1])
         if self.presence.shape[1]:
             rows = map(self._rows.get, ids, repeat(len(self._rows)))
             block = self.presence[np.fromiter(rows, dtype=np.intp, count=len(ids))]
@@ -296,29 +329,37 @@ class AdviceEngine:
     # -- vectorized batch path --------------------------------------------
 
     def boosts_matrix(
-        self, models: Sequence[SmartUserModel], profile: DomainProfile
+        self,
+        models: Sequence[SmartUserModel],
+        profile: DomainProfile,
+        active: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-user attribute boosts as a ``(n_users, n_attributes)`` array.
 
         Row ``u`` equals :meth:`boosts` for ``models[u]`` with columns in
-        :meth:`DomainProfile.item_attributes` order.  One pass over the
-        profile's links replaces the per-user, per-link dict passes.
+        :meth:`DomainProfile.item_attributes` order — or, given
+        ``active``, those columns of it only, computed from their links
+        alone (:meth:`DomainProfile.active_layout`).  One pass over the
+        links replaces the per-user, per-link dict passes.
 
         ``models`` is anything :func:`evidence_matrix` reads.  Evidence
         must be finite — stores clamp intensities, so it is: a NaN cell
         reaches only the attributes its emotion links, where a dense
         ``0 · NaN`` product would poison the whole row.
         """
-        emotions, attributes, __ = profile.layout()
-        if not len(models) or not attributes:
-            return np.ones((len(models), len(attributes)))
+        if active is None:
+            emotions = profile.layout()[0]
+            emotion_rows, gains, starts = profile.link_layout()
+        else:
+            emotions, emotion_rows, gains, starts = profile.active_layout(active)
+        if not len(models) or not len(starts):
+            return np.ones((len(models), len(starts)))
         # factor[u, l] = 1 + gain_scale·gain·intensity·sensibility per
         # *link*, floored at 0.05 exactly as in the scalar path, then one
         # product per attribute over its links in emotion order; a cell
         # without a link is a factor of exactly 1.0, skipped bit for bit.
-        emotion_rows, gains, starts = profile.link_layout()
         evidence = evidence_matrix(models, emotions)
-        boosts = np.empty((len(models), len(attributes)))
+        boosts = np.empty((len(models), len(starts)))
         chunk = max(1, _FACTOR_CELLS // len(gains))
         for lo in range(0, len(boosts), chunk):
             factor = evidence[lo:lo + chunk][:, emotion_rows] * gains
@@ -371,11 +412,29 @@ class AdviceEngine:
         return self.multiplier_rows(models, presence, profile)
 
     def multiplier_rows(
-        self, models: Sequence[SmartUserModel], presence: np.ndarray, profile: DomainProfile
+        self,
+        models: Sequence[SmartUserModel],
+        presence: np.ndarray,
+        profile: DomainProfile,
+        active: np.ndarray | None = None,
     ) -> np.ndarray:
         """:meth:`multiplier_matrix` over an already gathered presence block
-        (``InternedIds.presence`` of a table built for ``profile``)."""
-        return np.exp(np.log(self.boosts_matrix(models, profile)) @ presence.T)
+        (``InternedIds.presence`` of a table built for ``profile``).
+
+        ``active`` (``InternedIds.active``) names the columns of
+        ``presence`` holding any non-zero cell.  When that is a strict
+        subset only those attributes' boosts are computed — links walked,
+        emotions read — and every other column of the log block is
+        ``0.0``: against an all-zero presence column it contributes
+        ``0.0 × 0.0`` where the dense block contributes ``log(b) × 0.0``,
+        a zero either way, through the same-shape product — so every cell
+        equals the dense one.
+        """
+        if active is None or len(active) == presence.shape[1]:
+            return np.exp(np.log(self.boosts_matrix(models, profile)) @ presence.T)
+        logs = np.zeros((len(models), presence.shape[1]))
+        logs[:, active] = np.log(self.boosts_matrix(models, profile, active))
+        return np.exp(logs @ presence.T)
 
     def adjust_matrix(
         self,

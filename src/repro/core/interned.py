@@ -52,10 +52,11 @@ class InternedIds(Sequence[Any]):
     — no walk, no copy; without one numpy sees the list.  ``presence``
     is the read-only ``(len, n_attributes)`` block gathered by the
     :class:`~repro.core.advice.ItemTable` that interned the ids, ``None``
-    before any has.  Interning an :class:`InternedIds` shares its ids.
+    before any has, and ``active`` the columns of it the Advice stage can
+    use.  Interning an :class:`InternedIds` shares its ids.
     """
 
-    __slots__ = ("_ids", "vector", "presence")
+    __slots__ = ("_ids", "vector", "presence", "_active")
 
     def __init__(
         self, items: Iterable[Any], presence: np.ndarray | None = None
@@ -65,6 +66,24 @@ class InternedIds(Sequence[Any]):
         else:
             self._ids, self.vector = items._ids, items.vector
         self.presence = presence
+        self._active: np.ndarray | None = None
+
+    @property
+    def active(self) -> np.ndarray | None:
+        """Sorted attribute columns holding any non-zero presence, read-only.
+
+        An item can only be activated or inhibited through an attribute
+        it carries, so these are the only columns whose boosts can move
+        a multiplier off ``1.0``.  Derived on first use, once per
+        universe (built, frozen, then published by one attribute store);
+        ``None`` without a presence block.
+        """
+        active = self._active
+        if active is None and self.presence is not None:
+            active = np.flatnonzero(self.presence.any(axis=0))
+            active.setflags(write=False)
+            self._active = active
+        return active
 
     def __len__(self) -> int:
         return len(self._ids)

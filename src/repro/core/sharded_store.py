@@ -131,6 +131,17 @@ def _link_tree(src: Path, dst: Path) -> None:
             shutil.copy2(entry, target)
 
 
+def positions_by_shard(shard_of: np.ndarray, n_shards: int) -> dict[int, np.ndarray]:
+    """``shard -> positions`` of a per-id shard-index vector.
+
+    Touched shards only, in order of first appearance (what a per-id
+    ``setdefault`` walk would build), positions ascending within each;
+    callers assemble by position.
+    """
+    groups = [(s, np.flatnonzero(shard_of == s)) for s in range(n_shards)]
+    return dict(sorted((g for g in groups if len(g[1])), key=lambda g: g[1][0]))
+
+
 class ShardedBatch:
     """A cross-shard batch: per-shard sub-batches + a gather index.
 
@@ -341,24 +352,35 @@ class ShardedSumStore:
         (with ``create=False``) raise one :class:`~repro.core.sum_model.
         UnknownUserError` naming every offending id *across all shards*;
         ``create=True`` creates missing rows in their owning shards.
+        Ids are ints (every caller coerces), as for :meth:`_grouped`.
         """
-        ids = [int(uid) for uid in user_ids]
-        out = np.empty((len(ids), 2), dtype=np.intp)
-        missing: list[int] = []
         n = len(self.shards)
-        for i, uid in enumerate(ids):
-            s = uid % n
-            row = self.shards[s]._row_of.get(uid)
-            if row is None:
-                if create:
-                    row = self.shards[s]._new_row(uid)
-                else:
-                    missing.append(uid)
-                    row = -1
-            out[i, 0] = s
-            out[i, 1] = row
-        if missing:
-            raise UnknownUserError(missing)
+        if n == 1 or len(user_ids) == 1:  # one owner: delegate outright
+            s = int(user_ids[0]) % n if n > 1 else 0
+            rows = self.shards[s].rows_for(user_ids, create=create)
+            return np.stack((np.full_like(rows, s), rows), axis=1)
+        # One pass: route the whole vector, then one C-speed dict walk
+        # per shard; unknown ids are collected by position so the error
+        # names them in request order whatever shard they fell in.
+        ids = np.asarray(user_ids, dtype=np.int64)
+        shard_of = ids % n
+        out = np.empty((len(ids), 2), dtype=np.intp)
+        out[:, 0] = shard_of
+        unknown: list[int] = []
+        for s, positions in positions_by_shard(shard_of, n).items():
+            shard = self.shards[s]
+            shard_ids = ids[positions].tolist()
+            rows = list(map(shard._row_of.get, shard_ids))
+            if None in rows:
+                holes = [i for i, row in enumerate(rows) if row is None]
+                if not create:
+                    unknown.extend(positions[holes].tolist())
+                    continue
+                for i in holes:
+                    rows[i] = shard._new_row(shard_ids[i])
+            out[positions, 1] = rows
+        if unknown:
+            raise UnknownUserError(ids[np.sort(unknown)].tolist())
         return out
 
     def batch(

@@ -309,7 +309,7 @@ class RecommendationService:
                 getattr(sums, "repository", None), "rows_for", None
             )
         if callable(bulk):
-            bulk(list(user_ids))
+            bulk(user_ids)
             return
         if not hasattr(type(sums), "__contains__"):
             # A bare resolver (e.g. the legacy shim's single-model
@@ -350,6 +350,14 @@ class RecommendationService:
         then the *effective* (retrieved or fallback) items the grids are
         over.  ``items=None`` means "the retriever's indexed catalog".
 
+        Explicit ``items`` are interned before any user is touched
+        (retrieval-armed requests excepted: the retriever needs the
+        models for its query vector).  An item is activated or inhibited
+        only through an attribute it carries, so with no active presence
+        column among them the multiplier is exactly 1.0 whatever the
+        users feel: users are validated as on the no-adjust path and no
+        SUM is read.
+
         ``budget`` threads the request's deadline through the pipeline:
         checked after resolve (abort — nothing useful exists yet), on
         retrieval entry (the retriever additionally *shrinks* its knobs
@@ -374,10 +382,17 @@ class RecommendationService:
         # leak into scorers as untyped per-scorer KeyErrors.
         table = self._item_table  # one read: presences and their profile
         adjusting = adjust and table.profile is not None
+        retriever = self.retriever
+        retrieving = retrieve_k is not None and retriever is not None and len(user_ids) == 1
         if stamps is not None:
             stamps.append(perf_counter())
+        known_items = items is not None and not retrieving
+        if known_items:
+            items = table.intern(items)  # the request's one id translation
+        active = items.active if known_items and adjusting else None
         models = None
-        if adjusting:
+        # (a service without a repository fails here whatever the items)
+        if adjusting and (active is None or len(active) or sums is None):
             models = self._resolve_models(user_ids, sums)
         elif sums is not None and not known_users:
             self._validate_users(user_ids, sums)
@@ -385,8 +400,7 @@ class RecommendationService:
             stamps.append(perf_counter())
         if budget is not None:
             budget.check("resolve")
-        retriever = self.retriever
-        if retrieve_k is not None and retriever is not None and len(user_ids) == 1:
+        if retrieving:
             candidates = retriever.retrieve(
                 user_ids, items, retrieve_k, context=models, budget=budget
             )
@@ -402,17 +416,18 @@ class RecommendationService:
                     "defines the catalog"
                 )
             items = retriever.catalog_items()
-        items = table.intern(items)  # the request's one id translation
+        if not known_items:
+            items = table.intern(items)
         if stamps is not None:
             stamps.append(perf_counter())
         if accepts_budget(scorer):
             base = np.asarray(
-                scorer.score_batch(list(user_ids), items, budget=budget),
+                scorer.score_batch(user_ids, items, budget=budget),
                 dtype=np.float64,
             )
         else:
             base = np.asarray(
-                scorer.score_batch(list(user_ids), items), dtype=np.float64
+                scorer.score_batch(user_ids, items), dtype=np.float64
             )
         if base.shape != (len(user_ids), len(items)):
             raise ValueError(
@@ -430,8 +445,10 @@ class RecommendationService:
                 degraded = True
             else:
                 budget.check("score")
-        if adjusting:
-            multiplier = self.advice.multiplier_rows(models, items.presence, table.profile)
+        if adjusting and models is not None:
+            multiplier = self.advice.multiplier_rows(
+                models, items.presence, table.profile, active
+            )
         else:
             multiplier = np.ones_like(base)
         if stamps is not None:
@@ -447,7 +464,7 @@ class RecommendationService:
     ) -> np.ndarray:
         """Adjusted scores for the full ``user_ids × items`` grid."""
         __, __items, __base, __mult, adjusted, __deg = self._grids(
-            user_ids, items, scorer, adjust
+            InternedIds(user_ids), items, scorer, adjust
         )
         return adjusted
 
@@ -594,10 +611,11 @@ class RecommendationService:
         resolver = self.sums  # one capture per request; see recommend()
         trace_id = next_trace_id() if self.tracer.enabled else None
         stamps: list[float] | None = [] if self._obs_on else None
+        # the users' one id translation: scorer and ranking share it
         if request.user_ids is not None:
-            ids = [int(uid) for uid in request.user_ids]
+            ids = InternedIds([int(uid) for uid in request.user_ids])
         elif resolver is not None:
-            ids = list(resolver.user_ids())
+            ids = InternedIds(resolver.user_ids())
         else:
             raise RuntimeError(
                 "selection over all users needs a SUM repository; pass "
@@ -628,7 +646,7 @@ class RecommendationService:
         response = SelectionResponse(
             item=request.item, scorer=name,
             ranked=top_k(
-                SelectedUser, np.asarray(ids, dtype=np.int64),
+                SelectedUser, ids if ids.vector is None else ids.vector,
                 base, multiplier, adjusted, request.k,
             ),
             sum_version=sum_version, generation=generation,

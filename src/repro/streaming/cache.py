@@ -561,27 +561,26 @@ class SumCache:
         ``create=True`` opts into streaming first-contact semantics.
         """
         ids = list(map(int, user_ids))
-        if len(self._mirror_shards) == 1:
-            shard = self._mirror_shards[0]
+        if len(self._mirror_shards) == 1 or len(ids) == 1:  # one owner
+            owner = self._shard_of(ids[0]) if len(self._mirror_shards) > 1 else 0
+            shard = self._mirror_shards[owner]
             rows = shard.store.rows_for(ids, create=create)
             return self._capture_shard(shard, ids, rows)
+        from repro.core.sharded_store import ShardedBatch, positions_by_shard
+
         # Resolve/create the whole batch first: one typed error naming
-        # every unknown id across all shards, not shard-by-shard.
-        self.repository.rows_for(ids, create=create)
-        shard_of = self._shard_of
-        grouped: dict[int, list[int]] = {}
-        for pos, uid in enumerate(ids):
-            grouped.setdefault(shard_of(uid), []).append(pos)
+        # every unknown id across all shards, not shard-by-shard — and
+        # the (shard, row) addresses the captures below read with.
+        addresses = self.repository.rows_for(ids, create=create)
         parts = []
+        grouped = positions_by_shard(addresses[:, 0], len(self._mirror_shards))
         for shard_index, positions in grouped.items():
             shard = self._mirror_shards[shard_index]
-            shard_ids = [ids[p] for p in positions]
-            rows = shard.store.rows_for(shard_ids)
+            shard_ids = [ids[p] for p in positions.tolist()]
+            rows = addresses[positions, 1]
             parts.append((positions, self._capture_shard(shard, shard_ids, rows)))
         if len(parts) == 1:
             return parts[0][1]
-        from repro.core.sharded_store import ShardedBatch
-
         return ShardedBatch(ids, parts, resolve=self.get)
 
     # -- observability -----------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.advice as advice_module
-from repro.core.advice import AdviceEngine, DomainProfile, evidence_matrix
+from repro.core.advice import AdviceEngine, DomainProfile, ItemTable, evidence_matrix
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.seqlock import Seqlock
 from repro.core.sum_model import SmartUserModel
@@ -176,3 +176,104 @@ class TestMaskedMatrix:
         frozen = _FrozenFamily.capture(family, rows)
         every = np.arange(len(rows), dtype=np.intp)
         assert np.array_equal(frozen.read_matrix(every, asked, default), want)
+
+
+@st.composite
+def worlds(draw):
+    """A profile, the item side over it, universes to intern, user states."""
+    profile = draw(profiles())
+    carried = st.dictionaries(
+        st.sampled_from(ATTRIBUTES + ("unlinked",)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.5, 1.5, allow_nan=False)),
+        max_size=4,
+    )
+    catalog = {f"i{n}": draw(carried) for n in range(draw(st.integers(0, 5)))}
+    catalog["bare"] = {}
+    catalog["full"] = {name: 1.0 for name in ATTRIBUTES}
+    # duplicates, the shared unknown-item row, all-zero and every-column universes
+    names = st.sampled_from([*catalog, "nobody", "nobody-else"])
+    universes = [draw(st.lists(names, max_size=6)), ["bare", "nobody"], ["full"], ["bare"]]
+    states = [
+        {e: (draw(unit), draw(st.one_of(st.none(), unit)))
+         for e in draw(st.lists(st.sampled_from(EMOTION_NAMES), max_size=6, unique=True))}
+        for __ in range(draw(st.sampled_from([0, 1, 12])))
+    ]
+    return profile, catalog, universes, states
+
+
+def populate(sums, states):
+    for uid, state in enumerate(states):
+        model = sums.get_or_create(uid)
+        for emotion, (intensity, sensibility) in state.items():
+            model.activate_emotion(emotion, intensity)
+            if sensibility is not None:
+                model.set_sensibility(emotion, sensibility)
+    return sums
+
+
+class TestActiveColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds(), scale=st.sampled_from([0.5, 1.0]))
+    def test_active_columns_multiply_bit_equal_to_the_dense_block(self, world, scale):
+        profile, catalog, universes, states = world
+        engine = AdviceEngine(gain_scale=scale)  # 1.0: -1 gains hit the floor
+        table = ItemTable(catalog, profile)
+        store = populate(ColumnarSumStore(), states)
+        populations = (
+            [store.get(uid) for uid in range(len(states))],
+            store.batch(list(range(len(states)))),
+        )
+        for universe in universes:
+            ids = table.intern(universe)
+            active = ids.active
+            assert np.array_equal(active, np.flatnonzero(ids.presence.any(0)))
+            assert not active.flags.writeable
+            assert ids.active is active
+            if len(universe) != 1:  # a memo hit is the same universe, derived once
+                assert table.intern(list(universe)).active is active
+            for models in populations:
+                dense = np.exp(np.log(engine.boosts_matrix(models, profile)) @ ids.presence.T)
+                got = engine.multiplier_rows(models, ids.presence, profile, active)
+                assert got.shape == (len(states), len(universe))
+                assert np.array_equal(got, dense)
+                assert np.array_equal(
+                    engine.boosts_matrix(models, profile, active),
+                    engine.boosts_matrix(models, profile)[:, active],
+                )
+
+    def test_active_layout_keeps_each_attribute_its_links_in_order(self):
+        profile = DomainProfile("p", TestLinkKernel.LINKS)
+        # attributes: cheap, online; emotions: hopeful, shy
+        emotions, rows, link_gains, starts = profile.active_layout(np.array([1]))
+        assert emotions == ["hopeful", "shy"]
+        assert (rows.tolist(), link_gains.tolist(), starts.tolist()) == ([0, 1], [1.0, 0.5], [0])
+        emotions, rows, link_gains, starts = profile.active_layout(np.array([0]))
+        assert emotions == ["shy"]
+        assert (rows.tolist(), link_gains.tolist(), starts.tolist()) == ([0], [-0.25], [0])
+        emotions, rows, __, starts = profile.active_layout(np.array([], dtype=np.intp))
+        assert (emotions, rows.tolist(), starts.tolist()) == ([], [], [])
+
+    def test_an_inactive_column_is_never_read(self):
+        profile = DomainProfile("p", TestLinkKernel.LINKS)
+        model = SmartUserModel(0)
+        model.activate_emotion("shy", 0.5)
+
+        class OnlyShy:
+            """A batch that fails on any emotion but ``shy``."""
+
+            def __len__(self):
+                return 1
+
+            def intensity_matrix(self, order):
+                assert list(order) == ["shy"]
+                return np.array([[0.5]])
+
+            def sensibility_matrix(self, order, default=1.0):
+                assert list(order) == ["shy"]
+                return np.array([[default]])
+
+        table = ItemTable({"c": {"cheap": 1.0}, "o": {"online": 0.3}}, profile)
+        ids = table.intern(["c", "nobody"])
+        assert ids.active.tolist() == [0]
+        got = AdviceEngine().multiplier_rows(OnlyShy(), ids.presence, profile, ids.active)
+        assert np.array_equal(got, AdviceEngine().multiplier_matrix([model], ids, table, profile))

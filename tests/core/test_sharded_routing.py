@@ -1,0 +1,113 @@
+"""Bulk id routing on sharded stores, against the per-id loops it replaced.
+
+``ShardedSumStore.rows_for`` and the cache's cross-shard capture route a
+whole id vector at once; the per-id walks stay here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.emotions import EMOTION_NAMES
+from repro.core.sharded_store import ShardedBatch, ShardedSumStore, positions_by_shard
+from repro.core.sum_model import UnknownUserError
+from repro.streaming.cache import SumCache
+
+KNOWN = range(0, 60, 3)
+
+
+def per_id_rows_for(store, user_ids, create=False):
+    """``rows_for`` as it was: one routed dict look-up per id."""
+    ids = [int(uid) for uid in user_ids]
+    out = np.empty((len(ids), 2), dtype=np.intp)
+    missing = []
+    n = len(store.shards)
+    for i, uid in enumerate(ids):
+        s = uid % n
+        row = store.shards[s]._row_of.get(uid)
+        if row is None:
+            if create:
+                row = store.shards[s]._new_row(uid)
+            else:
+                missing.append(uid)
+                row = -1
+        out[i] = s, row
+    if missing:
+        raise UnknownUserError(missing)
+    return out
+
+
+def build(n_shards):
+    store = ShardedSumStore(n_shards=n_shards, initial_capacity=8)
+    for uid in KNOWN:
+        model = store.get_or_create(uid)
+        model.activate_emotion(EMOTION_NAMES[uid % len(EMOTION_NAMES)], (uid % 7) / 7)
+        model.set_sensibility(EMOTION_NAMES[0], (uid % 5) / 5)
+    return store
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 5])
+class TestBulkRouting:
+    BATCHES = ([], [9], [57, 0, 9, 0, 33, 57, 6], list(KNOWN)[::-1], [0, 12, 12])
+
+    def test_rows_for_matches_the_per_id_loop(self, n_shards):
+        store = build(n_shards)
+        for batch in self.BATCHES:
+            want = per_id_rows_for(store, batch)
+            got = store.rows_for(batch)
+            assert got.dtype == want.dtype and got.shape == (len(batch), 2)
+            assert np.array_equal(got, want)
+            assert np.array_equal(store.rows_for(np.array(batch, dtype=np.int64)), want)
+            shard_of = np.array(batch, dtype=np.int64) % n_shards
+            grouped = positions_by_shard(shard_of, n_shards)
+            assert {s: p.tolist() for s, p in grouped.items()} == store._grouped(batch)
+            assert list(grouped) == list(store._grouped(batch))
+
+    def test_unknown_ids_are_named_once_in_request_order(self, n_shards):
+        store = build(n_shards)
+        batch = [44, 3, 41, 1000, 6, 44, -7, 2]
+        with pytest.raises(UnknownUserError) as reference:
+            per_id_rows_for(store, batch)
+        for rows_for in (store.rows_for, SumCache(store).batch):
+            with pytest.raises(UnknownUserError) as excinfo:
+                rows_for(batch)
+            assert excinfo.value.user_ids == reference.value.user_ids
+            assert excinfo.value.user_ids == (44, 41, 1000, 44, -7, 2)
+        assert len(store) == len(KNOWN)  # a raising call creates nothing
+
+    def test_create_makes_each_missing_row_once_in_its_own_shard(self, n_shards):
+        store, twin = build(n_shards), build(n_shards)
+        batch = [44, 3, 41, 44, 1000, 41]
+        got = store.rows_for(batch, create=True)
+        assert np.array_equal(got, per_id_rows_for(twin, batch, create=True))
+        assert len(store) == len(KNOWN) + 3
+        assert store.user_ids() == twin.user_ids()
+        assert np.array_equal(store.rows_for(batch), got)
+
+    def test_cache_capture_reads_the_rows_it_was_routed(self, n_shards):
+        store = build(n_shards)
+        cache = SumCache(store)
+        for batch in self.BATCHES:
+            captured = cache.batch(batch)
+            assert len(captured) == len(batch)
+            got = captured.intensity_matrix(EMOTION_NAMES)
+            want = np.array(
+                [[store.get(uid).emotional[e] for e in EMOTION_NAMES] for uid in batch]
+            ).reshape(len(batch), len(EMOTION_NAMES))
+            assert np.array_equal(got, want)
+            sens = captured.sensibility_matrix(EMOTION_NAMES[:2], default=1.0)
+            assert sens[:, 0].tolist() == [(uid % 5) / 5 for uid in batch]
+            assert list(captured.versions) == list(dict.fromkeys(batch))
+            groups = store._grouped(batch)
+            if len(groups) > 1:
+                assert isinstance(captured, ShardedBatch)
+                assert [p.tolist() for p, __ in captured.parts] == list(groups.values())
+        created = cache.batch([44, 0, 41], create=True)
+        assert created.intensity_matrix(EMOTION_NAMES)[0].tolist() == [0.0] * len(EMOTION_NAMES)
+        assert 44 in store and 41 in store
+
+
+def test_positions_by_shard_lists_touched_shards_by_first_appearance():
+    grouped = positions_by_shard(np.array([3, 0, 3, 1, 0]), 5)
+    assert {s: p.tolist() for s, p in grouped.items()} == {3: [0, 2], 0: [1, 4], 1: [3]}
+    assert list(grouped) == [3, 0, 1]
+    assert positions_by_shard(np.array([], dtype=np.int64), 4) == {}
