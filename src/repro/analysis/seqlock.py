@@ -8,8 +8,8 @@ equal even observations of that cell.  Exactly two shapes may run a
 primitive:
 
 * handed **as a callable to** ``<seqlock>.read(idx, primitive, *args)``
-  (or called inside a lambda handed to it) — the one bounded retry loop
-  validates the generation around the copy;
+  or ``.read_many(rows, primitive)`` (or called inside a lambda handed
+  to either) — the retry loop validates the generation around the copy;
 * under a ``with`` on the **declared writer lock** (its own attribute,
   e.g. ``_lock``, or the public ``writer_lock`` accessor) — holding the
   writers' serialization point means no generation can change mid-copy,
@@ -24,11 +24,11 @@ statically.
 * **SQ002** — a protected primitive *taken as a value* (assigned, passed
   to an executor, stored in a table) outside both shapes: the reference
   escapes to a call site the analyzer cannot see, so the only place it
-  may be handed to is ``Seqlock.read``.
+  may be handed to is ``Seqlock.read`` / ``Seqlock.read_many``.
 
 A primitive's own body may call other primitives — ``refresh_row`` is
-``copy_row`` per family — because whoever runs the outer one already
-discharged the obligation.
+``copy_row`` per family, ``refresh_rows`` is ``copy_rows`` — because
+whoever runs the outer one already discharged the obligation.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from repro.analysis.core import (
     qualname,
 )
 
-#: the method of :class:`repro.core.seqlock.Seqlock` that runs a callable
+#: the methods of :class:`repro.core.seqlock.Seqlock` that run a callable
 #: inside the validated window
-_READ_METHOD = "read"
+_READ_METHODS = frozenset({"read", "read_many"})
 
 #: the public accessor name for a declared writer lock (the streaming
 #: cache reaches the store's ``_lock`` through it)
@@ -124,7 +124,7 @@ class _SeqlockWalker:
             func = node.func
             self._check("SQ001", func, held=held, in_read=in_read)
             self._walk(func.value, held=held, in_read=in_read)
-            handed = in_read or func.attr == _READ_METHOD
+            handed = in_read or func.attr in _READ_METHODS
             for arg in (*node.args, *(kw.value for kw in node.keywords)):
                 self._walk(arg, held=held, in_read=handed)
             return

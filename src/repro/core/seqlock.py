@@ -10,7 +10,8 @@ the writer* is the same protocol everywhere:
   after (:meth:`Seqlock.write`, or :meth:`Seqlock.begin` /
   :meth:`Seqlock.end` when the window is not one lexical block);
 * a **reader** runs its copy between two *equal, even* observations of
-  the cell and retries otherwise (:meth:`Seqlock.read`).
+  the cell and retries otherwise (:meth:`Seqlock.read`; a block of
+  cells by :meth:`Seqlock.read_many`, retrying only the rows that lost).
 
 The cells are an int64 ndarray the caller hands in — a heap array, a
 :meth:`~repro.core.shm_store.ShmArena.alloc` page or a slice of a control
@@ -45,7 +46,10 @@ SPIN_LIMIT = 512
 
 
 class SeqlockStarved(RuntimeError):
-    """:meth:`Seqlock.read` never saw a quiet even window in its bound."""
+    """A read never saw a quiet even window in its bound."""
+
+    #: the rows a :meth:`Seqlock.read_many` left unfinished
+    rows: np.ndarray | None = None
 
 
 class Seqlock:
@@ -116,3 +120,38 @@ class Seqlock:
             f"cell {idx} never held an even generation across a copy in "
             f"{SPIN_LIMIT} attempts"
         )
+
+    def read_many(
+        self, idx: np.ndarray, copy: Callable[[np.ndarray], object]
+    ) -> None:
+        """:meth:`read` for many cells: ``copy(rows)``, idempotent per row.
+
+        One gather of the cells, ``copy`` once for the rows whose cell is
+        even, a second gather; a row is done iff its cell is unchanged
+        and ``cells`` is still the same array.  Only the rows that lost
+        are retried, after the same yield, inside the same bound; then
+        :class:`SeqlockStarved` carries the unfinished ``rows``.
+        """
+        pending = np.asarray(idx, dtype=np.intp)
+        if not pending.size:
+            return
+        for __ in range(SPIN_LIMIT):
+            cells = self.cells
+            rows = pending[pending < cells.shape[0]]  # else: racing a grow()
+            before = cells[rows]
+            quiet = (before & 1) == 0
+            rows, before = rows[quiet], before[quiet]
+            if rows.size:
+                copy(rows)
+                if self.cells is cells:
+                    done = rows[cells[rows] == before]
+                    if done.size == pending.size:
+                        return
+                    pending = np.setdiff1d(pending, done)
+            time.sleep(0)
+        starved = SeqlockStarved(
+            f"{pending.size} cells never held an even generation across a "
+            f"copy in {SPIN_LIMIT} attempts"
+        )
+        starved.rows = pending
+        raise starved

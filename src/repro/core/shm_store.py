@@ -644,15 +644,18 @@ class MultiProcSumStore(ShardedSumStore):
 
         Returns the shard's published ``applied_seq``.  No-op (beyond
         counter reads) when the layout still names the arrays this
-        process already maps.  Writers must be quiescent (the plane's
-        ``sync`` barrier) — see :func:`adopt_layout`.
+        process already maps — the layout epoch stays put, so rows a
+        serving mirror staged stay staged.  Writers must be quiescent
+        (the plane's ``sync`` barrier) — see :func:`adopt_layout`.
         """
         i = int(shard_index)
         published = self.controls[i].read_layout()
         if published is None:
             return 0
         layout, n_users, applied_seq = published
-        adopt_layout(self.arenas[i], self.shards[i], layout, n_users)
+        shard = self.shards[i]
+        if n_users != len(shard) or layout != shard_layout(self.arenas[i], shard):
+            adopt_layout(self.arenas[i], shard, layout, n_users)
         self.arenas[i].sweep()
         commit = self.controls[i].commit_version
         if commit != self._commit_seen[i]:

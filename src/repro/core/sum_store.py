@@ -119,11 +119,11 @@ declare_lock(
 # Lock-free reader captures (the protocol is repro.core.seqlock): every
 # mutation path bumps the touched rows' generation cells odd before
 # writing and even after (always under the store lock), so the mirror
-# copy primitives may be called lock-free *only* through Seqlock.read —
-# or under the writer lock itself, which excludes every generation bump.
+# copy primitives may be called lock-free *only* through Seqlock.read
+# (or read_many) — or under the writer lock, which excludes every bump.
 declare_seqlock(
     "ColumnarSumStore.row_generations",
-    protects=("refresh_row", "copy_row"),
+    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows"),
     writer_lock="ColumnarSumStore._lock",
 )
 # One more cell for the column layout: odd while compact_vocab() swaps
@@ -512,8 +512,8 @@ class _MirrorFamily:
     """Writable staging copy of one live family's columns (reader-owned).
 
     Grows to track the live arrays; row content is only ever written by
-    :meth:`copy_row` under the owning user's write lock, so a row holds
-    exactly one published version at a time.
+    :meth:`copy_row` / :meth:`copy_rows` inside a validated generation
+    window, so a row holds exactly one committed state at a time.
     """
 
     __slots__ = ("live", "values", "mask")
@@ -565,6 +565,19 @@ class _MirrorFamily:
             self.mask[row] = live_mask[row]
             return
 
+    def copy_rows(self, rows: np.ndarray) -> None:
+        """:meth:`copy_row` for an index array (idempotent per row)."""
+        while True:
+            live_values, live_mask = self.live.values, self.live.mask
+            if (live_values.shape != live_mask.shape
+                    or live_values.shape != self.values.shape
+                    or self.mask.shape != self.values.shape):
+                self.sync_shape()
+                continue
+            self.values[rows] = live_values[rows]
+            self.mask[rows] = live_mask[rows]
+            return
+
 
 class ColumnMirror:
     """Copy-on-write staging columns for published reads.
@@ -597,6 +610,11 @@ class ColumnMirror:
         """
         self.emotional.copy_row(row)
         self.sensibility.copy_row(row)
+
+    def refresh_rows(self, rows: np.ndarray) -> None:
+        """:meth:`refresh_row` for an index array, protected the same way."""
+        self.emotional.copy_rows(rows)
+        self.sensibility.copy_rows(rows)
 
     def capture(
         self,

@@ -77,14 +77,14 @@ class WorkerStats:
     #: decay ticks dropped unapplied because their deadline had passed
     #: by the time the worker dequeued them
     expired_dropped: int = 0
-    #: update-to-visible latency samples, seconds (bounded reservoir)
+    #: update-to-visible latency samples, seconds (the most recent ones)
     latencies: list[float] = field(default_factory=list)
 
 
 class ShardWorker(threading.Thread):
     """One consumer thread bound to one partition queue."""
 
-    #: keep at most this many latency samples per worker
+    #: a worker keeps its newest this many latency samples (< twice that)
     MAX_LATENCY_SAMPLES = 50_000
 
     def __init__(
@@ -300,11 +300,11 @@ class ShardWorker(threading.Thread):
         self.cache.mark_batch()
         visible_at = perf_counter()
         samples = self.stats.latencies
-        room = self.MAX_LATENCY_SAMPLES - len(samples)
-        if room > 0:
-            samples.extend(
-                visible_at - d.published_at for d in applied[:room]
-            )
+        samples.extend(visible_at - d.published_at for d in applied)
+        if len(samples) >= 2 * self.MAX_LATENCY_SAMPLES:
+            # keep the newest; trimmed in place (readers hold this list)
+            # and only at twice the cap, so a batch never pays the memmove
+            del samples[: len(samples) - self.MAX_LATENCY_SAMPLES]
         settled.update(id(d) for d in applied)
         self.partition.ack_batch(applied)
         self.stats.processed += len(applied)

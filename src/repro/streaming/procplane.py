@@ -183,7 +183,7 @@ def _worker_main(
                 "log_drops": worker.stats.log_drops,
                 "expired_dropped": worker.stats.expired_dropped,
             },
-            "latencies": list(worker.stats.latencies),
+            "latencies": worker.stats.latencies[-worker.MAX_LATENCY_SAMPLES:],
             "topic": {
                 "redelivered": topic.redelivered,
                 "dead_letters": len(topic.dead_letters),
@@ -419,6 +419,8 @@ class MultiProcUpdater:
         self._seqs = [0] * n
         self._last_sync: list[dict[str, Any] | None] = [None] * n
         self._submitted = 0
+        #: users routed since the last barrier (what the next publishes)
+        self._touched: set[int] = set()
         self.recoveries = 0
         self._started = False
         self._stopped = False
@@ -463,6 +465,8 @@ class MultiProcUpdater:
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
+        """Stop every worker: the last barrier, publishing to the attached
+        cache what was routed since the previous one, like :meth:`drain`."""
         if self._stopped:
             return
         if drain and self._started:
@@ -473,7 +477,7 @@ class MultiProcUpdater:
                 self._last_sync[i] = payload
         self.store.resync()
         if self.cache is not None:
-            self.cache.invalidate()
+            self.cache.invalidate(self._touched)
         self._started = False
         self._stopped = True
 
@@ -486,7 +490,9 @@ class MultiProcUpdater:
     # -- ingestion -----------------------------------------------------------
 
     def _route(self, value: Any) -> None:
-        shard = partition_for(int(value.user_id), len(self.store.shards))
+        user_id = int(value.user_id)
+        self._touched.add(user_id)
+        shard = partition_for(user_id, len(self.store.shards))
         bucket = self._pending[shard]
         bucket.append(value)
         self._submitted += 1
@@ -559,18 +565,32 @@ class MultiProcUpdater:
         After ``drain()`` the parent store reflects every submitted
         event: rows, columns and values — the cross-process equivalent
         of ``StreamingUpdater.drain``.
+
+        The attached cache is then told what moved: ``invalidate`` of
+        the users routed an event or tick since the previous barrier.
+        A worker only writes a user it was routed a message of, so
+        everyone else keeps their ``sum_version`` and staged mirror row.
+        *Direct* repository writes are not this plane's to publish: pair
+        them with ``cache.invalidate(ids)`` (``SumCache.write_lock``).
         """
         if not self._started:
             return True
-        for shard in range(len(self.workers)):
-            self._flush_shard(shard)
-        settled = True
-        for shard in range(len(self.workers)):
-            payload = self._sync_shard(shard)
-            settled = settled and bool(payload.get("settled"))
+        # taken before the flush: anything routed while the barrier runs
+        # lands in the next barrier's set, never in neither
+        touched, self._touched = self._touched, set()
+        try:
+            for shard in range(len(self.workers)):
+                self._flush_shard(shard)
+            settled = True
+            for shard in range(len(self.workers)):
+                payload = self._sync_shard(shard)
+                settled = settled and bool(payload.get("settled"))
+        except BaseException:
+            self._touched |= touched  # unpublished: the next barrier's
+            raise
         self.store.resync()
         if self.cache is not None:
-            self.cache.invalidate()
+            self.cache.invalidate(touched)
         return settled
 
     def ensure_alive(self) -> int:
@@ -640,6 +660,8 @@ class MultiProcUpdater:
         shm pages (a fresh arena-backed shard replaces them), and
         everything after the floor replays in order through a fresh
         worker seeded with the checkpointed mapper decay counters.
+        Every user of the rebuilt shard counts as routed: the next
+        barrier to start republishes the whole shard to the cache.
         """
         if self.checkpoint_root is None:
             raise WorkerDied(
@@ -668,9 +690,11 @@ class MultiProcUpdater:
             },
         )
         self.workers[shard] = worker
+        self._touched.update(fresh.user_ids())
         for seq, chunk in self._journals[shard]:
             if seq > applied:
                 worker.send_events(seq, chunk)
+                self._touched.update(int(v.user_id) for v in chunk)
         self.recoveries += 1
 
     # -- observability ---------------------------------------------------------

@@ -1,10 +1,11 @@
 """Clean twin of ``sq_violations``: every legal seqlock reader shape.
 
 The same primitives that are violations there are legal here — handed
-as a callable to ``Seqlock.read`` (directly or inside a lambda), run
-under the declared writer lock (raw attribute or public accessor), or
-the starvation fallback that combines both.  A primitive's own body may
-call another primitive: its caller already holds the obligation.
+as a callable to ``Seqlock.read`` / ``Seqlock.read_many`` (directly or
+inside a lambda), run under the declared writer lock (raw attribute or
+public accessor), or the starvation fallback that combines both.  A
+primitive's own body may call another primitive: its caller already
+holds the obligation.
 """
 
 import threading
@@ -14,7 +15,7 @@ from repro.core.seqlock import SeqlockStarved
 
 declare_seqlock(
     "CleanMirrorTable.row_generations",
-    protects=("refresh_row", "copy_row"),
+    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows"),
     writer_lock="CleanMirrorTable._lock",
 )
 # single-writer-by-protocol (another process): no lock shape exists
@@ -31,6 +32,10 @@ class CleanMirror:
     def refresh_row(self, row: int) -> None:
         for family in self.families:
             family.copy_row(row)
+
+    def refresh_rows(self, rows) -> None:
+        for family in self.families:
+            family.copy_rows(rows)
 
 
 class CleanMirrorTable:
@@ -62,6 +67,13 @@ class ReadingCapture:
         except SeqlockStarved:
             with self.table.writer_lock:  # starved: exclude writers
                 self.table.mirror.refresh_row(row)
+
+    def capture_block(self, rows) -> None:
+        try:
+            self.table.gens.read_many(rows, self.table.mirror.refresh_rows)
+        except SeqlockStarved as starved:
+            with self.table.writer_lock:  # only the rows that starved
+                self.table.mirror.refresh_rows(starved.rows)
 
 
 class LockedCopier:

@@ -10,7 +10,7 @@ from repro.analysis.contracts import declare_seqlock
 
 declare_seqlock(
     "MirrorTable.row_generations",
-    protects=("refresh_row", "copy_row"),
+    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows"),
     writer_lock="MirrorTable._lock",
 )
 declare_seqlock(
@@ -49,6 +49,10 @@ class TornCapture:
     def capture_under_wrong_lock(self, row: int) -> None:
         with self.table._other_lock:
             self.table.mirror.copy_row(row)  # [SQ001]
+
+    def capture_block_bare(self, rows) -> None:
+        # one numpy copy is no more atomic than a loop of them
+        self.table.mirror.refresh_rows(rows)  # [SQ001]
 
 
 class EscapingCopier:

@@ -101,6 +101,7 @@ def test_sq_findings_name_the_seqlock_and_protocol():
         "TornCapture.capture", "TornCapture.capture_many",
         "TornCapture.capture_after_read",
         "TornCapture.capture_under_wrong_lock",
+        "TornCapture.capture_block_bare",
         "ControlBlock.read_layout",
     }
     assert {f.symbol for f in by_rule["SQ002"]} == {
@@ -122,7 +123,9 @@ def test_sq_findings_name_the_seqlock_and_protocol():
 def test_sq_declarations_reach_the_static_registry():
     project, _ = analyze("sq_violations.py")
     decl = project.registry.seqlocks["MirrorTable.row_generations"]
-    assert decl["protects"] == ("refresh_row", "copy_row")
+    assert decl["protects"] == (
+        "refresh_row", "copy_row", "refresh_rows", "copy_rows",
+    )
     assert decl["writer_lock"] == "MirrorTable._lock"
     lockless = project.registry.seqlocks["ControlBlock.layout_seq"]
     assert lockless["protects"] == ("_read_published",)

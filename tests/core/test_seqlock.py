@@ -11,6 +11,7 @@ live with their call sites.
 import multiprocessing
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,6 +166,131 @@ def test_write_bumps_each_row_of_an_index_array_once():
     assert lock.cells.tolist() == [2, 0, 0, 2, 2]
 
 
+# -- the block reader: one copy per round, only the losers retried -----------
+
+
+def recording_copy(calls, then=None):
+    """A ``read_many`` copy callback that records the rows it was handed."""
+
+    def copy(rows):
+        calls.append(rows.tolist())
+        if then is not None:
+            then(len(calls))
+
+    return copy
+
+
+def test_quiet_read_many_copies_once_and_never_yields(yields):
+    lock = Seqlock(cells(6))
+    calls = []
+    lock.read_many(np.asarray([4, 1, 5]), recording_copy(calls))
+    assert calls == [[4, 1, 5]]
+    assert yields.seen == []
+
+
+def test_read_many_of_nothing_neither_copies_nor_yields(yields):
+    calls = []
+    Seqlock(cells(2)).read_many(np.asarray([], dtype=np.intp), calls.append)
+    assert calls == [] and yields.seen == []
+
+
+def test_an_odd_row_sits_the_round_out_and_is_retried_alone(yields):
+    lock = Seqlock(cells(4))
+    lock.begin(2)  # a writer is mid-commit on row 2 only
+
+    def writer_commits_on_the_third_yield(count):
+        if count == 3:
+            lock.end(2)
+
+    yields.then = writer_commits_on_the_third_yield
+    calls = []
+    lock.read_many(np.asarray([0, 2, 3]), recording_copy(calls))
+    # the quiet rows were copied once, in the first round; two rounds
+    # saw only the odd cell and copied nothing; then row 2 went alone
+    assert calls == [[0, 3], [2]]
+    assert len(yields.seen) == 3
+
+
+def test_a_commit_landing_during_the_block_copy_discards_that_row_only(yields):
+    lock = Seqlock(cells(4))
+
+    def writer_commits_row_1_during_the_first_copy(count):
+        if count == 1:
+            with lock.write(1):
+                pass
+
+    calls = []
+    lock.read_many(
+        np.asarray([0, 1, 3]),
+        recording_copy(calls, writer_commits_row_1_during_the_first_copy),
+    )
+    assert calls == [[0, 1, 3], [1]]
+    assert len(yields.seen) == 1
+
+
+def test_grow_mid_read_many_is_detected_by_identity(yields):
+    lock = Seqlock(cells(2))
+
+    def grows_during_the_first_copy(count):
+        if count == 1:
+            # generations carry over unchanged, so the value check
+            # alone would accept every row of this torn round
+            lock.grow(cells(8))
+
+    calls = []
+    lock.read_many(
+        np.asarray([0, 1]), recording_copy(calls, grows_during_the_first_copy)
+    )
+    assert calls == [[0, 1], [0, 1]]
+    assert lock.cells.shape == (8,)
+    assert len(yields.seen) == 1
+
+
+def test_a_row_beyond_the_cells_waits_for_the_grow(yields):
+    lock = Seqlock(cells(2))
+    yields.then = lambda count: lock.grow(cells(4))
+    calls = []
+    lock.read_many(np.asarray([1, 3]), recording_copy(calls))
+    # row 1 was in range and done in the first round; row 3 went alone
+    # once the grown array covered it
+    assert calls == [[1], [3]]
+    assert len(yields.seen) == 1
+
+
+def test_read_many_starves_once_after_spin_limit_carrying_the_losers(yields):
+    lock = Seqlock(cells(4))
+    lock.begin(1)  # two writers that never commit
+    lock.begin(3)
+    calls = []
+    with pytest.raises(SeqlockStarved, match=str(SPIN_LIMIT)) as starved:
+        lock.read_many(np.asarray([3, 0, 1, 2]), recording_copy(calls))
+    assert calls == [[0, 2]]  # an odd cell is never read
+    assert sorted(starved.value.rows.tolist()) == [1, 3]
+    assert len(yields.seen) == SPIN_LIMIT
+    # the scalar read carries no rows
+    with pytest.raises(SeqlockStarved) as scalar:
+        lock.read(1, lambda: None)
+    assert scalar.value.rows is None
+
+
+def test_a_saturating_writer_starves_only_its_own_row(yields):
+    lock = Seqlock(cells(3))
+
+    def every_copy_races_a_commit_of_row_2(count):
+        with lock.write(2):
+            pass
+
+    calls = []
+    with pytest.raises(SeqlockStarved) as starved:
+        lock.read_many(
+            np.asarray([0, 1, 2]),
+            recording_copy(calls, every_copy_races_a_commit_of_row_2),
+        )
+    assert calls == [[0, 1, 2]] + [[2]] * (SPIN_LIMIT - 1)
+    assert starved.value.rows.tolist() == [2]
+    assert int(lock.cells[2]) == 2 * SPIN_LIMIT  # left even
+
+
 def _child_writer(lock, payload, window_open, may_commit):
     lock.begin(1)
     payload[0] = 41
@@ -257,3 +383,69 @@ def test_threaded_readers_never_see_a_torn_pair():
     assert not any(thread.is_alive() for thread in threads)
     assert torn == []
     assert reads[0] > 0 and pair[0] > 0
+
+
+def test_threaded_block_readers_never_see_a_torn_pair():
+    """:func:`test_threaded_readers_never_see_a_torn_pair`, by block.
+
+    The writer keeps ``b[i] == 2 * a[i]`` on a few rows at a time; each
+    reader stages all rows into its own pair of arrays through
+    ``read_many`` (starved rows under the writer's lock) and checks the
+    invariant on every row it staged.
+    """
+    n = 16
+    lock = Seqlock(cells(n))
+    writer_lock = threading.Lock()
+    a = np.zeros(n, dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    everything = np.arange(n)
+    stop = threading.Event()
+    torn: list[tuple[int, int]] = []
+    reads = [0]
+
+    def writer():
+        rng = np.random.default_rng(5)
+        step = 0
+        while not stop.is_set():
+            step += 1
+            rows = rng.choice(n, size=3, replace=False)
+            with writer_lock, lock.write(rows):
+                a[rows] = step
+                b[rows] = 2 * step
+
+    def reader():
+        mine_a = np.zeros(n, dtype=np.int64)
+        mine_b = np.zeros(n, dtype=np.int64)
+
+        def copy(rows):
+            mine_a[rows] = a[rows]
+            time.sleep(0)  # let the writer in: a tear needs this gap
+            mine_b[rows] = b[rows]
+
+        while not stop.is_set():
+            try:
+                lock.read_many(everything, copy)
+            except SeqlockStarved as starved:
+                with writer_lock:
+                    copy(starved.rows)
+            bad = np.flatnonzero(mine_b != 2 * mine_a)
+            torn.extend((int(mine_a[i]), int(mine_b[i])) for i in bad)
+            reads[0] += 1
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for __ in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(0.4)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10.0)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert torn == []
+    assert reads[0] > 0 and int(a.max()) > 0

@@ -25,7 +25,9 @@ from repro.core.shm_store import MultiProcSumStore
 from repro.core.sharded_store import generation_dirs, read_manifest
 from repro.core.sum_model import SumRepository
 from repro.lifelog.events import ActionCategory, Event
+from repro.obs.metrics import MetricsRegistry
 from repro.streaming import EventUpdateMapper, MapperConfig
+from repro.streaming.cache import SumCache
 from repro.streaming.control import ControlPlaneConfig
 from repro.streaming.procplane import MultiProcUpdater, WorkerDied
 
@@ -300,5 +302,211 @@ def test_multiproc_replay_matches_sequential_for_arbitrary_streams(
             updater.submit_many(events)
             assert updater.drain()
         assert store.dumps() == reference.dumps()
+    finally:
+        store.close()
+
+
+# -- the parent's serving cache: a barrier publishes what it routed -----------
+
+
+def served(cache, users):
+    """``(intensities, sensibilities)`` the parent cache serves for users."""
+    batch = cache.batch(users)
+    return (
+        batch.intensity_matrix(EMOTION_NAMES),
+        batch.sensibility_matrix(EMOTION_NAMES),
+    )
+
+
+def expected(reference, users):
+    """What :func:`served` must equal, read off a sequential replay."""
+    return (
+        np.array([
+            [reference.get(u).emotional.intensities.get(name, 0.0)
+             for name in EMOTION_NAMES]
+            for u in users
+        ]),
+        np.array([
+            [reference.get(u).sensibility.get(name, 1.0)
+             for name in EMOTION_NAMES]
+            for u in users
+        ]),
+    )
+
+
+def assert_serves(cache, reference, users):
+    for got, want in zip(served(cache, users), expected(reference, users)):
+        assert np.array_equal(got, want)
+
+
+def test_barrier_publishes_to_the_parent_cache_what_it_routed():
+    users = list(range(20))
+    warm_up = make_events((uid, 1, uid % 3, 3) for uid in users)
+    routed = [2, 3, 11, 16]
+    second = make_events((uid, 2, 0, 5) for uid in routed for __ in range(3))
+    telemetry = MetricsRegistry()
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        cache = SumCache(store, telemetry=telemetry)
+        refreshed = telemetry.counter("cache.capture_refreshed_rows")
+        with MultiProcUpdater(store, ITEM_EMOTIONS, cache=cache) as updater:
+            updater.submit_many(warm_up)
+            assert updater.drain()
+            assert_serves(cache, sequential_reference(warm_up), users)
+            versions = cache.versions_snapshot()
+            assert versions == dict.fromkeys(users, 1)
+            staged = [dict(s.versions) for s in cache._mirror_shards]
+            assert refreshed.value == len(users)
+
+            updater.submit_many(second)
+            assert updater.drain()
+            # a routed user's version moved, exactly once; nobody else's
+            assert cache.versions_snapshot() == {
+                uid: 2 if uid in routed else 1 for uid in users
+            }
+            assert [s.stale for s in cache._mirror_shards] == [
+                {uid for uid in routed if store.shard_of(uid) == i}
+                for i in range(2)
+            ]
+            # ... and the next read restages the routed ∩ requested rows
+            # only; every other staged row is served as it was
+            requested = list(range(12))
+            before = refreshed.value
+            batch = cache.batch(requested)
+            assert refreshed.value - before == len(set(routed) & set(requested))
+            assert batch.versions == {
+                uid: 2 if uid in routed else 1 for uid in requested
+            }
+            for shard, was in zip(cache._mirror_shards, staged):
+                assert {
+                    uid: v for uid, v in shard.versions.items()
+                    if uid not in routed
+                } == {uid: v for uid, v in was.items() if uid not in routed}
+            assert_serves(
+                cache, sequential_reference(warm_up + second), users
+            )
+
+            # a barrier with nothing routed bumps nothing at all
+            versions, global_version = (
+                cache.versions_snapshot(), cache.global_version
+            )
+            assert updater.drain()
+            assert cache.versions_snapshot() == versions
+            assert cache.global_version == global_version
+    finally:
+        store.close()
+
+
+def test_ticks_and_first_contacts_count_as_routed():
+    users = list(range(8))
+    events = make_events((uid, 2, 0, 5) for uid in users)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        cache = SumCache(store)
+        with MultiProcUpdater(store, ITEM_EMOTIONS, cache=cache) as updater:
+            updater.submit_many(events)
+            assert updater.drain()
+            before = served(cache, users)
+            assert updater.tick([1, 6]) == 2
+            # user 40 is created by a worker: the parent learns the row
+            # at the barrier and serves it from there on
+            updater.submit_many(make_events([(40, 2, 1, 4)]))
+            assert 40 not in cache
+            assert updater.drain()
+            assert cache.versions_snapshot() == {
+                **{uid: 2 if uid in (1, 6) else 1 for uid in users}, 40: 1,
+            }
+            after = served(cache, users)
+            ticked = np.isin(users, [1, 6])
+            for was, now in zip(before, after):
+                assert np.array_equal(was[~ticked], now[~ticked])
+            assert (after[0][ticked] < before[0][ticked]).any()  # decayed
+            live = store.batch(users + [40])
+            for got, want in zip(served(cache, users + [40]), (
+                live.intensity_matrix(EMOTION_NAMES),
+                live.sensibility_matrix(EMOTION_NAMES),
+            )):
+                assert np.array_equal(got, want)
+    finally:
+        store.close()
+
+
+def test_stop_publishes_what_was_routed_since_the_last_barrier():
+    users = list(range(6))
+    events = make_events((uid, 2, 0, 5) for uid in users)
+    late = make_events([(4, 1, 2, 3)])
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        cache = SumCache(store)
+        # chunk=1: every event is on its worker's queue when stop() runs
+        updater = MultiProcUpdater(store, ITEM_EMOTIONS, cache=cache, chunk=1)
+        updater.start()
+        updater.submit_many(events)
+        assert updater.drain()
+        cache.batch(users)
+        updater.submit_many(late)
+        updater.stop(drain=False)
+        assert cache.versions_snapshot() == {
+            uid: 2 if uid == 4 else 1 for uid in users
+        }
+        assert_serves(cache, sequential_reference(events + late), users)
+    finally:
+        store.close()
+
+
+def test_recover_republishes_the_whole_rebuilt_shard(tmp_path):
+    users = list(range(12))
+    events = make_events((uid, 2, 0, 5) for uid in users)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        cache = SumCache(store)
+        updater = MultiProcUpdater(
+            store, ITEM_EMOTIONS, checkpoint_root=tmp_path, cache=cache,
+        )
+        with updater:
+            updater.submit_many(events[:8])
+            updater.checkpoint()
+            # first contacts after the checkpoint: only the journal tail
+            # knows them when the shard is rebuilt
+            updater.submit_many(events[8:])
+            assert updater.drain()
+            assert cache.versions_snapshot() == dict.fromkeys(users, 1)
+            updater.workers[0].kill()
+            assert updater.ensure_alive() == 1
+            assert updater.drain()
+            rebuilt = [uid for uid in users if store.shard_of(uid) == 0]
+            assert cache.versions_snapshot() == {
+                uid: 2 if uid in rebuilt else 1 for uid in users
+            }
+        assert store.dumps() == sequential_reference(events).dumps()
+    finally:
+        store.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect (ROADMAP item 3): SumCache keeps mirroring the "
+    "shard object recover() replaced, so the parent cache serves the dead "
+    "worker's pages for that partition",
+)
+def test_parent_cache_serves_a_rebuilt_shard(tmp_path):
+    users = list(range(12))
+    events = make_events((uid, 2, 0, 5) for uid in users)
+    more = make_events((uid, 1, 1, 2) for uid in users)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        cache = SumCache(store)
+        updater = MultiProcUpdater(
+            store, ITEM_EMOTIONS, checkpoint_root=tmp_path, cache=cache,
+        )
+        with updater:
+            updater.submit_many(events)
+            assert updater.drain()
+            cache.batch(users)
+            updater.workers[0].kill()
+            updater.submit_many(more)
+            assert updater.drain()  # sync hits the corpse and recovers
+            assert updater.recoveries == 1
+            assert_serves(cache, sequential_reference(events + more), users)
     finally:
         store.close()
