@@ -59,6 +59,7 @@ from repro.core.sum_store import (
 )
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.four_branch import BRANCH_ORDER
+from repro.core.updates import OpBatch
 from repro.streaming.bus import partition_for
 
 #: the refresh-protocol manifest file at the root of a sharded save dir
@@ -285,6 +286,22 @@ class ShardedSumStore:
             grouped.setdefault(uid % n, []).append(pos)
         return grouped
 
+    def by_shard(self, user_ids: Sequence[int]) -> Mapping[int, Sequence[int]]:
+        """``user_ids`` (ints) grouped by owning partition, order kept.
+
+        A one-owner list — every shard worker's batch, since bus
+        partition and store partition are the same hash — comes back as
+        the same list object, not a copy.
+        """
+        n = len(self.shards)
+        owners = {uid % n for uid in user_ids}
+        if len(owners) == 1:
+            return {owners.pop(): user_ids}
+        grouped: dict[int, list[int]] = {}
+        for uid in user_ids:
+            grouped.setdefault(uid % n, []).append(uid)
+        return grouped
+
     # -- repository duck-type ------------------------------------------------
 
     def get_or_create(self, user_id: int) -> SumRowView:
@@ -442,35 +459,32 @@ class ShardedSumStore:
     def batch_apply_ops(self, items, policy) -> list[int]:
         """Apply per-user op sequences, each shard under its own lock.
 
-        The whole cross-shard batch is validated *before any shard
-        mutates* (the commit layer's fallback contract: a raising call
-        leaves every partition untouched); writers hitting different
-        partitions then commit concurrently — the tentpole's contention
-        win.  Returns per-item applied counts aligned with ``items``.
+        ``items`` is an :class:`~repro.core.updates.OpBatch` or raw
+        ``(user_id, ops)`` pairs (made one, then the same path).  The
+        whole cross-shard batch is validated *before any shard mutates*
+        unless a layer above already did (the commit layer's fallback
+        contract: a raising call leaves every partition untouched); a
+        one-owner batch goes to its partition as is, a cross-shard one is
+        split, and writers hitting different partitions commit
+        concurrently.  Returns the batch's ``counts``: applied ops per
+        raw item, aligned with ``items``.
         """
         if self.readonly:
             raise TypeError(
                 "store is a read-only mmap replica; updates must run "
                 "against the writable primary"
             )
-        items = [(int(uid), tuple(ops)) for uid, ops in items]
-        validate_batch_ops(items)
-        n = len(self.shards)
-        grouped: dict[int, list[int]] = {}
-        for i, (uid, __) in enumerate(items):
-            grouped.setdefault(uid % n, []).append(i)
-        counts = [0] * len(items)
-        for s, positions in grouped.items():
+        batch = validate_batch_ops(items)
+        groups = self.by_shard(batch.user_ids)
+        ops_of = dict(batch) if len(groups) > 1 else None  # cross-shard
+        for s, owned in groups.items():
+            part = batch if ops_of is None else OpBatch(
+                list(owned), [ops_of[uid] for uid in owned], validated=True
+            )
             shard = self.shards[s]
-            sub_items = [items[p] for p in positions]
-            # straight to the locked apply: the batch is already
-            # normalized and validated, and re-validating per shard
-            # would put Python work back inside every commit
             with shard._lock:
-                shard_counts = shard._batch_apply_ops_locked(sub_items, policy)
-            for p, count in zip(positions, shard_counts):
-                counts[p] = count
-        return counts
+                shard._apply_batch_locked(part, policy)
+        return batch.counts
 
     def decay_tick(self, policy, user_ids: Sequence[int] | None = None) -> int:
         """One decay tick (default: every user); returns rows touched.

@@ -67,7 +67,14 @@ from repro.core.emotions import (
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
 from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
-from repro.core.updates import DecayOp, PunishOp, RewardOp
+from repro.core.updates import (
+    BatchItems,
+    DecayOp,
+    OpBatch,
+    PunishOp,
+    RewardOp,
+    SumUpdateOp,
+)
 
 _GROWTH_FACTOR = 2
 _INITIAL_ROWS = 1024
@@ -141,24 +148,38 @@ declare_seqlock(
 _EMOTION_INDEX = {name: j for j, name in enumerate(EMOTION_NAMES)}
 
 
+#: a reward/punish op compiled for one policy — ``(step, column indices,
+#: within-op occurrence indices, width)``; see ColumnarSumStore._op_plan
+_OpPlan = tuple[float, np.ndarray, np.ndarray, int]
+
+#: cap on a store's op-plan memo: a catalog produces a few hundred
+#: distinct ops, so a memo that reaches this is being fed arbitrary
+#: strengths and simply starts over
+_MAX_OP_PLANS = 4096
+
 #: attribute tuples already checked against the emotion catalog — streams
 #: repeat the same few tuples endlessly, so validation is O(1) per op
 #: after the first sighting of each tuple
 _VALID_ATTR_TUPLES: set[tuple[str, ...]] = set()
 
 
-def validate_batch_ops(items: Sequence[tuple[int, Sequence[Any]]]) -> None:
-    """Reject a ``(user_id, ops)`` batch before any mutation.
+def validate_batch_ops(items: BatchItems) -> OpBatch:
+    """``items`` as a validated :class:`OpBatch`, before any mutation.
 
     The guarantee the streaming commit layer leans on: a raising batch
     apply leaves every store untouched, so callers may fall back to the
-    per-user scalar path without risking a double-apply.  Factored out of
-    :meth:`ColumnarSumStore.batch_apply_ops` so a sharded router can run
-    the *whole* cross-shard batch through it first — otherwise shard A
-    could commit before shard B's validation failure.
+    per-user scalar path without risking a double-apply.  Every batch
+    entry point (cache commit, shard router, store) calls this first —
+    before it takes a lock or writes a byte — and the batch remembers
+    the verdict, so whichever layer sees it first checks it and the
+    layers below do not: shard A cannot commit before shard B's
+    validation failure, and no op is checked twice.
     """
+    batch = OpBatch.of(items)
+    if batch.validated:
+        return batch
     valid = _VALID_ATTR_TUPLES
-    for __, ops in items:
+    for ops in batch.ops:
         for op in ops:
             if isinstance(op, DecayOp):
                 continue
@@ -178,6 +199,8 @@ def validate_batch_ops(items: Sequence[tuple[int, Sequence[Any]]]) -> None:
                     )
             else:
                 raise TypeError(f"unknown SUM update op {op!r}")
+    batch.validated = True
+    return batch
 
 
 _SEALED_CLASSES: dict[type, type] = {}
@@ -949,6 +972,11 @@ class ColumnarSumStore:
         self._snapshot_generation: int | None = None
         self._version_floors: dict[int, int] | None = None
         self._global_floor: int | None = None
+        #: op value -> what it does under ``_plan_rates`` (the policy's
+        #: learning rate and punish ratio); bounded by _MAX_OP_PLANS and
+        #: reset when a batch arrives under different rates
+        self._plan_rates: tuple[float, float] | None = None
+        self._op_plans: dict[SumUpdateOp, _OpPlan | None] = {}
 
     @property
     def readonly(self) -> bool:
@@ -1277,152 +1305,130 @@ class ColumnarSumStore:
 
     # -- vectorized update path --------------------------------------------
 
-    def batch_apply_ops(
-        self, items: Iterable[tuple[int, Sequence[Any]]], policy: Any
-    ) -> list[int]:
+    def batch_apply_ops(self, items: BatchItems, policy: Any) -> list[int]:
         """Apply per-user op sequences vectorized across the population.
 
-        ``items`` is a sequence of ``(user_id, ops)`` pairs; each user's
-        ops apply in order, and different users' sequences commute (they
-        touch disjoint rows), so op index ``k`` of every user is applied
-        as one vectorized "round": decays are one array multiply over
-        the decaying rows, rewards/punishes are scatter-adds through the
-        same :class:`~repro.core.reward.ReinforcementPolicy` clamps as
-        the scalar path — bit-equal results, population-at-once speed.
+        ``items`` is an :class:`~repro.core.updates.OpBatch` or raw
+        ``(user_id, ops)`` pairs, which :meth:`OpBatch.of
+        <repro.core.updates.OpBatch.of>` makes one (same path from there
+        on); each user's ops apply in order, and different users'
+        sequences commute (they touch disjoint rows), so op index ``k``
+        of every user is applied as one vectorized "round": decays are
+        one array multiply over the decaying rows, rewards/punishes are
+        scatter-adds through the same
+        :class:`~repro.core.reward.ReinforcementPolicy` clamps as the
+        scalar path — bit-equal results, population-at-once speed.
 
-        All ops are validated *before* any mutation (unknown ops,
-        unknown attributes or non-finite strengths raise with the store
-        untouched), unlike the scalar path which fails mid-sequence.
-        Returns per-item applied-op counts, aligned with ``items``.
+        The batch is validated *before* any mutation unless a layer
+        above already did (unknown ops, unknown attributes or non-finite
+        strengths raise with the store untouched), unlike the scalar
+        path which fails mid-sequence.  Returns the batch's ``counts``:
+        applied ops per raw item, aligned with ``items``.
         """
         if self._readonly:
             raise TypeError(
                 "store is a read-only mmap replica; updates must run "
                 "against the writable primary"
             )
-        items = [(int(uid), tuple(ops)) for uid, ops in items]
-        validate_batch_ops(items)
+        batch = validate_batch_ops(items)
         with self._lock:
-            return self._batch_apply_ops_locked(items, policy)
+            self._apply_batch_locked(batch, policy)
+        return batch.counts
 
     @requires_lock("_lock")
-    def _batch_apply_ops_locked(
-        self, items: Sequence[tuple[int, tuple[Any, ...]]], policy: Any
-    ) -> list[int]:
-        """Apply pre-validated, normalized items (caller holds the lock).
-
-        Validation lives in the public entry points — here *and* in the
-        sharded router, which validates a whole cross-shard batch once
-        before touching any partition — so it never runs twice per op.
-        """
-        if items:
-            self._clock.bump()
-
-        # Rounds vectorize across *distinct* rows; a user listed twice
-        # must not have two ops land in the same round, so duplicate ids
-        # merge into one ordered sequence (same sequential semantics).
-        merged: dict[int, list] = {}
-        for uid, ops in items:
-            merged.setdefault(uid, []).extend(ops)
-        entries = [(uid, tuple(ops)) for uid, ops in merged.items()]
-
-        rows = self.rows_for([uid for uid, __ in entries], create=True)
-        n_rounds = max((len(ops) for __, ops in entries), default=0)
+    def _apply_batch_locked(self, batch: OpBatch, policy: Any) -> None:
+        """Apply a validated batch (caller holds the lock) — what the
+        sharded router calls on the partition that owns the batch."""
+        if not batch.user_ids:
+            return
+        self._clock.bump()
+        rows = self.rows_for(batch.user_ids, create=True)
+        n_rounds = max(map(len, batch.ops))
         # One odd window for the whole commit: a lock-free capture must
         # observe a row before the first round or after the last, never a
-        # half-applied op sequence (rows are unique after the merge, so
-        # the fancy-indexed bump is one increment per row).
+        # half-applied op sequence (a batch's ids are unique, so the
+        # fancy-indexed bump is one increment per row).
         if n_rounds:
             with self.row_generations.write(rows):
-                self._apply_rounds(entries, rows, n_rounds, policy)
-        return [len(ops) for __, ops in items]
+                self._apply_rounds(batch.ops, rows.tolist(), n_rounds, policy)
 
     @requires_lock("_lock")
     def _apply_rounds(
         self,
-        entries: Sequence[tuple[int, tuple[Any, ...]]],
-        rows: np.ndarray,
+        ops_by_user: Sequence[tuple[SumUpdateOp, ...]],
+        rows: list[int],
         n_rounds: int,
         policy: Any,
     ) -> None:
-        emotion_col = self._emotional.index
+        rates = (policy.learning_rate, policy.punish_ratio)
+        if rates != self._plan_rates:
+            self._plan_rates, self._op_plans = rates, {}
+        plans = self._op_plans
         for k in range(n_rounds):
             decay_rows: list[int] = []
-            # Per *entry*, not per attribute: the column/occurrence layout
-            # of an op's attribute tuple is memoized (streams repeat the
-            # same few tuples endlessly), so building a round is O(ops)
-            # Python work and the per-attribute fan-out happens in numpy
-            # (np.repeat / concatenate).  This keeps the GIL-holding
-            # fraction of a commit small — which is what lets sharded
-            # writers actually overlap their vectorized sections.
+            # Per *op*, not per attribute: an op's step and column /
+            # occurrence layout are memoized by its value (streams repeat
+            # the same few ops endlessly), so building a round is one
+            # dict read per op and the per-attribute fan-out happens in
+            # numpy (np.repeat / concatenate).  This keeps the
+            # GIL-holding fraction of a commit small — which is what
+            # lets sharded writers overlap their vectorized sections.
             touch_rows: list[int] = []
-            touch_steps: list[float] = []
-            touch_cols: list[np.ndarray] = []
-            touch_occs: list[np.ndarray] = []
-            touch_widths: list[int] = []
-            for i, (__, ops) in enumerate(entries):
+            touches: list[_OpPlan] = []
+            for row, ops in zip(rows, ops_by_user):
                 if k >= len(ops):
                     continue
                 op = ops[k]
-                if isinstance(op, DecayOp):
-                    decay_rows.append(rows[i])
-                    continue
-                if isinstance(op, RewardOp):
-                    step = policy.learning_rate * clamp01(op.strength)
+                try:
+                    plan = plans[op]
+                except KeyError:
+                    if len(plans) >= _MAX_OP_PLANS:
+                        plans.clear()
+                    plan = plans[op] = self._op_plan(op, rates)
+                if plan is None:
+                    decay_rows.append(row)
                 else:
-                    step = (
-                        policy.learning_rate
-                        * policy.punish_ratio
-                        * clamp01(op.strength)
-                    )
-                    step = -step
-                cols, occs = self._op_layout(op.attributes, emotion_col)
-                touch_rows.append(rows[i])
-                touch_steps.append(step)
-                touch_cols.append(cols)
-                touch_occs.append(occs)
-                touch_widths.append(len(cols))
+                    touch_rows.append(row)
+                    touches.append(plan)
             if decay_rows:
                 self._decay_rows(np.asarray(decay_rows, dtype=np.intp), policy)
             if touch_rows:
+                steps, cols, occs, widths = zip(*touches)
                 self._apply_touches(
-                    np.repeat(
-                        np.asarray(touch_rows, dtype=np.intp), touch_widths
-                    ),
-                    np.concatenate(touch_cols),
-                    np.repeat(np.asarray(touch_steps), touch_widths),
-                    np.concatenate(touch_occs),
+                    np.repeat(np.asarray(touch_rows, dtype=np.intp), widths),
+                    np.concatenate(cols),
+                    np.repeat(np.asarray(steps), widths),
+                    np.concatenate(occs),
                 )
 
-    #: memoized attribute-tuple layouts, shared by every store instance
-    #: (column indices come from the frozen emotion catalog, identical
-    #: for all stores and all shards forever)
-    _OP_LAYOUTS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def _op_layout(
-        cls, attributes: tuple[str, ...], emotion_col: Mapping[str, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, within-op occurrence indices) for one op's
-        attribute tuple — a duplicated attribute gets occurrence 1, 2, …
-        so its clamps still apply *between* occurrences, exactly as the
-        sequential loop does."""
-        layout = cls._OP_LAYOUTS.get(attributes)
-        if layout is None:
-            seen: dict[str, int] = {}
-            occs = []
-            for name in attributes:
-                occurrence = seen.get(name, 0)
-                seen[name] = occurrence + 1
-                occs.append(occurrence)
-            layout = (
-                np.asarray(
-                    [emotion_col[name] for name in attributes], dtype=np.intp
-                ),
-                np.asarray(occs, dtype=np.intp),
-            )
-            cls._OP_LAYOUTS[attributes] = layout
-        return layout
+    def _op_plan(
+        self, op: SumUpdateOp, rates: tuple[float, float]
+    ) -> _OpPlan | None:
+        """What one op does under ``rates`` (learning rate, punish ratio):
+        ``None`` for a decay, else ``(step, column indices, within-op
+        occurrence indices, width)`` — the same ``learning_rate *
+        clamp01(strength)`` product as the scalar path, and a duplicated
+        attribute gets occurrence 1, 2, … so its clamps still apply
+        *between* occurrences, exactly as the sequential loop does."""
+        if isinstance(op, DecayOp):
+            return None
+        if isinstance(op, RewardOp):
+            step = rates[0] * clamp01(op.strength)
+        else:
+            step = -(rates[0] * rates[1] * clamp01(op.strength))
+        emotion_col = self._emotional.index
+        seen: dict[str, int] = {}
+        occs = []
+        for name in op.attributes:
+            occs.append(seen.get(name, 0))
+            seen[name] = occs[-1] + 1
+        cols = [emotion_col[name] for name in op.attributes]
+        return (
+            step,
+            np.asarray(cols, dtype=np.intp),
+            np.asarray(occs, dtype=np.intp),
+            len(cols),
+        )
 
     @requires_lock("_lock")
     def _decay_rows(self, rows: np.ndarray, policy: Any) -> None:

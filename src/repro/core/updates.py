@@ -17,7 +17,7 @@ op sequence can be replayed under different reinforcement knobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_model import SmartUserModel
@@ -91,14 +91,79 @@ def apply_ops(
     return count
 
 
+#: what every batch entry point accepts: raw ``(user_id, ops)`` pairs
+#: (duplicate ids allowed) or an already canonical :class:`OpBatch`
+BatchItems = Union["OpBatch", Iterable[Tuple[int, Iterable[SumUpdateOp]]]]
+
+
+class OpBatch:
+    """One write batch in canonical form, made once where it is dequeued.
+
+    ``user_ids`` are unique Python ints in first-appearance order and
+    ``ops[i]`` is user ``i``'s whole ordered op tuple, so every layer a
+    batch crosses — cache commit, shard router, columnar store — trusts
+    it as is instead of re-normalising it.  ``counts`` are the applied-op
+    counts the entry points return: per caller *item* when the batch came
+    from raw items through :meth:`of` (a user listed twice has two
+    entries), per user otherwise.  ``validated`` is set by
+    :func:`~repro.core.sum_store.validate_batch_ops`, which therefore
+    checks a batch at most once however many layers it crosses.
+    """
+
+    __slots__ = ("user_ids", "ops", "counts", "validated")
+
+    def __init__(
+        self,
+        user_ids: list[int],
+        ops: list[tuple[SumUpdateOp, ...]],
+        counts: list[int] | None = None,
+        validated: bool = False,
+    ) -> None:
+        self.user_ids = user_ids
+        self.ops = ops
+        self.counts = list(map(len, ops)) if counts is None else counts
+        self.validated = validated
+
+    @classmethod
+    def of(cls, items: BatchItems) -> "OpBatch":
+        """``items`` as a canonical batch; an :class:`OpBatch` as is.
+
+        The one place raw ``(user_id, ops)`` pairs are normalised: ids
+        through ``int()``, op sequences through ``tuple()``, and a user
+        listed twice merged into one ordered sequence (rounds vectorise
+        across *distinct* rows, and such a user still gets exactly one
+        version bump).
+        """
+        if isinstance(items, OpBatch):
+            return items
+        index: dict[int, int] = {}
+        user_ids: list[int] = []
+        merged: list[tuple[SumUpdateOp, ...]] = []
+        counts: list[int] = []
+        for raw_id, raw_ops in items:
+            user_id, ops = int(raw_id), tuple(raw_ops)
+            counts.append(len(ops))
+            at = index.setdefault(user_id, len(user_ids))
+            if at == len(user_ids):
+                user_ids.append(user_id)
+                merged.append(ops)
+            else:
+                merged[at] += ops
+        return cls(user_ids, merged, counts)
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[SumUpdateOp, ...]]]:
+        return iter(zip(self.user_ids, self.ops))
+
+
 def apply_ops_batch(
     repository: object,
-    items: Sequence[Tuple[int, Iterable[SumUpdateOp]]],
+    items: BatchItems,
     policy: ReinforcementPolicy,
 ) -> list[int]:
     """Apply per-user op sequences against a whole SUM collection.
 
-    ``items`` pairs each user id with their (ordered) op sequence.  On a
+    ``items`` pairs each user id with their (ordered) op sequence — raw
+    pairs or an :class:`OpBatch`, which iterates as such pairs.  On a
     columnar backend (:class:`~repro.core.sum_store.ColumnarSumStore`,
     which exposes ``batch_apply_ops``) the whole batch is applied
     vectorized — one decay tick over a shard is one array multiply,
@@ -117,23 +182,3 @@ def apply_ops_batch(
     for user_id, ops in items:
         counts.append(apply_ops(repository.get_or_create(user_id), ops, policy))
     return counts
-
-
-def applied_counts_by_user(
-    items: Sequence[Tuple[int, Iterable[SumUpdateOp]]],
-    counts: Sequence[int],
-) -> dict[int, int]:
-    """Fold per-item applied counts into per-user totals.
-
-    :func:`apply_ops_batch` reports per *item*, but the commit layer —
-    snapshot invalidation and version bumps in the streaming cache — is
-    keyed per *user*, and a user listed twice in one batch must still get
-    exactly one version bump.  Centralizing the fold keeps every commit
-    path (columnar batch, scalar fallback, future shards) bumping on the
-    same definition of "this user's state changed".
-    """
-    totals: dict[int, int] = {}
-    for (user_id, __), count in zip(items, counts):
-        user_id = int(user_id)
-        totals[user_id] = totals.get(user_id, 0) + int(count)
-    return totals

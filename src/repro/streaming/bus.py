@@ -77,7 +77,7 @@ def partition_for(key: Any, n_partitions: int) -> int:
     return int(key) % n_partitions
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     """One message handed to a consumer, awaiting ack or nack."""
 
@@ -381,15 +381,20 @@ class PartitionQueue:
                     raise BusClosed("partition closed during publish")
                 room = self.capacity - len(self._queue)
                 now = time.perf_counter()
-                for value, key in items[placed:placed + room]:
-                    self._queue.append(Delivery(
-                        value=value, key=key, partition=self.partition,
-                        offset=self._next_offset, attempt=1, published_at=now,
-                        trace_id=next_trace_id() if mint else None,
-                        background=background, deadline=deadline,
-                    ))
-                    self._next_offset += 1
+                partition = self.partition
+                # positional, in Delivery's field order; offsets are the
+                # next `take` integers, so the stream stays gap-free
+                self._queue.extend([
+                    Delivery(
+                        value, key, partition, offset, 1, now, background,
+                        deadline, None, next_trace_id() if mint else None,
+                    )
+                    for offset, (value, key) in enumerate(
+                        items[placed:placed + room], self._next_offset
+                    )
+                ])
                 take = min(room, len(items) - placed)
+                self._next_offset += take
                 placed += take
                 self.published += take
                 self._not_empty.notify()
@@ -606,10 +611,13 @@ class Topic:
         published."""
         n_partitions = len(self.partitions)
         grouped: dict[int, list[tuple[Any, Any]]] = {}
-        for value, key in pairs:
-            grouped.setdefault(
-                partition_for(key, n_partitions), []
-            ).append((value, key))
+        for pair in pairs:
+            key = pair[1]
+            index = (
+                key % n_partitions if key.__class__ is int  # not bool
+                else partition_for(key, n_partitions)
+            )
+            grouped.setdefault(index, []).append(pair)
         published = 0
         for index, items in grouped.items():
             published += self.partitions[index].put_many(

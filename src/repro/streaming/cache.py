@@ -69,12 +69,9 @@ from repro.core.sum_store import (
     ColumnarSumStore,
     FrozenSumBatch,
     seal_attributes,
+    validate_batch_ops,
 )
-from repro.core.updates import (
-    SumUpdateOp,
-    applied_counts_by_user,
-    apply_ops_batch,
-)
+from repro.core.updates import BatchItems
 from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
 
 
@@ -88,7 +85,7 @@ from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
 #   and captures against each other.  Captures no longer take user locks
 #   or the store lock: row copies are lock-free Seqlock.read calls
 #   against ColumnarSumStore.row_generations, and writers only flag
-#   staleness (a GIL-atomic set.add) under their user lock.
+#   staleness (a GIL-atomic set.update) under their users' locks.
 declare_lock("SumCache._registry_lock")
 declare_lock(
     "SumCache._lock_for()",
@@ -128,7 +125,7 @@ class _MirrorShard:
         #: uid -> version stamp of the data staged in the mirror row
         self.versions: dict[int, int] = {}
         #: uids published since their last mirror refresh; writers add
-        #: under the user's lock (GIL-atomic — see _commit),
+        #: under the user's lock (GIL-atomic — see _commit_many),
         #: readers refresh-and-discard under the shard lock — so a read
         #: is O(writes since last read), not O(population)
         self.stale: set[int] = set()
@@ -201,8 +198,8 @@ class SumCache:
             # stalls or invalidates another partition's captures.
             partitions = getattr(repository, "shards", None)
             stores = list(partitions) if partitions is not None else [repository]
-            shard_of = getattr(repository, "shard_of", None)
-            self._shard_of = shard_of if shard_of is not None else (lambda uid: 0)
+            self._shard_of = getattr(repository, "shard_of", lambda uid: 0)
+            self._by_shard = getattr(repository, "by_shard", lambda ids: {0: ids})
             self._mirror_shards: list[_MirrorShard] = [
                 _MirrorShard(store) for store in stores
             ]
@@ -237,28 +234,35 @@ class SumCache:
 
     @requires_lock("_lock_for()")
     @manual_guard(
-        "writers flag staleness with a GIL-atomic set.add under the "
-        "user's write lock, not the shard lock guarding `stale`: the "
-        "capture side tolerates the flag landing at any point relative "
-        "to its own discard because publishes bump the user's version "
-        "*before* flagging (see _capture_staged) — every interleaving "
-        "converges to a refresh at the newest version"
+        "writers flag staleness with a GIL-atomic set.update under the "
+        "users' write locks, not the shard lock guarding `stale`: the "
+        "capture side tolerates the flags landing at any point relative "
+        "to its own discard because publishes bump every user's version "
+        "*before* flagging any (see _capture_staged) — every "
+        "interleaving converges to a refresh at the newest version"
     )
-    def _commit(self, user_id: int) -> int:
-        """Publish one user's applied mutation; returns the new version.
+    def _commit_many(self, user_ids: Sequence[int]) -> None:
+        """Publish the applied mutations of ``user_ids`` (unique ints).
 
-        Caller holds the user's lock.  Drops the cached snapshot, bumps
-        the version, then flags the mirror row stale — in that order:
-        lock-free captures discard the stale flag *before* reading the
-        version, so flagging last means a capture either reads the new
-        version or leaves the flag set for the next capture to correct.
+        Caller holds every listed user's lock.  Drops the cached
+        snapshots, bumps the versions, then flags the mirror rows stale
+        — in that order: lock-free captures discard the stale flag
+        *before* reading the version, so flagging last means a capture
+        either reads the new version or leaves the flag set for the next
+        capture to correct.  The one statement of that order: a batch
+        commit, a one-user commit and :meth:`invalidate` all come here.
         """
-        self._snapshots.pop(user_id, None)
-        version = self._versions.get(user_id, 0) + 1
-        self._versions[user_id] = version
+        snapshots, versions = self._snapshots, self._versions
+        if snapshots:
+            for user_id in user_ids:
+                snapshots.pop(user_id, None)
+        for user_id in user_ids:
+            versions[user_id] = versions.get(user_id, 0) + 1
         if self._columnar:
-            self._mirror_shards[self._shard_of(user_id)].stale.add(user_id)
-        return version
+            # flagged on whichever mirror shard is current *now*: a
+            # capture may have replaced it for a swapped partition
+            for owner, owned in self._by_shard(user_ids).items():
+                self._mirror_shards[owner].stale.update(owned)
 
     # -- locking -----------------------------------------------------------
 
@@ -297,10 +301,9 @@ class SumCache:
         user_id = int(user_id)
         with self._lock_for(user_id):
             applied = int(fn(self.repository.get_or_create(user_id)))
-            version = (
-                self._commit(user_id) if applied
-                else self._versions.get(user_id, 0)
-            )
+            if applied:
+                self._commit_many((user_id,))
+            version = self._versions.get(user_id, 0)
         if applied:
             self._m_publishes.inc()
         return applied, version
@@ -311,58 +314,57 @@ class SumCache:
         "with-scope analysis"
     )
     def apply_batch_and_publish(
-        self,
-        items: Sequence[tuple[int, tuple[SumUpdateOp, ...]]],
-        policy: ReinforcementPolicy,
+        self, items: BatchItems, policy: ReinforcementPolicy
     ) -> tuple[list[int], dict[int, int]]:
         """Apply a whole batch's op slices and commit, all users at once.
 
-        The columnar commit path: every touched user's lock is acquired
-        (in sorted-id order — other writers take one lock at a time, so
-        no cycle is possible), the batch is applied through
-        :func:`~repro.core.updates.apply_ops_batch` vectorized against
-        row ranges, and each touched user's snapshot is dropped and
-        version bumped before the locks release.  Readers observe
-        exactly the :meth:`apply_and_publish` contract: old state at the
-        old version or batch-applied state at the new one, one bump per
-        touched user.  The mirror is *not* written here — it refreshes
-        lazily on the next read, which sees the bumped version.  Returns
-        ``(per-item applied counts, versions)``.
+        The columnar commit path.  ``items`` is the
+        :class:`~repro.core.updates.OpBatch` a shard worker made where it
+        dequeued — or raw ``(user_id, ops)`` pairs, which
+        :meth:`OpBatch.of <repro.core.updates.OpBatch.of>` makes one
+        (same path from there on).  The batch is validated here, once,
+        before any lock is taken; then every touched user's lock is
+        acquired (in sorted-id order — other writers take one lock at a
+        time, so no cycle is possible), the store applies the batch
+        vectorized against row ranges without looking at it again, and
+        one :meth:`_commit_many` drops the snapshots and bumps the
+        version of every user with at least one op before the locks
+        release.  Readers observe exactly the :meth:`apply_and_publish`
+        contract: old state at the old version or batch-applied state at
+        the new one, one bump per touched user.  The mirror is *not*
+        written here — it refreshes lazily on the next read, which sees
+        the bumped version.  Returns ``(per-item applied counts,
+        versions)``.
 
         Requires a columnar repository (``batch_apply_ops``) and raises
-        ``TypeError`` otherwise: the columnar backend validates every op
-        *before* any mutation, so a raising call leaves both state and
-        versions untouched and callers may safely fall back to the
-        per-user scalar path — a guarantee an object-backed sequential
-        apply (which can fail mid-sequence, half-applied and
-        uninvalidated) cannot make.
+        ``TypeError`` otherwise: validation precedes every mutation, so
+        a raising call leaves state, versions and locks untouched and
+        callers may safely fall back to the per-user scalar path — a
+        guarantee an object-backed sequential apply (which can fail
+        mid-sequence, half-applied and uninvalidated) cannot make.
         """
         if not callable(getattr(self.repository, "batch_apply_ops", None)):
             raise TypeError(
                 "apply_batch_and_publish needs a columnar repository "
                 "(batch_apply_ops); use apply_and_publish per user"
             )
-        items = [(int(user_id), tuple(ops)) for user_id, ops in items]
-        ids = sorted({user_id for user_id, __ in items})
-        locks = [self._lock_for(user_id) for user_id in ids]
+        batch = validate_batch_ops(items)
+        ids = sorted(batch.user_ids)
+        locks = list(map(self._user_locks.get, ids))
+        if None in locks:  # first contacts: mint their locks
+            locks = [self._lock_for(user_id) for user_id in ids]
         for lock in locks:
             lock.acquire()
         try:
-            counts = apply_ops_batch(self.repository, items, policy)
-            applied_by_user = applied_counts_by_user(items, counts)
-            versions: dict[int, int] = {}
-            bumped = 0
-            for user_id in ids:
-                if applied_by_user.get(user_id, 0):
-                    versions[user_id] = self._commit(user_id)
-                    bumped += 1
-                else:
-                    versions[user_id] = self._versions.get(user_id, 0)
+            counts = self.repository.batch_apply_ops(batch, policy)
+            touched = [uid for uid, ops in batch if ops]
+            self._commit_many(touched)
+            versions = {uid: self._versions.get(uid, 0) for uid in ids}
         finally:
             for lock in reversed(locks):
                 lock.release()
-        if bumped:
-            self._m_publishes.inc(bumped)
+        if touched:
+            self._m_publishes.inc(len(touched))
         return counts, versions
 
     def mark_batch(self) -> int:
@@ -389,7 +391,8 @@ class SumCache:
         versions: dict[int, int] = {}
         for user_id in ids:
             with self._lock_for(user_id):
-                versions[user_id] = self._commit(user_id)
+                self._commit_many((user_id,))
+                versions[user_id] = self._versions[user_id]
         if versions:
             with self._registry_lock:
                 self._global_version += 1
@@ -564,6 +567,26 @@ class SumCache:
             self._m_starved_rows.inc(starved)
         return batch
 
+    def _mirror_shard(self, index: int) -> _MirrorShard:
+        """Partition ``index``'s mirror — of the store that is that
+        partition *now*.
+
+        The cache follows ``repository.shards``: when a partition was
+        swapped under it (``MultiProcSumStore.replace_shard`` after a
+        worker crash), its mirror still copies rows out of the replaced
+        store's pages, so a fresh one takes its place — nothing staged,
+        every row restaged from the live partition on first read.
+        """
+        shard = self._mirror_shards[index]
+        partitions = getattr(self.repository, "shards", None)
+        if partitions is not None and shard.store is not partitions[index]:
+            with self._registry_lock:
+                shard = self._mirror_shards[index]
+                if shard.store is not partitions[index]:
+                    shard = _MirrorShard(partitions[index])
+                    self._mirror_shards[index] = shard
+        return shard
+
     def _snapshot_batch(self, user_ids: Sequence[int], create: bool = False):
         """Version-stamped columnar batch read — the serving fast path.
 
@@ -587,7 +610,7 @@ class SumCache:
         ids = list(map(int, user_ids))
         if len(self._mirror_shards) == 1 or len(ids) == 1:  # one owner
             owner = self._shard_of(ids[0]) if len(self._mirror_shards) > 1 else 0
-            shard = self._mirror_shards[owner]
+            shard = self._mirror_shard(owner)
             rows = shard.store.rows_for(ids, create=create)
             return self._capture_shard(shard, ids, rows)
         from repro.core.sharded_store import ShardedBatch, positions_by_shard
@@ -599,7 +622,7 @@ class SumCache:
         parts = []
         grouped = positions_by_shard(addresses[:, 0], len(self._mirror_shards))
         for shard_index, positions in grouped.items():
-            shard = self._mirror_shards[shard_index]
+            shard = self._mirror_shard(shard_index)
             shard_ids = [ids[p] for p in positions.tolist()]
             rows = addresses[positions, 1]
             parts.append((positions, self._capture_shard(shard, shard_ids, rows)))

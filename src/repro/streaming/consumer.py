@@ -12,10 +12,13 @@ Batch processing protocol (at-least-once, batch-atomic visibility):
 2. map every delivery exactly once (a malformed event nacks for
    redelivery *before* any of its ops apply, so retries never
    double-apply);
-3. group by user, then commit: on a columnar SUM backend the whole
-   batch goes through :meth:`SumCache.apply_batch_and_publish
-   <repro.streaming.cache.SumCache.apply_batch_and_publish>` — one
-   vectorized apply against row ranges under every touched user's lock;
+3. group by user — which makes the batch an
+   :class:`~repro.core.updates.OpBatch`, canonical from here down — then
+   commit: on a columnar SUM backend the whole batch goes through
+   :meth:`SumCache.apply_batch_and_publish
+   <repro.streaming.cache.SumCache.apply_batch_and_publish>` — validated
+   once, one vectorized apply against row ranges under every touched
+   user's lock;
    otherwise (or when batch validation rejects an op) each user's slice
    runs through :meth:`SumCache.apply_and_publish
    <repro.streaming.cache.SumCache.apply_and_publish>` — either way
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from time import monotonic, perf_counter
 
 from repro.core.reward import ReinforcementPolicy
-from repro.core.updates import apply_ops
+from repro.core.updates import OpBatch, apply_ops
 from repro.lifelog.events import Event
 from repro.obs.metrics import (
     SIZE_BUCKETS,
@@ -255,8 +259,7 @@ class ShardWorker(threading.Thread):
         if not batch:
             return
         self._m_batch_size.observe(len(batch))
-        per_user: dict[int, list[tuple[Delivery, tuple]]] = {}
-        order: list[int] = []
+        per_user: dict[int, list[Delivery]] = {}
         unmappable: list[Delivery] = []
         for delivery in batch:
             if delivery.mapped is None:
@@ -265,18 +268,14 @@ class ShardWorker(threading.Thread):
                 except Exception:
                     unmappable.append(delivery)
                     continue
-            user_id, ops = delivery.mapped
-            if user_id not in per_user:
-                per_user[user_id] = []
-                order.append(user_id)
-            per_user[user_id].append((delivery, ops))
+            per_user.setdefault(delivery.mapped[0], []).append(delivery)
         if unmappable:
             self._nack_in_order(unmappable, settled)
         mapped_at = perf_counter()
 
-        applied = self._apply_batch_columnar(per_user, order)
+        applied = self._apply_batch_columnar(per_user)
         if applied is None:
-            applied = self._apply_per_user(per_user, order, settled)
+            applied = self._apply_per_user(per_user, settled)
         committed_at = perf_counter()
         if self.batcher is not None and applied:
             self.batcher.record(len(applied), committed_at - mapped_at)
@@ -336,55 +335,49 @@ class ShardWorker(threading.Thread):
                 tracer.add(trace_id, "cache.publish", committed_at, visible_at)
 
     def _apply_batch_columnar(
-        self,
-        per_user: dict[int, list[tuple[Delivery, tuple]]],
-        order: list[int],
+        self, per_user: dict[int, list[Delivery]]
     ) -> list[Delivery] | None:
         """Commit the whole batch as row-range slices on a columnar store.
 
         Only taken when the cache's repository is columnar
-        (``batch_apply_ops``): the store validates every op *before*
-        mutating anything, so a validation failure (returning ``None``
-        here) safely falls through to the per-user scalar path with its
-        per-delivery error isolation — no double-apply is possible.
+        (``batch_apply_ops``).  ``per_user`` *is* the canonical batch —
+        unique int ids in first-appearance order, each user's ops in
+        delivery order — so it is handed down as an
+        :class:`~repro.core.updates.OpBatch` and no layer below
+        normalises it again.  The cache validates every op *before*
+        taking a lock or mutating anything, so a validation failure
+        (returning ``None`` here) safely falls through to the per-user
+        scalar path with its per-delivery error isolation — no
+        double-apply is possible.
         """
-        if not order:
+        if not per_user:
             return []
         batch_apply = getattr(self.cache, "apply_batch_and_publish", None)
         if batch_apply is None or not callable(
             getattr(self.cache.repository, "batch_apply_ops", None)
         ):
             return None
-        items = []
-        for user_id in order:
-            ops: list = []
-            for __, delivery_ops in per_user[user_id]:
-                ops.extend(delivery_ops)
-            items.append((user_id, tuple(ops)))
+        ops = [
+            slice_[0].mapped[1] if len(slice_) == 1
+            else tuple(chain.from_iterable(d.mapped[1] for d in slice_))
+            for slice_ in per_user.values()
+        ]
         try:
-            counts, __ = batch_apply(items, self.policy)
+            counts, __ = batch_apply(OpBatch(list(per_user), ops), self.policy)
         except (KeyError, TypeError, ValueError):
             # Pre-mutation validation rejected an op; the scalar path
             # will isolate and dead-letter the offending delivery.
             return None
         self.stats.ops_applied += sum(counts)
-        return [
-            delivery
-            for user_id in order
-            for delivery, __ in per_user[user_id]
-        ]
+        return list(chain.from_iterable(per_user.values()))
 
     def _apply_per_user(
-        self,
-        per_user: dict[int, list[tuple[Delivery, tuple]]],
-        order: list[int],
-        settled: set[int],
+        self, per_user: dict[int, list[Delivery]], settled: set[int]
     ) -> list[Delivery]:
         """The scalar commit path: one lock hold per user, per-delivery
         error isolation (see the class docstring's batch protocol)."""
         applied: list[Delivery] = []
-        for user_id in order:
-            slice_ = per_user[user_id]
+        for user_id, slice_ in per_user.items():
             ok: list[Delivery] = []
             bad: list[Delivery] = []
             ops_applied = [0]
@@ -392,11 +385,13 @@ class ShardWorker(threading.Thread):
             def apply_user(model, slice_=slice_, ok=ok, bad=bad,
                            ops_applied=ops_applied):
                 total = 0
-                for delivery, ops in slice_:
+                for delivery in slice_:
                     # Per-delivery isolation: one failing apply must not
                     # poison its neighbours or kill the shard.
                     try:
-                        total += apply_ops(model, ops, self.policy)
+                        total += apply_ops(
+                            model, delivery.mapped[1], self.policy
+                        )
                     except Exception:
                         bad.append(delivery)
                     else:
@@ -414,9 +409,7 @@ class ShardWorker(threading.Thread):
             try:
                 self.cache.apply_and_publish(user_id, apply_user)
             except Exception:
-                self._nack_in_order(
-                    [delivery for delivery, __ in slice_], settled
-                )
+                self._nack_in_order(slice_, settled)
                 continue
             self.stats.ops_applied += ops_applied[0]
             if bad:

@@ -61,6 +61,11 @@ class MapperConfig:
             raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
 
 
+#: ops are frozen values, so the one decay op is shared by every tick
+_DECAY = DecayOp()
+_TICK_OPS: tuple[SumUpdateOp, ...] = (_DECAY,)
+
+
 class EventUpdateMapper:
     """Stateful per-user mapping of events to SUM update ops.
 
@@ -103,6 +108,13 @@ class EventUpdateMapper:
         }
         self.config = config or MapperConfig()
         self._since_decay: dict[int, int] = {}
+        #: ``(emotions, strength, is_reward) -> op``: streams repeat the
+        #: same few ops endlessly, so each is built once and the frozen
+        #: object shared.  Bounded by the catalog — distinct emotion
+        #: tuples x the config's strengths x reward/punish.
+        self._interned: dict[
+            tuple[tuple[str, ...], float, bool], SumUpdateOp
+        ] = {}
 
     # -- resolution --------------------------------------------------------
 
@@ -154,21 +166,24 @@ class EventUpdateMapper:
         emotions = self.emotions_for(event)
         if not emotions:
             return ()
-        update: SumUpdateOp = (
-            RewardOp(emotions, strength)
-            if is_reward
-            else PunishOp(emotions, strength)
-        )
+        key = (emotions, strength, is_reward)
+        update = self._interned.get(key)
+        if update is None:
+            update = self._interned[key] = (
+                RewardOp(emotions, strength)
+                if is_reward
+                else PunishOp(emotions, strength)
+            )
         if self.config.decay_every is None:
             return (update,)
         count = self._since_decay.get(event.user_id, 0) + 1
         if count >= self.config.decay_every:
             self._since_decay[event.user_id] = 0
-            return (DecayOp(), update)
+            return (_DECAY, update)
         self._since_decay[event.user_id] = count
         return (update,)
 
     def tick_ops(self, user_id: int) -> tuple[SumUpdateOp, ...]:
         """Ops for one explicit (scheduled) decay tick of one user."""
         self._since_decay[int(user_id)] = 0
-        return (DecayOp(),)
+        return _TICK_OPS

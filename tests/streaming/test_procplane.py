@@ -483,12 +483,6 @@ def test_recover_republishes_the_whole_rebuilt_shard(tmp_path):
         store.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open defect (ROADMAP item 3): SumCache keeps mirroring the "
-    "shard object recover() replaced, so the parent cache serves the dead "
-    "worker's pages for that partition",
-)
 def test_parent_cache_serves_a_rebuilt_shard(tmp_path):
     users = list(range(12))
     events = make_events((uid, 2, 0, 5) for uid in users)
