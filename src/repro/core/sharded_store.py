@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.sum_model import SumRepository, UnknownUserError
 from repro.core.sum_store import (
     ColumnarSumStore,
+    SumBatch,
     SumRowView,
     validate_batch_ops,
 )
@@ -274,17 +275,16 @@ class ShardedSumStore:
         """The partition store owning ``user_id``."""
         return self.shards[self.shard_of(user_id)]
 
-    def _grouped(self, ids: Sequence[int]) -> dict[int, list[int]]:
-        """positions of ``ids`` grouped by owning shard (insertion order).
-
-        ``ids`` must already be ints (every caller coerces) — routing is
-        then ``uid % P``, bit-identical to :func:`partition_for`.
-        """
-        grouped: dict[int, list[int]] = {}
-        n = len(self.shards)
-        for pos, uid in enumerate(ids):
-            grouped.setdefault(uid % n, []).append(pos)
-        return grouped
+    def _split(
+        self, ids: list[int], addresses: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+        """``(shard, positions, shard's ids)`` of :meth:`rows_for`'s
+        ``addresses`` for ``ids``, touched shards in first-appearance
+        order (see :func:`positions_by_shard`)."""
+        vector = np.asarray(ids, dtype=np.int64)
+        groups = positions_by_shard(addresses[:, 0], len(self.shards))
+        for s, positions in groups.items():
+            yield s, positions, vector[positions].tolist()
 
     def by_shard(self, user_ids: Sequence[int]) -> Mapping[int, Sequence[int]]:
         """``user_ids`` (ints) grouped by owning partition, order kept.
@@ -369,7 +369,8 @@ class ShardedSumStore:
         (with ``create=False``) raise one :class:`~repro.core.sum_model.
         UnknownUserError` naming every offending id *across all shards*;
         ``create=True`` creates missing rows in their owning shards.
-        Ids are ints (every caller coerces), as for :meth:`_grouped`.
+        Ids are ints (every caller coerces): routing is ``uid % P``,
+        bit-identical to :func:`partition_for`.
         """
         n = len(self.shards)
         if n == 1 or len(user_ids) == 1:  # one owner: delegate outright
@@ -416,12 +417,13 @@ class ShardedSumStore:
             else self.user_ids()
         )
         # Validate (or create) the whole batch up front so unknown users
-        # fail as one typed error naming every id, not shard by shard.
-        self.rows_for(ids, create=create)
-        parts = []
-        for s, positions in self._grouped(ids).items():
-            sub = self.shards[s].batch([ids[p] for p in positions])
-            parts.append((positions, sub))
+        # fail as one typed error naming every id, not shard by shard;
+        # each part reads its rows off the same addresses.
+        addresses = self.rows_for(ids, create=create)
+        parts = [
+            (positions, SumBatch(self.shards[s], shard_ids, addresses[positions, 1]))
+            for s, positions, shard_ids in self._split(ids, addresses)
+        ]
         if len(parts) == 1:
             return parts[0][1]
         return ShardedBatch(ids, parts, resolve=self.get)
@@ -445,13 +447,13 @@ class ShardedSumStore:
         )
         if not ids:
             return np.zeros((0, width)), []
-        self.rows_for(ids)  # one typed error naming every unknown id
+        addresses = self.rows_for(ids)  # one error naming every unknown id
         out = np.empty((len(ids), width))
-        for s, positions in self._grouped(ids).items():
+        for s, positions, shard_ids in self._split(ids, addresses):
             block, __ = self.shards[s].feature_matrix(
-                [ids[p] for p in positions], subjective_order, include_ei
+                shard_ids, subjective_order, include_ei
             )
-            out[np.asarray(positions, dtype=np.intp)] = block
+            out[positions] = block
         return out, ids
 
     # -- vectorized update path ----------------------------------------------
@@ -502,10 +504,10 @@ class ShardedSumStore:
         if user_ids is None:
             return sum(shard.decay_tick(policy) for shard in self.shards)
         ids = [int(uid) for uid in user_ids]
-        self.rows_for(ids)
+        addresses = self.rows_for(ids)
         return sum(
-            self.shards[s].decay_tick(policy, [ids[p] for p in positions])
-            for s, positions in self._grouped(ids).items()
+            self.shards[s].decay_tick(policy, shard_ids)
+            for s, __, shard_ids in self._split(ids, addresses)
         )
 
     # -- maintenance ---------------------------------------------------------

@@ -297,7 +297,7 @@ class ShardControlBlock:
     Fixed int64 header slots::
 
         0  seqlock epoch   (odd = layout write in progress)
-        1  commit version  (bumped once per committed batch)
+        1  commit version  (bumped once per barrier that wrote the shard)
         2  n_users         (rows the writer has published)
         3  heartbeat       (bumped by the worker loop; liveness)
         4  applied_seq     (last fully applied transport sequence)

@@ -274,58 +274,9 @@ class PartitionQueue:
         side shed it unprocessed once expired.  Returns the assigned
         offset, or ``-1`` if the message was shed at publish.
         """
-        pub_deadline = None if timeout is None else time.monotonic() + timeout
-        inst = self._instruments
-        # the trace is born at ingest, before the event ever queues
-        trace_id = next_trace_id() if inst.tracer.enabled else None
-        stalled = 0.0
-        shed = 0
-        offset = -1
-        with self._not_full:
-            while len(self._queue) >= self.capacity:
-                if self._closed:
-                    raise BusClosed("partition closed during publish")
-                if background:
-                    # background never blocks a full partition: drop-new
-                    self.shed_background += 1
-                    shed = 1
-                    break
-                if self._shed_oldest_background_locked():
-                    shed += 1
-                    continue
-                remaining = None
-                if pub_deadline is not None:
-                    remaining = pub_deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise PublishTimeout(
-                            f"partition {self.partition} full "
-                            f"({self.capacity} messages) for {timeout}s"
-                        )
-                wait_from = time.monotonic()
-                self._not_full.wait(remaining)
-                stalled += time.monotonic() - wait_from
-            else:
-                if self._closed:
-                    raise BusClosed("partition closed during publish")
-                offset = self._next_offset
-                self._next_offset += 1
-                self.published += 1
-                self._queue.append(Delivery(
-                    value=value, key=key, partition=self.partition,
-                    offset=offset, attempt=1, published_at=time.perf_counter(),
-                    trace_id=trace_id, background=background,
-                    deadline=deadline,
-                ))
-                self._not_empty.notify()
-        # instrument locks are leaves: only touched after releasing ours
-        if offset >= 0:
-            inst.published.inc()
-        if shed:
-            inst.shed_capacity.inc(shed)
-        if stalled > 0.0:
-            inst.backpressure_stalls.inc()
-            inst.backpressure_seconds.observe(stalled)
-        return offset
+        return self._put_many(
+            [(value, key)], timeout, background=background, deadline=deadline
+        )[1]
 
     def put_many(
         self,
@@ -342,10 +293,24 @@ class PartitionQueue:
         With ``background=True`` the call never blocks: whatever does not
         fit is shed (dropped and counted) instead, and ``deadline``
         stamps every placed message for expiry-shedding at dequeue."""
+        return self._put_many(
+            items, timeout, background=background, deadline=deadline
+        )[0]
+
+    def _put_many(
+        self,
+        items: list[tuple[Any, Any]],
+        timeout: float | None,
+        *,
+        background: bool,
+        deadline: float | None,
+    ) -> tuple[int, int]:
+        """``(placed, first offset)`` — the offset is ``-1`` if none was."""
         pub_deadline = None if timeout is None else time.monotonic() + timeout
         inst = self._instruments
         mint = inst.tracer.enabled
         placed = 0
+        first = -1
         shed = 0
         stalled = 0.0
         stalls = 0
@@ -394,6 +359,8 @@ class PartitionQueue:
                     )
                 ])
                 take = min(room, len(items) - placed)
+                if not placed:
+                    first = self._next_offset
                 self._next_offset += take
                 placed += take
                 self.published += take
@@ -404,7 +371,7 @@ class PartitionQueue:
         if stalls:
             inst.backpressure_stalls.inc(stalls)
             inst.backpressure_seconds.observe(stalled)
-        return placed
+        return placed, first
 
     # -- consumer side -----------------------------------------------------
 
@@ -459,11 +426,7 @@ class PartitionQueue:
 
     def ack(self, delivery: Delivery) -> None:
         """Mark one delivery done; it will never be redelivered."""
-        with self._lock:
-            self._in_flight -= 1
-            self.acked += 1
-            self._settled.notify_all()
-        self._instruments.acked.inc()
+        self.ack_batch([delivery])
 
     def ack_batch(self, deliveries: list[Delivery]) -> None:
         """Ack a whole applied batch with one lock hold."""

@@ -3,19 +3,22 @@
 PR 5's in-process sharding parallelized the numpy half of every commit
 but left the Python half GIL-serialized — end-to-end streamed replay
 stayed at ~1x.  This module moves each shard's *entire* worker loop
-(mapper → batch commit → version bump) into its own OS process:
+(mapper → batch commit → version bump) into its own OS process, where
+it runs as a one-shard
+:class:`~repro.streaming.updater.StreamingUpdater` — the thread plane's
+own stack, wired in one place:
 
 .. code-block:: text
 
     parent (serving) process                 one worker process per shard
     ────────────────────────                 ───────────────────────────
     MultiProcUpdater.submit_many ──chunks──▶ mp.Queue ─▶ _worker_main
-      │  route: partition_for(uid)               │  1-partition EventBus
-      │  per-shard replay journal                │  EventUpdateMapper
-      │                                          │  ShardWorker thread
-      ├─ sync ─────────token──────────────▶      │  SumCache.apply_batch…
-      │    ◀─ applied_seq · mapper state ──      │  (commit → shm pages,
-      │       metrics snapshot · stats           │   control.mark_commit)
+      │  route: partition_for(uid)               │  StreamingUpdater(shard,
+      │  per-shard replay journal                │    n_shards=1).submit_many
+      │                                          │  (commit → shm pages)
+      ├─ sync ─────────token──────────────▶      │  drain · publish_shard ·
+      │    ◀─ applied_seq · mapper state ──      │  mark_commit if the shard
+      │       metrics snapshot · stats           │  moved since the last one
       ▼                                          ▼
     MultiProcSumStore.resync()  ◀─ layout ─ ShardControlBlock (seqlock)
 
@@ -23,7 +26,10 @@ The store's column pages live on shared memory
 (:mod:`repro.core.shm_store`), so a worker's commits land directly on
 the pages the parent serves from — nothing is copied back.  The parent
 adopts structural changes (row growth, new interned columns) only at
-``sync`` barriers, reading each shard's seqlock-published layout; serving
+``sync`` barriers, reading each shard's seqlock-published layout and its
+``commit_version``, which the worker stamps once per barrier whose shard
+was written (the parent turns that into a clock bump for delta
+checkpoints, and only ``resync`` reads it, after a barrier); serving
 captures (:class:`~repro.streaming.cache.SumCache` snapshots) are
 point-in-time row copies, so they stay bit-stable while workers commit.
 
@@ -52,6 +58,7 @@ import json
 import multiprocessing
 import queue as queue_mod
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -64,12 +71,12 @@ from repro.lifelog.events import Event
 from repro.obs.export import merge_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
-from repro.streaming.bus import EventBus, partition_for
+from repro.streaming.bus import partition_for
 from repro.streaming.cache import SumCache
 from repro.streaming.consumer import DecayTick, ShardWorker
 from repro.streaming.control import ControlPlaneConfig
-from repro.streaming.mapper import EventUpdateMapper, MapperConfig
-from repro.streaming.updater import LIFELOG_TOPIC, StreamingStats
+from repro.streaming.mapper import MapperConfig
+from repro.streaming.updater import StreamingStats, StreamingUpdater
 
 # The command/response channel of one worker is single-owner by protocol
 # (the parent's updater thread), but the lock makes that explicit and
@@ -88,108 +95,61 @@ class WorkerDied(RuntimeError):
     """A shard worker process exited (or wedged) outside the protocol."""
 
 
-class _CommitStampingCache(SumCache):
-    """A SumCache that stamps the shard control block on every commit.
-
-    Runs inside the worker process: each committed batch bumps the
-    shard's shared ``commit_version`` so the parent can observe write
-    progress (and the delta-checkpoint path can tell a shard was
-    touched) without any cross-process call.
-    """
-
-    def __init__(self, *args: Any, control: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._control = control
-
-    def apply_batch_and_publish(self, *args: Any, **kwargs: Any) -> Any:
-        result = super().apply_batch_and_publish(*args, **kwargs)
-        self._control.mark_commit()
-        return result
-
-    def apply_and_publish(self, *args: Any, **kwargs: Any) -> Any:
-        result = super().apply_and_publish(*args, **kwargs)
-        self._control.mark_commit()
-        return result
-
-
 def _worker_main(
     store: MultiProcSumStore,
     shard_index: int,
     item_emotions: Mapping[str, tuple[str, ...]],
-    policy: ReinforcementPolicy,
-    mapper_config: MapperConfig | None,
-    batch_max: int,
-    queue_capacity: int,
-    max_attempts: int,
+    options: Mapping[str, Any],
+    mapper_state: Mapping[int, int] | None,
     commands: Any,
     responses: Any,
-    mapper_state: Mapping[int, int] | None,
-    control_plane: ControlPlaneConfig | None = None,
 ) -> None:
-    """One shard's worker process: the whole in-process loop, relocated.
+    """One shard's worker process: a one-shard :class:`StreamingUpdater`.
 
-    The child reuses the real streaming stack unchanged — a one-partition
-    :class:`~repro.streaming.bus.EventBus` topic, the
-    :class:`~repro.streaming.consumer.ShardWorker` thread, the
-    :class:`~repro.streaming.cache.SumCache` commit path — against its
-    own shard only.  Bit-equality with sequential replay therefore
-    reduces to the per-shard FIFO the command queue already provides.
+    The child runs the thread plane's own stack unchanged against its
+    own shard only, so bit-equality with sequential replay reduces to
+    the per-shard FIFO the command queue already provides.  ``options``
+    are the updater's keyword arguments, built once by the parent.
     """
     shard = store.shards[shard_index]
     control = store.controls[shard_index]
-    telemetry = MetricsRegistry()
-    bus = EventBus(telemetry=telemetry, tracer=NULL_TRACER)
-    topic = bus.create_topic(
-        LIFELOG_TOPIC,
-        partitions=1,
-        capacity=queue_capacity,
-        max_attempts=max_attempts,
+    updater = StreamingUpdater(
+        shard, item_emotions, n_shards=1,
+        telemetry=MetricsRegistry(), tracer=NULL_TRACER, **options,
     )
-    cache = _CommitStampingCache(shard, telemetry=telemetry, control=control)
-    mapper = EventUpdateMapper(item_emotions, mapper_config)
+    mapper = updater.workers[0].mapper
     if mapper_state:
         # restored decay counters: replay after recovery ticks decay at
         # exactly the offsets the checkpointed run would have
-        mapper._since_decay.update(
-            {int(uid): int(n) for uid, n in mapper_state.items()}
-        )
-    (partition,) = tuple(topic)
-    worker = ShardWorker(
-        partition=partition,
-        mapper=mapper,
-        cache=cache,
-        policy=policy,
-        batch_max=batch_max,
-        telemetry=telemetry,
-        tracer=NULL_TRACER,
-        control=control_plane,
-    )
-    worker.start()
+        mapper._since_decay.update(mapper_state)
+    updater.start()
     received_seq = 0
+    stamped = shard.mutation_count
 
-    def _sync_payload(token: Any, settled: bool) -> dict[str, Any]:
-        return {
+    def barrier(token: Any, stop: bool) -> None:
+        nonlocal stamped
+        settled = updater.drain(30.0)
+        store.publish_shard(shard_index, applied_seq=received_seq)
+        # segments grown past since the last alloc: the parent never saw
+        # their names, and a forked worker exits without atexit hooks
+        store.arenas[shard_index].sweep()
+        if shard.mutation_count != stamped:
+            # once per barrier is enough: resync_shard, the counter's
+            # only reader, runs after a barrier
+            stamped = shard.mutation_count
+            control.mark_commit()
+        if stop:
+            updater.stop(drain=False, timeout=5.0)
+        responses.send({
             "token": token,
             "settled": settled,
             "applied_seq": received_seq,
             "n_users": len(shard),
             "mapper_state": dict(mapper._since_decay),
-            "metrics": telemetry.snapshot().as_dict(),
-            "worker": {
-                "processed": worker.stats.processed,
-                "ops_applied": worker.stats.ops_applied,
-                "batches": worker.stats.batches,
-                "failed": worker.stats.failed,
-                "log_drops": worker.stats.log_drops,
-                "expired_dropped": worker.stats.expired_dropped,
-            },
-            "latencies": worker.stats.latencies[-worker.MAX_LATENCY_SAMPLES:],
-            "topic": {
-                "redelivered": topic.redelivered,
-                "dead_letters": len(topic.dead_letters),
-                "depth": topic.depth,
-            },
-        }
+            "metrics": updater.telemetry.snapshot().as_dict(),
+            "stats": asdict(updater.stats()),
+            "latencies": updater.latencies()[-ShardWorker.MAX_LATENCY_SAMPLES:],
+        })
 
     try:
         while True:
@@ -201,21 +161,12 @@ def _worker_main(
             kind = message[0]
             if kind == "events":
                 __, seq, chunk = message
-                topic.publish_many(
-                    [(value, value.user_id) for value in chunk]
-                )
+                updater.submit_many(chunk)
                 received_seq = int(seq)
             elif kind == "sync":
-                settled = topic.join(timeout=30.0)
-                store.publish_shard(shard_index, applied_seq=received_seq)
-                responses.send(_sync_payload(message[1], settled))
+                barrier(message[1], stop=False)
             elif kind == "stop":
-                settled = topic.join(timeout=30.0)
-                store.publish_shard(shard_index, applied_seq=received_seq)
-                worker.request_stop()
-                bus.close()
-                worker.join(timeout=5.0)
-                responses.send(_sync_payload("__stop__", settled))
+                barrier("__stop__", stop=True)
                 return
     finally:
         responses.close()
@@ -228,7 +179,7 @@ class ShardWorkerProcess:
     the liveness view.  ``sync`` is a full barrier for this shard: the
     worker drains its topic, publishes its layout + ``applied_seq`` to
     the control block, and answers with its mapper state, metrics
-    snapshot and counters.
+    snapshot and :class:`StreamingStats` (as a dict).
     """
 
     def __init__(
@@ -236,13 +187,8 @@ class ShardWorkerProcess:
         store: MultiProcSumStore,
         shard_index: int,
         item_emotions: Mapping[str, tuple[str, ...]],
-        policy: ReinforcementPolicy,
-        mapper_config: MapperConfig | None = None,
-        batch_max: int = 256,
-        queue_capacity: int = 2_048,
-        max_attempts: int = 3,
+        options: Mapping[str, Any],
         mapper_state: Mapping[int, int] | None = None,
-        control: ControlPlaneConfig | None = None,
     ) -> None:
         ctx = multiprocessing.get_context("fork")
         self.store = store
@@ -255,18 +201,8 @@ class ShardWorkerProcess:
             target=_worker_main,
             name=f"sum-shard-proc-{shard_index}",
             args=(
-                store,
-                shard_index,
-                item_emotions,
-                policy,
-                mapper_config,
-                batch_max,
-                queue_capacity,
-                max_attempts,
-                self.commands,
-                resp_send,
-                dict(mapper_state) if mapper_state else None,
-                control,
+                store, shard_index, item_emotions, options, mapper_state,
+                self.commands, resp_send,
             ),
             daemon=True,
         )
@@ -397,19 +333,24 @@ class MultiProcUpdater:
         self.store = store
         self.item_emotions = item_emotions
         self.policy = policy or ReinforcementPolicy()
-        self.mapper_config = mapper_config
         self.checkpoint_root = (
             Path(checkpoint_root) if checkpoint_root is not None else None
         )
-        self.queue_capacity = int(queue_capacity)
-        self.batch_max = int(batch_max)
-        self.max_attempts = int(max_attempts)
         self.chunk = int(chunk)
         self.sync_timeout = float(sync_timeout)
         self.cache = cache
         #: tail-latency control plane, inherited by every worker process
         #: (picklable frozen dataclass); None = legacy behavior
         self.control_plane = control_plane
+        #: keyword arguments of every worker's one-shard StreamingUpdater
+        self._options: dict[str, Any] = dict(
+            policy=self.policy,
+            mapper_config=mapper_config,
+            queue_capacity=int(queue_capacity),
+            batch_max=int(batch_max),
+            max_attempts=int(max_attempts),
+            control_plane=control_plane,
+        )
         n = len(store.shards)
         self.workers: list[ShardWorkerProcess] = []
         self._pending: list[list[Any]] = [[] for __ in range(n)]
@@ -428,19 +369,10 @@ class MultiProcUpdater:
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, shard_index: int, mapper_state=None) -> ShardWorkerProcess:
-        worker = ShardWorkerProcess(
-            self.store,
-            shard_index,
-            self.item_emotions,
-            self.policy,
-            mapper_config=self.mapper_config,
-            batch_max=self.batch_max,
-            queue_capacity=self.queue_capacity,
-            max_attempts=self.max_attempts,
-            mapper_state=mapper_state,
-            control=self.control_plane,
-        )
-        return worker.start()
+        return ShardWorkerProcess(
+            self.store, shard_index, self.item_emotions, self._options,
+            mapper_state,
+        ).start()
 
     def start(self) -> "MultiProcUpdater":
         """Baseline-checkpoint (when configured) and fork all workers."""
@@ -511,13 +443,12 @@ class MultiProcUpdater:
 
     def submit(self, event: Event, timeout: float | None = None) -> int:
         """Buffer one event; returns its shard (flushes on chunk bound)."""
-        if not self._started:
-            raise RuntimeError("updater not started; call start() first")
-        shard = partition_for(int(event.user_id), len(self.store.shards))
-        self._route(event)
-        return shard
+        self.submit_many((event,))
+        return partition_for(int(event.user_id), len(self.store.shards))
 
-    def submit_many(self, events: Iterable[Event], chunk: int | None = None) -> int:
+    def submit_many(self, events: Iterable[Event]) -> int:
+        """Buffer many events (shipped in chunks of ``chunk`` per shard);
+        returns how many."""
         if not self._started:
             raise RuntimeError("updater not started; call start() first")
         count = 0
@@ -535,17 +466,13 @@ class MultiProcUpdater:
         recovery — makes the same drop decision for the same tick and
         exactly-once accounting holds: a tick is either applied once or
         dropped-and-counted once, never both."""
-        if not self._started:
-            raise RuntimeError("updater not started; call start() first")
         control = self.control_plane
         deadline = None
         if control is not None and control.tick_ttl is not None:
             deadline = time.monotonic() + control.tick_ttl
-        count = 0
-        for user_id in user_ids:
-            self._route(DecayTick(int(user_id), deadline=deadline))
-            count += 1
-        return count
+        return self.submit_many(
+            DecayTick(int(user_id), deadline=deadline) for user_id in user_ids
+        )
 
     # -- synchronization ------------------------------------------------------
 
@@ -720,31 +647,14 @@ class MultiProcUpdater:
         return merge_metrics(self.metrics_snapshots())
 
     def stats(self) -> StreamingStats:
-        payloads = [p for p in self._last_sync if p]
-
-        def total(*keys: str) -> int:
-            out = 0
-            for payload in payloads:
-                value: Any = payload
-                for key in keys:
-                    value = value[key]
-                out += int(value)
-            return out
-
-        return StreamingStats(
-            submitted=self._submitted,
-            applied=total("worker", "processed"),
-            ops_applied=total("worker", "ops_applied"),
-            batches=total("worker", "batches"),
-            redelivered=total("topic", "redelivered"),
-            dead_lettered=total("topic", "dead_letters"),
-            failed=total("worker", "failed"),
-            log_dropped=total("worker", "log_drops"),
-            queue_depth=total("topic", "depth"),
-            flushed_events=0,
-            flush_count=0,
-            pending_writes=sum(len(bucket) for bucket in self._pending),
-            expired_dropped=sum(
-                int(p["worker"].get("expired_dropped", 0)) for p in payloads
-            ),
-        )
+        """The workers' :class:`StreamingStats` from the last barrier,
+        summed field by field, with this side's ``submitted`` and
+        ``pending_writes`` (events routed, events not yet shipped)."""
+        totals = {field.name: 0 for field in fields(StreamingStats)}
+        for payload in self._last_sync:
+            if payload:
+                for name, value in payload["stats"].items():
+                    totals[name] += value
+        totals["submitted"] = self._submitted
+        totals["pending_writes"] = sum(len(b) for b in self._pending)
+        return StreamingStats(**totals)

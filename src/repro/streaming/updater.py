@@ -56,6 +56,9 @@ from repro.streaming.writebehind import WriteBehindWriter
 #: the single topic the subsystem runs on
 LIFELOG_TOPIC = "lifelog"
 
+#: events per ``publish_many`` call of :meth:`StreamingUpdater.submit_many`
+PUBLISH_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class StreamingStats:
@@ -243,16 +246,17 @@ class StreamingUpdater:
         self._submitted += 1
         return shard
 
-    def submit_many(self, events: Iterable[Event], chunk: int = 512) -> int:
+    def submit_many(self, events: Iterable[Event]) -> int:
         """Publish many events on the batched path (one partition lock
-        hold per chunk instead of per event); returns how many."""
+        hold per :data:`PUBLISH_CHUNK` events instead of per event);
+        returns how many."""
         if not self._started:
             raise RuntimeError("updater not started; call start() first")
         pending: list[tuple[Event, int]] = []
         count = 0
         for event in events:
             pending.append((event, event.user_id))
-            if len(pending) >= chunk:
+            if len(pending) >= PUBLISH_CHUNK:
                 count += self.topic.publish_many(pending)
                 pending = []
         if pending:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.emotions import EMOTION_NAMES
+from repro.core.reward import ReinforcementPolicy
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore, positions_by_shard
 from repro.core.sum_model import UnknownUserError
 from repro.streaming.cache import SumCache
@@ -36,6 +37,15 @@ def per_id_rows_for(store, user_ids, create=False):
     return out
 
 
+def per_id_grouped(store, ids):
+    """Positions of ``ids`` grouped by owning shard, as the store once did."""
+    grouped = {}
+    n = len(store.shards)
+    for pos, uid in enumerate(ids):
+        grouped.setdefault(uid % n, []).append(pos)
+    return grouped
+
+
 def build(n_shards):
     store = ShardedSumStore(n_shards=n_shards, initial_capacity=8)
     for uid in KNOWN:
@@ -59,8 +69,8 @@ class TestBulkRouting:
             assert np.array_equal(store.rows_for(np.array(batch, dtype=np.int64)), want)
             shard_of = np.array(batch, dtype=np.int64) % n_shards
             grouped = positions_by_shard(shard_of, n_shards)
-            assert {s: p.tolist() for s, p in grouped.items()} == store._grouped(batch)
-            assert list(grouped) == list(store._grouped(batch))
+            assert {s: p.tolist() for s, p in grouped.items()} == per_id_grouped(store, batch)
+            assert list(grouped) == list(per_id_grouped(store, batch))
 
     def test_unknown_ids_are_named_once_in_request_order(self, n_shards):
         store = build(n_shards)
@@ -97,7 +107,7 @@ class TestBulkRouting:
             sens = captured.sensibility_matrix(EMOTION_NAMES[:2], default=1.0)
             assert sens[:, 0].tolist() == [(uid % 5) / 5 for uid in batch]
             assert list(captured.versions) == list(dict.fromkeys(batch))
-            groups = store._grouped(batch)
+            groups = per_id_grouped(store, batch)
             if len(groups) > 1:
                 assert isinstance(captured, ShardedBatch)
                 assert [p.tolist() for p, __ in captured.parts] == list(groups.values())
@@ -111,3 +121,37 @@ def test_positions_by_shard_lists_touched_shards_by_first_appearance():
     assert {s: p.tolist() for s, p in grouped.items()} == {3: [0, 2], 0: [1, 4], 1: [3]}
     assert list(grouped) == [3, 0, 1]
     assert positions_by_shard(np.array([], dtype=np.int64), 4) == {}
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 5])
+def test_bare_store_reads_and_ticks_off_the_routed_addresses(n_shards):
+    store, twin = build(n_shards), build(n_shards)
+    policy = ReinforcementPolicy()
+    for batch in TestBulkRouting.BATCHES:
+        groups = per_id_grouped(twin, batch)
+        got = store.batch(batch)
+        assert len(got) == len(batch)
+        if len(groups) > 1:
+            assert isinstance(got, ShardedBatch)
+            assert [p.tolist() for p, __ in got.parts] == list(groups.values())
+        want = np.array(
+            [[twin.get(uid).emotional[e] for e in EMOTION_NAMES] for uid in batch]
+        ).reshape(len(batch), len(EMOTION_NAMES))
+        assert np.array_equal(got.intensity_matrix(EMOTION_NAMES), want)
+
+        features, ids = store.feature_matrix(batch, ("calm",))
+        assert ids == batch
+        for pos, uid in enumerate(batch):
+            row, __ = twin.shards[uid % n_shards].feature_matrix([uid], ("calm",))
+            assert np.array_equal(features[pos], row[0])
+
+        assert store.decay_tick(policy, batch) == sum(
+            twin.shards[s].decay_tick(policy, [batch[p] for p in positions])
+            for s, positions in groups.items()
+        )
+        assert store.dumps() == twin.dumps()
+    created = store.batch([44, 0, 41], create=True)
+    assert created.intensity_matrix(EMOTION_NAMES)[[0, 2]].tolist() == [
+        [0.0] * len(EMOTION_NAMES)
+    ] * 2
+    assert store.user_ids() == sorted([*KNOWN, 41, 44])
