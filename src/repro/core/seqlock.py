@@ -2,8 +2,8 @@
 
 The Fig. 4 loop rewards, punishes and decays the Smart User Model while
 the Advice stage reads it; what lets a reader see a consistent row, column
-layout, shard manifest or ``(index, generation)`` pair *without blocking
-the writer* is the same protocol everywhere:
+layout or ``(index, generation)`` pair *without blocking the writer* is
+the same protocol everywhere:
 
 * a **writer** — already serialized by its own lock, or single by
   protocol — bumps a cell to *odd* before it mutates and back to *even*
@@ -13,17 +13,17 @@ the writer* is the same protocol everywhere:
   the cell and retries otherwise (:meth:`Seqlock.read`; a block of
   cells by :meth:`Seqlock.read_many`, retrying only the rows that lost).
 
-The cells are an int64 ndarray the caller hands in — a heap array, a
-:meth:`~repro.core.shm_store.ShmArena.alloc` page or a slice of a control
-block — so a seqlock is as shareable across processes as its memory is.
+The cells are an int64 ndarray the caller hands in — a heap array or a
+:meth:`~repro.core.shm_store.ShmArena.alloc` page — so a seqlock is as
+shareable across processes as its memory is.
 One cell makes an epoch; one cell per row makes row generations, and
 :meth:`Seqlock.grow` swaps in a larger array the way the column families
 swap theirs (readers catch the swap by identity).
 
 The reader is bounded: after :data:`SPIN_LIMIT` failed attempts it raises
 :class:`SeqlockStarved` and the *call site* decides what starvation means
-— in-process readers copy once under the writer's own lock, a
-cross-process reader keeps waiting until its deadline.  That choice
+— an in-process reader copies once under the writer's own lock, while a
+reader whose writer is another process could only wait.  That choice
 genuinely differs per caller, so it is not made here.
 """
 

@@ -13,16 +13,14 @@ own OS process (:mod:`repro.streaming.procplane` supplies the transport):
   becomes a named segment any process can map — the writer process
   mutates in place and the serving process reads the *same physical
   pages* zero-copy.
-* :class:`ShardControlBlock` — one small fixed segment per shard holding
-  the cross-process handshake: a seqlock-protected layout manifest
-  (array → segment name/shape/dtype, column orders), plus commit /
-  heartbeat / applied-sequence counters the liveness and recovery
-  protocols read.
+* :func:`shard_layout` / :func:`adopt_layout` — the layout handshake:
+  the writer process names its arrays (segment name/shape/dtype, column
+  orders) in its barrier reply, and the serving process maps them.
 * :class:`MultiProcSumStore` — a :class:`ShardedSumStore` whose
   partitions are arena-backed.  In-process it behaves exactly like the
   ``sharded`` backend (scalar views, batch applies, save/load — the
   whole tier-1 surface); the process plane is engaged explicitly and
-  re-synchronizes the parent's mappings from each shard's control block.
+  hands each worker's barrier reply to :meth:`MultiProcSumStore.adopt_shard`.
 
 Segment lifecycle
 -----------------
@@ -41,8 +39,6 @@ ledger is empty at session end (``tests/conftest.py``).
 from __future__ import annotations
 
 import atexit
-import json
-import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterable, Mapping
@@ -51,24 +47,14 @@ import numpy as np
 
 from repro.analysis.contracts import (
     declare_lock,
-    declare_seqlock,
     guarded_by,
     make_lock,
     requires_lock,
 )
-from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sharded_store import ShardedSumStore
 from repro.core.sum_store import ColumnarSumStore
 
 declare_lock("ShmArena._lock")
-# Slot 0 of every control block is a one-cell seqlock over the layout
-# manifest.  No writer lock: the shard's owning process is the single
-# writer by protocol, and no lock could exclude it from another process
-# anyway — so the only legal reader shape is Seqlock.read.
-declare_seqlock(
-    "ShardControlBlock.layout_seq",
-    protects=("_read_published",),
-)
 
 #: module-wide ledger of segment names this process created or attached
 #: and has not yet released — the test-suite leak check reads it
@@ -291,169 +277,6 @@ class ShmArena:
             self._by_addr.clear()
 
 
-class ShardControlBlock:
-    """The per-shard cross-process handshake block (one small segment).
-
-    Fixed int64 header slots::
-
-        0  seqlock epoch   (odd = layout write in progress)
-        1  commit version  (bumped once per barrier that wrote the shard)
-        2  n_users         (rows the writer has published)
-        3  heartbeat       (bumped by the worker loop; liveness)
-        4  applied_seq     (last fully applied transport sequence)
-        5  layout length   (bytes of JSON payload currently published)
-
-    then ``LAYOUT_CAPACITY`` bytes of JSON: the shard's array layout
-    (segment names, shapes, dtypes, column orders).  Slot 0 is a
-    one-cell :class:`~repro.core.seqlock.Seqlock` living in the segment
-    itself: the writer publishes inside its odd window, readers accept a
-    read only across one unchanged even epoch — so a reader can never
-    adopt a torn layout, whichever process it runs in.
-    """
-
-    SLOT_EPOCH = 0
-    SLOT_COMMIT = 1
-    SLOT_N_USERS = 2
-    SLOT_HEARTBEAT = 3
-    SLOT_APPLIED_SEQ = 4
-    SLOT_LAYOUT_LEN = 5
-    _N_SLOTS = 8
-    _HEADER_BYTES = _N_SLOTS * 8
-    LAYOUT_CAPACITY = 1 << 18  # 256 KiB of JSON — thousands of columns
-
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self._shm = shm
-        self._slots: np.ndarray = np.ndarray(
-            (self._N_SLOTS,), dtype=np.int64, buffer=shm.buf
-        )
-        self._payload: np.ndarray = np.ndarray(
-            (self.LAYOUT_CAPACITY,),
-            dtype=np.uint8,
-            buffer=shm.buf,
-            offset=self._HEADER_BYTES,
-        )
-        self._layout_seq = Seqlock(
-            self._slots[self.SLOT_EPOCH : self.SLOT_EPOCH + 1]
-        )
-
-    @classmethod
-    def create(cls) -> "ShardControlBlock":
-        shm = shared_memory.SharedMemory(
-            create=True, size=cls._HEADER_BYTES + cls.LAYOUT_CAPACITY
-        )
-        _untrack(shm)
-        _LIVE_SEGMENTS[shm.name] = "control"
-        return cls(shm)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShardControlBlock":
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        _LIVE_SEGMENTS[shm.name] = "control"
-        return cls(shm)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self, unlink: bool = False) -> None:
-        # every view exporting the segment's buffer must go first
-        self._layout_seq = None  # type: ignore[assignment]
-        self._slots = None  # type: ignore[assignment]
-        self._payload = None  # type: ignore[assignment]
-        _release_segment(self._shm, unlink=unlink)
-
-    # -- counters (single-word, torn-free on every 64-bit target) ------------
-
-    def mark_commit(self) -> None:
-        self._slots[self.SLOT_COMMIT] += 1
-
-    @property
-    def commit_version(self) -> int:
-        return int(self._slots[self.SLOT_COMMIT])
-
-    def beat(self) -> None:
-        self._slots[self.SLOT_HEARTBEAT] += 1
-
-    @property
-    def heartbeat(self) -> int:
-        return int(self._slots[self.SLOT_HEARTBEAT])
-
-    @property
-    def n_users(self) -> int:
-        return int(self._slots[self.SLOT_N_USERS])
-
-    @property
-    def applied_seq(self) -> int:
-        return int(self._slots[self.SLOT_APPLIED_SEQ])
-
-    # -- layout (seqlock) -----------------------------------------------------
-
-    def publish_layout(
-        self, layout: Mapping[str, Any], n_users: int, applied_seq: int
-    ) -> None:
-        """Publish the shard's array layout + row count + applied seq.
-
-        Single-writer by protocol (the shard's owning process), so the
-        seqlock needs no CAS: epoch goes odd, payload and slots land,
-        epoch goes even.
-        """
-        data = json.dumps(layout, sort_keys=True).encode("utf-8")
-        if len(data) > self.LAYOUT_CAPACITY:
-            raise ValueError(
-                f"layout JSON is {len(data)} bytes; control block holds "
-                f"{self.LAYOUT_CAPACITY}"
-            )
-        slots = self._slots
-        with self._layout_seq.write(0):
-            self._payload[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-            slots[self.SLOT_LAYOUT_LEN] = len(data)
-            slots[self.SLOT_N_USERS] = int(n_users)
-            slots[self.SLOT_APPLIED_SEQ] = int(applied_seq)
-
-    def _read_published(self) -> tuple[bytes, int, int]:
-        """One raw read of ``(payload bytes, n_users, applied_seq)``.
-
-        Protected by the layout seqlock; decoded only after the read
-        validated, so torn bytes never reach the JSON parser.
-        """
-        slots = self._slots
-        length = int(slots[self.SLOT_LAYOUT_LEN])
-        return (
-            bytes(self._payload[:length]),
-            int(slots[self.SLOT_N_USERS]),
-            int(slots[self.SLOT_APPLIED_SEQ]),
-        )
-
-    def read_layout(
-        self, timeout: float = 5.0
-    ) -> tuple[dict[str, Any], int, int] | None:
-        """``(layout, n_users, applied_seq)`` at one consistent epoch.
-
-        Returns ``None`` when nothing was ever published.  A starved
-        read cannot fall back to a lock — the writer is another process —
-        so it waits and reads again; a writer stuck mid-publish past
-        ``timeout`` raises (that process is gone or wedged — callers
-        fall back to crash recovery).
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            if int(self._slots[self.SLOT_EPOCH]) == 0:
-                return None
-            try:
-                data, n_users, applied_seq = self._layout_seq.read(
-                    0, self._read_published
-                )
-                return json.loads(data.decode("utf-8")), n_users, applied_seq
-            except SeqlockStarved:
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        "shard control block seqlock held odd past "
-                        f"{timeout}s; writer process wedged or dead"
-                    ) from None
-                time.sleep(0.0005)
-
-
 # -- layout (de)serialization helpers ----------------------------------------
 
 
@@ -466,7 +289,7 @@ def _array_spec(arena: ShmArena, array: np.ndarray) -> dict[str, Any]:
 
 
 def shard_layout(arena: ShmArena, shard: ColumnarSumStore) -> dict[str, Any]:
-    """The publishable layout of one arena-backed shard."""
+    """The layout of one arena-backed shard, as a barrier reply carries it."""
     layout: dict[str, Any] = {
         "user_ids": _array_spec(arena, shard._user_ids),
         "ei": _array_spec(arena, shard._ei),
@@ -580,8 +403,8 @@ class MultiProcSumStore(ShardedSumStore):
     which is what lets it ride the tier-1 backend matrix.  The process
     plane (:class:`~repro.streaming.procplane.MultiProcUpdater`) engages
     the cross-process half explicitly: it forks one writer process per
-    shard, and :meth:`resync` re-adopts each shard's published layout in
-    this (the serving) process once writers are quiescent.
+    shard, and :meth:`adopt_shard` maps each worker's layout in this
+    (the serving) process from the worker's barrier reply.
 
     Ownership handshake: the parent mutates only while no worker process
     runs (or between ``sync`` barriers); while the plane runs, each
@@ -608,66 +431,36 @@ class MultiProcSumStore(ShardedSumStore):
             initial_capacity=initial_capacity,
             shard_factory=factory,
         )
-        self.controls: tuple[ShardControlBlock, ...] = tuple(
-            ShardControlBlock.create() for __ in range(int(n_shards))
-        )
-        #: last commit_version observed per shard — worker processes bump
-        #: their own copy-on-write Python clocks, so the parent derives
-        #: "this shard changed" from the shared counter instead
-        self._commit_seen = [0] * int(n_shards)
         self._closed = False
         # last resort: unlink the segments when the store is collected
         # without an explicit close() (tests, interactive sessions)
-        self._finalizer = weakref.finalize(
-            self, _finalize_store, self.arenas, self.controls
-        )
+        self._finalizer = weakref.finalize(self, _finalize_store, self.arenas)
 
     # -- cross-process sync ---------------------------------------------------
 
-    def publish_shard(self, shard_index: int, applied_seq: int = 0) -> None:
-        """Publish one shard's current layout to its control block.
+    def adopt_shard(
+        self, shard_index: int, layout: Mapping[str, Any], n_users: int,
+        wrote: bool,
+    ) -> None:
+        """Adopt one worker's barrier reply in this process.
 
-        Called by whichever process currently owns the shard's mutation
-        (the worker after commits; the parent before handing ownership
-        over).
-        """
-        i = int(shard_index)
-        shard = self.shards[i]
-        self.controls[i].publish_layout(
-            shard_layout(self.arenas[i], shard),
-            n_users=len(shard),
-            applied_seq=applied_seq,
-        )
-
-    def resync_shard(self, shard_index: int) -> int:
-        """Adopt one shard's published layout in this process.
-
-        Returns the shard's published ``applied_seq``.  No-op (beyond
-        counter reads) when the layout still names the arrays this
+        ``layout`` and ``n_users`` are the shard as its worker left it
+        (:func:`shard_layout`, ``len(shard)``); ``wrote`` says whether
+        the worker committed to it since its previous barrier.  Nothing
+        is re-attached when the layout still names the arrays this
         process already maps — the layout epoch stays put, so rows a
-        serving mirror staged stay staged.  Writers must be quiescent
+        serving mirror staged stay staged.  The writer must be quiescent
         (the plane's ``sync`` barrier) — see :func:`adopt_layout`.
         """
         i = int(shard_index)
-        published = self.controls[i].read_layout()
-        if published is None:
-            return 0
-        layout, n_users, applied_seq = published
         shard = self.shards[i]
         if n_users != len(shard) or layout != shard_layout(self.arenas[i], shard):
             adopt_layout(self.arenas[i], shard, layout, n_users)
         self.arenas[i].sweep()
-        commit = self.controls[i].commit_version
-        if commit != self._commit_seen[i]:
+        if wrote:
             # keep delta checkpoints honest: the writer process's commits
             # never touched the parent's mutation clock
-            self._commit_seen[i] = commit
-            self.shards[i]._clock.bump()
-        return applied_seq
-
-    def resync(self) -> list[int]:
-        """Adopt every shard's published layout; per-shard applied seqs."""
-        return [self.resync_shard(i) for i in range(len(self.shards))]
+            shard._clock.bump()
 
     def replace_shard(self, shard_index: int, shard: ColumnarSumStore) -> None:
         """Swap one partition for a rebuilt one (crash recovery).
@@ -708,13 +501,9 @@ class MultiProcSumStore(ShardedSumStore):
             return
         self._closed = True
         self._finalizer.detach()
-        _finalize_store(self.arenas, self.controls)
+        _finalize_store(self.arenas)
 
 
-def _finalize_store(
-    arenas: Iterable[ShmArena], controls: Iterable[ShardControlBlock]
-) -> None:
+def _finalize_store(arenas: Iterable[ShmArena]) -> None:
     for arena in arenas:
         arena.close()
-    for control in controls:
-        control.close(unlink=True)

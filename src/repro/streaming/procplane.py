@@ -14,34 +14,35 @@ own stack, wired in one place:
     ────────────────────────                 ───────────────────────────
     MultiProcUpdater.submit_many ──chunks──▶ mp.Queue ─▶ _worker_main
       │  route: partition_for(uid)               │  StreamingUpdater(shard,
-      │  per-shard replay journal                │    n_shards=1).submit_many
+      │  replay journal (checkpoint_root)        │    n_shards=1).submit_many
       │                                          │  (commit → shm pages)
-      ├─ sync ─────────token──────────────▶      │  drain · publish_shard ·
-      │    ◀─ applied_seq · mapper state ──      │  mark_commit if the shard
-      │       metrics snapshot · stats           │  moved since the last one
-      ▼                                          ▼
-    MultiProcSumStore.resync()  ◀─ layout ─ ShardControlBlock (seqlock)
+      ├─ sync ─────────token──────────────▶      │  drain · sweep
+      │    ◀─ applied_seq · layout · wrote ──    ▼
+      │       mapper state · metrics · stats
+      ▼
+    MultiProcSumStore.adopt_shard(i, layout, n_users, wrote)
 
 The store's column pages live on shared memory
 (:mod:`repro.core.shm_store`), so a worker's commits land directly on
 the pages the parent serves from — nothing is copied back.  The parent
 adopts structural changes (row growth, new interned columns) only at
-``sync`` barriers, reading each shard's seqlock-published layout and its
-``commit_version``, which the worker stamps once per barrier whose shard
-was written (the parent turns that into a clock bump for delta
-checkpoints, and only ``resync`` reads it, after a barrier); serving
-captures (:class:`~repro.streaming.cache.SumCache` snapshots) are
-point-in-time row copies, so they stay bit-stable while workers commit.
+``sync`` barriers, from the reply pipe: each reply carries the shard's
+layout and row count, plus ``wrote`` (whether the shard moved since the
+worker's previous barrier), which the parent turns into a clock bump
+for delta checkpoints.  Serving captures
+(:class:`~repro.streaming.cache.SumCache` snapshots) are point-in-time
+row copies, so they stay bit-stable while workers commit.
 
 Delivery contract: per-user FIFO (users are pinned to shards by the same
 ``partition_for`` hash the in-process plane uses; one command queue per
-shard preserves chunk order), exactly-once on the recovery path (the
-parent journals every chunk per shard; a checkpoint persists each
-shard's ``applied_seq`` + mapper decay counters and trims the journal;
-a crashed worker restarts from the last checkpoint generation and
-replays only journal entries *after* its persisted ``applied_seq``).
-Liveness: workers heartbeat through their control block; the parent
-restarts dead workers via the same generation/manifest machinery
+shard preserves chunk order), exactly-once on the recovery path (with a
+``checkpoint_root`` the parent journals every chunk per shard; a
+checkpoint persists each shard's ``applied_seq`` + mapper decay counters
+and trims the journal; a crashed worker restarts from the last
+checkpoint generation and replays only journal entries *after* its
+persisted ``applied_seq``).  Liveness: a worker that exits or stays
+silent through a barrier raises :class:`WorkerDied`; the parent restarts
+dead workers via the same generation/manifest machinery
 :class:`~repro.serving.replica.ReplicaRefresher` consumes, so served
 generations stay monotonic across crashes.
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import queue as queue_mod
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -65,7 +65,7 @@ from typing import Any, Iterable, Mapping
 from repro.analysis.contracts import declare_lock
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sharded_store import read_manifest
-from repro.core.shm_store import MultiProcSumStore, copy_shard_into
+from repro.core.shm_store import MultiProcSumStore, copy_shard_into, shard_layout
 from repro.core.sum_store import ColumnarSumStore
 from repro.lifelog.events import Event
 from repro.obs.export import merge_metrics
@@ -87,7 +87,8 @@ declare_lock("ShardWorkerProcess._io_lock")
 #: per-shard checkpoint metadata written next to each generation
 PROCPLANE_META = "procplane.json"
 
-#: how long a worker may stay silent before ensure_alive calls it wedged
+#: how long a worker may stay silent through a barrier before it counts
+#: as dead (``WorkerDied``)
 DEFAULT_SYNC_TIMEOUT = 60.0
 
 
@@ -112,7 +113,7 @@ def _worker_main(
     are the updater's keyword arguments, built once by the parent.
     """
     shard = store.shards[shard_index]
-    control = store.controls[shard_index]
+    arena = store.arenas[shard_index]
     updater = StreamingUpdater(
         shard, item_emotions, n_shards=1,
         telemetry=MetricsRegistry(), tracer=NULL_TRACER, **options,
@@ -129,15 +130,11 @@ def _worker_main(
     def barrier(token: Any, stop: bool) -> None:
         nonlocal stamped
         settled = updater.drain(30.0)
-        store.publish_shard(shard_index, applied_seq=received_seq)
         # segments grown past since the last alloc: the parent never saw
         # their names, and a forked worker exits without atexit hooks
-        store.arenas[shard_index].sweep()
-        if shard.mutation_count != stamped:
-            # once per barrier is enough: resync_shard, the counter's
-            # only reader, runs after a barrier
-            stamped = shard.mutation_count
-            control.mark_commit()
+        arena.sweep()
+        wrote = shard.mutation_count != stamped
+        stamped = shard.mutation_count
         if stop:
             updater.stop(drain=False, timeout=5.0)
         responses.send({
@@ -145,6 +142,8 @@ def _worker_main(
             "settled": settled,
             "applied_seq": received_seq,
             "n_users": len(shard),
+            "layout": shard_layout(arena, shard),
+            "wrote": wrote,
             "mapper_state": dict(mapper._since_decay),
             "metrics": updater.telemetry.snapshot().as_dict(),
             "stats": asdict(updater.stats()),
@@ -153,11 +152,7 @@ def _worker_main(
 
     try:
         while True:
-            control.beat()
-            try:
-                message = commands.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
+            message = commands.get()
             kind = message[0]
             if kind == "events":
                 __, seq, chunk = message
@@ -177,9 +172,10 @@ class ShardWorkerProcess:
 
     Owns the command queue (events / sync / stop), the response pipe and
     the liveness view.  ``sync`` is a full barrier for this shard: the
-    worker drains its topic, publishes its layout + ``applied_seq`` to
-    the control block, and answers with its mapper state, metrics
-    snapshot and :class:`StreamingStats` (as a dict).
+    worker drains its topic and answers with its ``applied_seq``, shard
+    layout and row count, whether it wrote since its previous barrier,
+    its mapper state, metrics snapshot and :class:`StreamingStats` (as
+    a dict).
     """
 
     def __init__(
@@ -191,7 +187,6 @@ class ShardWorkerProcess:
         mapper_state: Mapping[int, int] | None = None,
     ) -> None:
         ctx = multiprocessing.get_context("fork")
-        self.store = store
         self.shard_index = int(shard_index)
         self._io_lock = ctx.Lock()
         self.commands = ctx.Queue()
@@ -217,10 +212,6 @@ class ShardWorkerProcess:
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
-
-    @property
-    def heartbeat(self) -> int:
-        return self.store.controls[self.shard_index].heartbeat
 
     def send_events(self, seq: int, chunk: list) -> None:
         with self._io_lock:
@@ -258,7 +249,7 @@ class ShardWorkerProcess:
             return self._await_response(token, timeout)
 
     def stop(self, timeout: float = DEFAULT_SYNC_TIMEOUT) -> dict[str, Any] | None:
-        """Graceful stop: drain, publish, answer a final sync payload."""
+        """Graceful stop: drain, answer a final sync payload."""
         payload: dict[str, Any] | None = None
         with self._io_lock:
             if self.process.is_alive():
@@ -300,8 +291,8 @@ class MultiProcUpdater:
     planes without code changes.  Differences worth knowing:
 
     * ``drain()`` is the visibility barrier: it syncs every worker and
-      re-adopts published layouts, so new rows/columns appear to the
-      parent *then* (committed values on existing rows are visible
+      adopts the layout each one replies with, so new rows/columns appear
+      to the parent *then* (committed values on existing rows are visible
       immediately — same physical pages).
     * ``checkpoint()`` persists store generations plus per-shard replay
       metadata; with a ``checkpoint_root`` the plane survives worker
@@ -382,8 +373,6 @@ class MultiProcUpdater:
             )
         if self._started:
             return self
-        for i in range(len(self.store.shards)):
-            self.store.publish_shard(i, applied_seq=self._seqs[i])
         if self.checkpoint_root is not None:
             # generation 0 of the recovery chain: without it, a worker
             # crash before the first explicit checkpoint would have no
@@ -406,8 +395,7 @@ class MultiProcUpdater:
         for i, worker in enumerate(self.workers):
             payload = worker.stop(self.sync_timeout)
             if payload is not None:
-                self._last_sync[i] = payload
-        self.store.resync()
+                self._adopt(i, payload)
         if self.cache is not None:
             self.cache.invalidate(self._touched)
         self._started = False
@@ -438,7 +426,9 @@ class MultiProcUpdater:
         self._pending[shard] = []
         self._seqs[shard] += 1
         seq = self._seqs[shard]
-        self._journals[shard].append((seq, bucket))
+        if self.checkpoint_root is not None:
+            # only recover() reads the journal, and it needs a checkpoint
+            self._journals[shard].append((seq, bucket))
         self.workers[shard].send_events(seq, bucket)
 
     def submit(self, event: Event, timeout: float | None = None) -> int:
@@ -476,18 +466,26 @@ class MultiProcUpdater:
 
     # -- synchronization ------------------------------------------------------
 
+    def _adopt(self, shard: int, payload: dict[str, Any]) -> None:
+        self.store.adopt_shard(
+            shard, payload["layout"], payload["n_users"], payload["wrote"]
+        )
+        self._last_sync[shard] = payload
+
     def _sync_shard(self, shard: int) -> dict[str, Any]:
-        """Barrier one shard, restarting its worker once if it is dead."""
+        """Barrier one shard, restarting its worker once if it is dead,
+        and adopt its reply at once: a later shard's failure must not
+        lose this one's ``wrote``."""
         try:
             payload = self.workers[shard].sync(self.sync_timeout)
         except WorkerDied:
             self.recover(shard)
             payload = self.workers[shard].sync(self.sync_timeout)
-        self._last_sync[shard] = payload
+        self._adopt(shard, payload)
         return payload
 
     def drain(self, timeout: float | None = 30.0) -> bool:
-        """Flush, barrier every worker, adopt published layouts.
+        """Flush, barrier every worker, adopt each worker's layout.
 
         After ``drain()`` the parent store reflects every submitted
         event: rows, columns and values — the cross-process equivalent
@@ -515,7 +513,6 @@ class MultiProcUpdater:
         except BaseException:
             self._touched |= touched  # unpublished: the next barrier's
             raise
-        self.store.resync()
         if self.cache is not None:
             self.cache.invalidate(touched)
         return settled
@@ -608,7 +605,6 @@ class MultiProcUpdater:
         )
         copy_shard_into(checkpointed, fresh)
         self.store.replace_shard(shard, fresh)
-        self.store.publish_shard(shard, applied_seq=applied)
         worker = self._spawn(
             shard,
             mapper_state={

@@ -36,18 +36,15 @@ def test_lock_graph_is_acyclic_and_nonempty():
     assert ("WriteBehindWriter._lock", "EventLog._write_lock") in edges
 
 
-def test_all_four_seqlocks_are_declared_for_the_sq_rules():
+def test_all_three_seqlocks_are_declared_for_the_sq_rules():
     _, graph_dump = checked_tree()
     declared = {s["node"]: s for s in graph_dump["seqlocks"]}
     assert set(declared) == {
         "ColumnarSumStore.row_generations",
         "ColumnarSumStore.layout_epoch",
-        "ShardControlBlock.layout_seq",
         "CandidateRetriever.page_epoch",
     }
     assert all(spec["protects"] for spec in declared.values())
-    # the cross-process one is single-writer by protocol: no lock shape
-    assert declared["ShardControlBlock.layout_seq"]["writer_lock"] is None
 
 
 def test_every_committed_waiver_still_matches_something():

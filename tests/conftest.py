@@ -58,7 +58,7 @@ def _shm_leak_gate():
     """Fail the session if shared-memory segments outlive their tests.
 
     Two independent gates: the module's own live-segment ledger (every
-    arena/control block this process still holds) and the kernel's view
+    arena segment this process still holds) and the kernel's view
     of ``/dev/shm`` (catches segments leaked by worker processes too).
     The atexit sweep in :mod:`repro.core.shm_store` is a *crash* safety
     net, not an excuse — tests must close their stores.

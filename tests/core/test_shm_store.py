@@ -1,11 +1,11 @@
-"""Shared-memory store backing: arenas, control blocks, recovery copies.
+"""Shared-memory store backing: arenas, layout adoption, recovery copies.
 
 The storage layer of the multi-process shard plane
 (:mod:`repro.core.shm_store`): arrays on named segments two processes
-can map, the seqlock-published layout handshake, the bulk copy the
-crash-recovery path uses, and the delta-checkpoint honesty rules
-(`resync` must advance the parent's mutation clock for shards a worker
-process touched, `replace_shard` must never let a rebuilt shard
+can map, the layout handshake a worker's barrier reply carries, the bulk
+copy the crash-recovery path uses, and the delta-checkpoint honesty
+rules (`adopt_shard` must advance the parent's mutation clock for shards
+a worker process wrote, `replace_shard` must never let a rebuilt shard
 hardlink stale pages).
 """
 
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.shm_store import (
     MultiProcSumStore,
-    ShardControlBlock,
     ShmArena,
     adopt_layout,
     copy_shard_into,
@@ -25,6 +24,14 @@ from repro.core.shm_store import (
     shard_layout,
 )
 from repro.core.sum_store import ColumnarSumStore
+
+
+def adopt_unchanged(store, i, wrote):
+    """Adopt a barrier reply naming the arrays shard ``i`` already maps."""
+    shard = store.shards[i]
+    store.adopt_shard(
+        i, shard_layout(store.arenas[i], shard), len(shard), wrote=wrote
+    )
 
 
 def populate(store, users=(1, 2, 7, 12)):
@@ -103,56 +110,6 @@ class TestShmArena:
         with pytest.raises(ValueError, match="closed"):
             arena.alloc((1,), np.float64)
         arena.close()  # idempotent
-
-
-class TestShardControlBlock:
-    def test_layout_roundtrip_and_counters(self):
-        control = ShardControlBlock.create()
-        try:
-            assert control.read_layout() is None
-            layout = {"families": {"emotional": {"order": ["shy"]}}}
-            control.publish_layout(layout, n_users=12, applied_seq=3)
-            control.mark_commit()
-            control.beat()
-            read, n_users, applied = control.read_layout()
-            assert read == layout
-            assert (n_users, applied) == (12, 3)
-            assert control.commit_version == 1
-            assert control.heartbeat == 1
-            assert control.n_users == 12
-            assert control.applied_seq == 3
-        finally:
-            control.close(unlink=True)
-
-    def test_attach_reads_a_peer_published_layout(self):
-        owner = ShardControlBlock.create()
-        try:
-            owner.publish_layout({"k": "v"}, n_users=1, applied_seq=9)
-            peer = ShardControlBlock.attach(owner.name)
-            layout, __, applied = peer.read_layout()
-            assert layout == {"k": "v"} and applied == 9
-            peer.close()
-        finally:
-            owner.close(unlink=True)
-
-    def test_oversized_layout_is_rejected(self):
-        control = ShardControlBlock.create()
-        try:
-            huge = {"blob": "x" * (ShardControlBlock.LAYOUT_CAPACITY + 1)}
-            with pytest.raises(ValueError, match="bytes"):
-                control.publish_layout(huge, n_users=0, applied_seq=0)
-        finally:
-            control.close(unlink=True)
-
-    def test_reader_times_out_on_a_wedged_writer(self):
-        control = ShardControlBlock.create()
-        try:
-            control.publish_layout({}, n_users=0, applied_seq=0)
-            control._slots[ShardControlBlock.SLOT_EPOCH] += 1  # left odd
-            with pytest.raises(TimeoutError, match="seqlock"):
-                control.read_layout(timeout=0.05)
-        finally:
-            control.close(unlink=True)
 
 
 class TestLayoutAdoption:
@@ -235,32 +192,34 @@ class TestMultiProcSumStore:
         finally:
             store.close()
 
+    def test_holds_only_its_arenas_segments(self):
+        before = set(live_segment_names())
+        store = MultiProcSumStore(n_shards=3)
+        try:
+            owned = {
+                name for arena in store.arenas
+                for name in arena.segment_names()
+            }
+            assert set(live_segment_names()) - before == owned
+        finally:
+            store.close()
+
     def test_n_shards_validated(self):
         with pytest.raises(ValueError, match="n_shards"):
             MultiProcSumStore(n_shards=0)
 
-    def test_publish_resync_roundtrip_reports_applied_seq(self):
-        store = populate(MultiProcSumStore(n_shards=2), users=range(8))
-        try:
-            store.publish_shard(0, applied_seq=5)
-            store.publish_shard(1, applied_seq=7)
-            assert store.resync() == [5, 7]
-        finally:
-            store.close()
-
     def test_resync_bumps_clock_only_on_remote_commits(self):
         store = populate(MultiProcSumStore(n_shards=2), users=range(8))
         try:
-            store.publish_shard(0)
-            store.publish_shard(1)
             before = [s.mutation_count for s in store.shards]
-            store.resync()
+            adopt_unchanged(store, 0, wrote=False)
+            adopt_unchanged(store, 1, wrote=False)
             assert [s.mutation_count for s in store.shards] == before
-            # a worker process's commit is only visible through the
-            # shared counter — resync must translate it into a parent
-            # clock bump or delta checkpoints would skip the shard
-            store.controls[0].mark_commit()
-            store.resync()
+            # a worker process's commit is only visible through its
+            # reply's `wrote` — adopt_shard must translate it into a
+            # parent clock bump or delta checkpoints would skip the shard
+            adopt_unchanged(store, 0, wrote=True)
+            adopt_unchanged(store, 1, wrote=False)
             after = [s.mutation_count for s in store.shards]
             assert after[0] == before[0] + 1
             assert after[1] == before[1]
@@ -272,11 +231,9 @@ class TestMultiProcSumStore:
     ):
         store = populate(MultiProcSumStore(n_shards=2), users=range(12))
         try:
-            store.publish_shard(0)
-            store.publish_shard(1)
             gen1 = store.save(tmp_path)
-            store.controls[0].mark_commit()  # "worker committed on 0"
-            store.resync()
+            adopt_unchanged(store, 0, wrote=True)  # "worker committed on 0"
+            adopt_unchanged(store, 1, wrote=False)
             gen2 = store.save(tmp_path)
 
             def inode(gen, shard):
@@ -312,7 +269,7 @@ class TestMultiProcSumStore:
     def test_close_releases_every_segment(self):
         store = populate(MultiProcSumStore(n_shards=2))
         names_before = live_segment_names()
-        assert names_before  # arenas + control blocks are live
+        assert names_before  # the arenas' segments are live
         store.close()
         assert store.closed
         assert live_segment_names() == []

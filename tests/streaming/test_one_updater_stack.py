@@ -2,9 +2,9 @@
 
 A process-plane worker is a one-shard ``StreamingUpdater``, so the two
 planes share one stats schema by construction, the shared updater
-surface has the same signatures on both classes, and the commit counter
-the delta-checkpoint path reads is stamped once per barrier that wrote
-the worker's shard.
+surface has the same signatures on both classes, and the parent's
+mutation clock, which the delta-checkpoint path reads, moves once per
+barrier that wrote the worker's shard.
 """
 
 import dataclasses
@@ -96,20 +96,21 @@ def test_delta_checkpoints_through_worker_processes(tmp_path):
     try:
         updater = MultiProcUpdater(store, ITEM_EMOTIONS, checkpoint_root=tmp_path)
         with updater:
+            started = [shard.mutation_count for shard in store.shards]
             updater.submit_many([event(uid, ts=uid) for uid in range(8)])
             first = updater.checkpoint()
-            commits = [control.commit_version for control in store.controls]
-            assert all(commits)
+            clocks = [shard.mutation_count for shard in store.shards]
+            assert clocks == [n + 1 for n in started]
 
-            # a barrier with nothing routed stamps nothing
+            # a barrier with nothing routed bumps nothing
             assert updater.drain()
-            assert [c.commit_version for c in store.controls] == commits
+            assert [shard.mutation_count for shard in store.shards] == clocks
 
-            # only shard 0's users: one stamp there, none on shard 1
+            # only shard 0's users: one bump there, none on shard 1
             updater.submit_many([event(uid, ts=10 + uid) for uid in (0, 2, 4, 2)])
             assert updater.drain()
-            assert [c.commit_version for c in store.controls] == [
-                commits[0] + 1, commits[1]
+            assert [shard.mutation_count for shard in store.shards] == [
+                clocks[0] + 1, clocks[1]
             ]
             second = updater.checkpoint()
         assert inodes(second, 1) == inodes(first, 1)  # hardlinked

@@ -27,6 +27,7 @@ from repro.core.sum_model import SumRepository
 from repro.lifelog.events import ActionCategory, Event
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming import EventUpdateMapper, MapperConfig
+from repro.streaming.bus import partition_for
 from repro.streaming.cache import SumCache
 from repro.streaming.control import ControlPlaneConfig
 from repro.streaming.procplane import MultiProcUpdater, WorkerDied
@@ -252,6 +253,85 @@ def test_crash_without_checkpoint_root_is_an_explicit_error():
                 updater.recover(0)
             # put a live worker back so stop() shuts down cleanly
             updater.workers[0] = updater._spawn(0)
+    finally:
+        store.close()
+
+
+def test_no_journal_is_held_without_a_checkpoint_root():
+    # only recover() replays the journal, and it needs a checkpoint: an
+    # updater without a root must not keep every shipped chunk forever
+    events = dense_stream(n_events=300, n_users=20)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        with MultiProcUpdater(store, ITEM_EMOTIONS, chunk=16) as updater:
+            updater.submit_many(events)
+            updater.tick(range(20))
+            assert updater.drain()
+            assert updater._journals == [[], []]
+        assert updater.stats().applied == len(events) + 20
+    finally:
+        store.close()
+
+
+def test_a_later_shards_death_keeps_an_earlier_shards_adoption():
+    # each reply is adopted as it arrives: shard 0's growth and its one
+    # clock bump must survive shard 1's worker dying at the same barrier
+    users = list(range(12))
+    on_zero = [uid for uid in users if partition_for(uid, 2) == 0]
+    assert 0 < len(on_zero) < len(users)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        updater = MultiProcUpdater(store, ITEM_EMOTIONS)
+        with updater:
+            clocks = [shard.mutation_count for shard in store.shards]
+            updater.submit_many(make_events((uid, 2, 0, 5) for uid in users))
+            updater.workers[1].kill()
+            with pytest.raises(WorkerDied, match="checkpoint_root"):
+                updater.drain()
+            assert sorted(store.shards[0].user_ids()) == on_zero
+            assert store.shards[0].mutation_count == clocks[0] + 1
+            assert len(store.shards[1]) == 0
+            assert store.shards[1].mutation_count == clocks[1]
+            # put a live worker back so stop() shuts down cleanly
+            updater.workers[1] = updater._spawn(1)
+    finally:
+        store.close()
+
+
+def test_an_idle_drain_keeps_every_layout_epoch():
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        with MultiProcUpdater(store, ITEM_EMOTIONS) as updater:
+            started = [int(s.layout_epoch.cells[0]) for s in store.shards]
+            updater.submit_many(make_events((uid, 2, 0, 5) for uid in range(12)))
+            assert updater.drain()
+            epochs = [int(s.layout_epoch.cells[0]) for s in store.shards]
+            # new rows on both shards: both layouts were adopted
+            assert all(now > was for now, was in zip(epochs, started))
+            assert updater.drain()
+            assert [int(s.layout_epoch.cells[0]) for s in store.shards] == epochs
+    finally:
+        store.close()
+
+
+def test_a_layout_of_any_size_rides_the_barrier_reply():
+    # 2,000 long column names make a ~340 KB layout at only a few tens of
+    # MB of pages (20,000 short ones would need ~1 GB at 3,000 rows)
+    names = [f"subjective-{j:05d}-" + "x" * 150 for j in range(2_000)]
+    store = MultiProcSumStore(n_shards=1)
+    try:
+        view = store.get_or_create(0)
+        for j, name in enumerate(names):
+            view.subjective[name] = j / len(names)
+        with MultiProcUpdater(store, ITEM_EMOTIONS) as updater:
+            updater.submit_many(
+                make_events((uid, 2, 0, 5) for uid in range(1, 3_000))
+            )
+            assert updater.drain()
+            assert len(store) == 3_000
+            assert store.get(0).subjective[names[-1]] == (
+                (len(names) - 1) / len(names)
+            )
     finally:
         store.close()
 
