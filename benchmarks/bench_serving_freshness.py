@@ -51,7 +51,7 @@ from repro.core.emotions import EMOTION_NAMES
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_model import SmartUserModel, SumRepository
 from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch
-from repro.core.updates import RewardOp, apply_ops
+from repro.core.updates import RewardOp
 from repro.datagen.catalog import AFFINITY_LINKS
 from repro.serving import RecommendationService
 from repro.streaming.cache import SumCache
@@ -124,14 +124,8 @@ def write_rounds(seed: int = 11):
 
 
 def apply_round(cache, batch, policy):
-    """Commit one write round through the backend's publish path."""
-    if callable(getattr(cache.repository, "batch_apply_ops", None)):
-        cache.apply_batch_and_publish(batch, policy)
-    else:
-        for user_id, ops in batch:
-            cache.apply_and_publish(
-                user_id, lambda model, ops=ops: apply_ops(model, ops, policy)
-            )
+    """Commit one write round through the cache's publish path."""
+    cache.apply_batch_and_publish(batch, policy)
     cache.mark_batch()
 
 

@@ -56,7 +56,6 @@ from repro.core.updates import (
     SumUpdateOp,
     apply_op,
     apply_ops,
-    apply_ops_batch,
 )
 
 __all__ = [
@@ -97,6 +96,5 @@ __all__ = [
     "UnknownUserError",
     "apply_op",
     "apply_ops",
-    "apply_ops_batch",
     "branch_table",
 ]

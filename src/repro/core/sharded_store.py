@@ -464,8 +464,8 @@ class ShardedSumStore:
         ``items`` is an :class:`~repro.core.updates.OpBatch` or raw
         ``(user_id, ops)`` pairs (made one, then the same path).  The
         whole cross-shard batch is validated *before any shard mutates*
-        unless a layer above already did (the commit layer's fallback
-        contract: a raising call leaves every partition untouched); a
+        unless a layer above already did (the commit layer's contract: a
+        call rejected by validation leaves every partition untouched); a
         one-owner batch goes to its partition as is, a cross-shard one is
         split, and writers hitting different partitions commit
         concurrently.  Returns the batch's ``counts``: applied ops per

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
+
+if TYPE_CHECKING:  # both import this module
+    from repro.core.reward import ReinforcementPolicy
+    from repro.core.updates import BatchItems
 
 
 class UnknownUserError(KeyError):
@@ -265,6 +269,27 @@ class SumRepository:
     def user_ids(self) -> list[int]:
         """Sorted user ids with a SUM."""
         return sorted(self._models)
+
+    def batch_apply_ops(
+        self, items: BatchItems, policy: ReinforcementPolicy
+    ) -> list[int]:
+        """Apply per-user op sequences — the sequential reference.
+
+        The same write method, and the same contract, as
+        :meth:`ColumnarSumStore.batch_apply_ops
+        <repro.core.sum_store.ColumnarSumStore.batch_apply_ops>`: the
+        batch is validated before any mutation, then each user's ops run
+        in order through :func:`~repro.core.updates.apply_ops` on
+        :meth:`get_or_create` (first contact creates the SUM).  Returns
+        the batch's ``counts``: applied ops per raw item.
+        """
+        from repro.core.sum_store import validate_batch_ops
+        from repro.core.updates import apply_ops
+
+        batch = validate_batch_ops(items)
+        for user_id, ops in batch:
+            apply_ops(self.get_or_create(user_id), ops, policy)
+        return batch.counts
 
     def feature_matrix(
         self,

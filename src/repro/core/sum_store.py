@@ -166,10 +166,10 @@ _VALID_ATTR_TUPLES: set[tuple[str, ...]] = set()
 def validate_batch_ops(items: BatchItems) -> OpBatch:
     """``items`` as a validated :class:`OpBatch`, before any mutation.
 
-    The guarantee the streaming commit layer leans on: a raising batch
-    apply leaves every store untouched, so callers may fall back to the
-    per-user scalar path without risking a double-apply.  Every batch
-    entry point (cache commit, shard router, store) calls this first —
+    The guarantee the streaming commit layer leans on: a rejected batch
+    leaves every store untouched, so a worker may split the offending
+    deliveries out and commit the rest without a double-apply.  Every
+    batch entry point (cache commit, shard router, store) calls this first —
     before it takes a lock or writes a byte — and the batch remembers
     the verdict, so whichever layer sees it first checks it and the
     layers below do not: shard A cannot commit before shard B's
@@ -1321,9 +1321,9 @@ class ColumnarSumStore:
 
         The batch is validated *before* any mutation unless a layer
         above already did (unknown ops, unknown attributes or non-finite
-        strengths raise with the store untouched), unlike the scalar
-        path which fails mid-sequence.  Returns the batch's ``counts``:
-        applied ops per raw item, aligned with ``items``.
+        strengths raise with the store untouched), as on the object
+        store.  Returns the batch's ``counts``: applied ops per raw item,
+        aligned with ``items``.
         """
         if self._readonly:
             raise TypeError(

@@ -153,32 +153,3 @@ class OpBatch:
 
     def __iter__(self) -> Iterator[tuple[int, tuple[SumUpdateOp, ...]]]:
         return iter(zip(self.user_ids, self.ops))
-
-
-def apply_ops_batch(
-    repository: object,
-    items: BatchItems,
-    policy: ReinforcementPolicy,
-) -> list[int]:
-    """Apply per-user op sequences against a whole SUM collection.
-
-    ``items`` pairs each user id with their (ordered) op sequence — raw
-    pairs or an :class:`OpBatch`, which iterates as such pairs.  On a
-    columnar backend (:class:`~repro.core.sum_store.ColumnarSumStore`,
-    which exposes ``batch_apply_ops``) the whole batch is applied
-    vectorized — one decay tick over a shard is one array multiply,
-    rewards/punishes are scatter-adds through the same
-    :class:`~repro.core.reward.ReinforcementPolicy` clamps.  On an
-    object-backed repository it falls back to sequential
-    :func:`apply_ops` per user.  Both paths produce bit-identical state
-    (the Hypothesis suite in ``tests/properties`` pins this).
-
-    Returns per-item applied-op counts, aligned with ``items``.
-    """
-    batch_apply = getattr(repository, "batch_apply_ops", None)
-    if callable(batch_apply):
-        return batch_apply(items, policy)
-    counts = []
-    for user_id, ops in items:
-        counts.append(apply_ops(repository.get_or_create(user_id), ops, policy))
-    return counts

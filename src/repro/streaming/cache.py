@@ -5,11 +5,10 @@ applying five reward ops should be invisible until the batch commits.
 :class:`SumCache` provides that isolation with the cheapest possible
 machinery:
 
-* writers apply a whole batch slice and commit it in one per-user lock
-  hold (:meth:`SumCache.apply_and_publish` / batch-wide
-  :meth:`SumCache.apply_batch_and_publish`) — dropping the cached
-  snapshot and bumping the user's monotonic version counter atomically
-  with the mutation;
+* writers apply a whole batch and commit it while holding every
+  touched user's lock (:meth:`SumCache.apply_batch_and_publish`, on
+  every backend) — dropping the cached snapshots and bumping each
+  user's monotonic version counter atomically with the mutation;
 * readers receive **genuinely immutable** snapshots, rebuilt lazily on
   the first read after a publish.  On a columnar repository the snapshot
   is a copy of the user's row slices (no ``to_dict()``/``from_dict()``
@@ -250,7 +249,7 @@ class SumCache:
         *before* reading the version, so flagging last means a capture
         either reads the new version or leaves the flag set for the next
         capture to correct.  The one statement of that order: a batch
-        commit, a one-user commit and :meth:`invalidate` all come here.
+        commit and :meth:`invalidate` both come here.
         """
         snapshots, versions = self._snapshots, self._versions
         if snapshots:
@@ -286,28 +285,6 @@ class SumCache:
         """
         return self._lock_for(int(user_id))
 
-    def apply_and_publish(self, user_id: int, fn) -> tuple[int, int]:
-        """Run ``fn(model)`` and commit, all under one user-lock hold.
-
-        The worker write path: readers blocked on the lock (or reading
-        the old snapshot) see either the state before ``fn`` at the old
-        version or the state after it at the new version — never the
-        mutation at the old version.  ``fn`` returns how many ops it
-        applied; a zero return means the state did not change, so
-        nothing is invalidated and the version stays put.  Returns
-        ``(applied ops, version)``.  Bump the batch-level
-        :attr:`global_version` separately with :meth:`mark_batch`.
-        """
-        user_id = int(user_id)
-        with self._lock_for(user_id):
-            applied = int(fn(self.repository.get_or_create(user_id)))
-            if applied:
-                self._commit_many((user_id,))
-            version = self._versions.get(user_id, 0)
-        if applied:
-            self._m_publishes.inc()
-        return applied, version
-
     @manual_guard(
         "acquires every touched user's lock in sorted-id order via a "
         "loop + try/finally; loop-acquired locks are invisible to the "
@@ -318,36 +295,30 @@ class SumCache:
     ) -> tuple[list[int], dict[int, int]]:
         """Apply a whole batch's op slices and commit, all users at once.
 
-        The columnar commit path.  ``items`` is the
+        The one commit path, on every backend.  ``items`` is the
         :class:`~repro.core.updates.OpBatch` a shard worker made where it
         dequeued — or raw ``(user_id, ops)`` pairs, which
         :meth:`OpBatch.of <repro.core.updates.OpBatch.of>` makes one
         (same path from there on).  The batch is validated here, once,
         before any lock is taken; then every touched user's lock is
         acquired (in sorted-id order — other writers take one lock at a
-        time, so no cycle is possible), the store applies the batch
-        vectorized against row ranges without looking at it again, and
-        one :meth:`_commit_many` drops the snapshots and bumps the
-        version of every user with at least one op before the locks
-        release.  Readers observe exactly the :meth:`apply_and_publish`
-        contract: old state at the old version or batch-applied state at
-        the new one, one bump per touched user.  The mirror is *not*
-        written here — it refreshes lazily on the next read, which sees
-        the bumped version.  Returns ``(per-item applied counts,
-        versions)``.
+        time, so no cycle is possible), the repository's
+        ``batch_apply_ops`` applies it without looking at it again
+        (vectorized against row ranges on a columnar store, sequentially
+        on the object store), and one :meth:`_commit_many` drops the
+        snapshots and bumps the version of every user with at least one
+        op before the locks release.  Readers see old state at the old
+        version or batch-applied state at the new one — never the
+        mutation at the old version — and one bump per touched user.
+        The mirror is *not* written here — it refreshes lazily on the
+        next read, which sees the bumped version.  Returns ``(per-item
+        applied counts, versions)``; bump the batch-level
+        :attr:`global_version` separately with :meth:`mark_batch`.
 
-        Requires a columnar repository (``batch_apply_ops``) and raises
-        ``TypeError`` otherwise: validation precedes every mutation, so
-        a raising call leaves state, versions and locks untouched and
-        callers may safely fall back to the per-user scalar path — a
-        guarantee an object-backed sequential apply (which can fail
-        mid-sequence, half-applied and uninvalidated) cannot make.
+        A batch rejected by validation raises with nothing touched.  If
+        the apply itself raises, a prefix may be in place, so every user
+        of the batch is published before the error propagates.
         """
-        if not callable(getattr(self.repository, "batch_apply_ops", None)):
-            raise TypeError(
-                "apply_batch_and_publish needs a columnar repository "
-                "(batch_apply_ops); use apply_and_publish per user"
-            )
         batch = validate_batch_ops(items)
         ids = sorted(batch.user_ids)
         locks = list(map(self._user_locks.get, ids))
@@ -356,7 +327,11 @@ class SumCache:
         for lock in locks:
             lock.acquire()
         try:
-            counts = self.repository.batch_apply_ops(batch, policy)
+            try:
+                counts = self.repository.batch_apply_ops(batch, policy)
+            except BaseException:  # a prefix may be in place: publish it
+                self._commit_many(batch.user_ids)
+                raise
             touched = [uid for uid, ops in batch if ops]
             self._commit_many(touched)
             versions = {uid: self._versions.get(uid, 0) for uid in ids}
@@ -378,7 +353,7 @@ class SumCache:
 
         For writers that mutate the underlying repository directly —
         the offline campaign loop rewarding touched users, a bulk
-        import — rather than through :meth:`apply_and_publish`.  Drops
+        import — rather than through :meth:`apply_batch_and_publish`.  Drops
         the snapshots and bumps each user's version (``None`` means
         every user the repository knows); the whole call counts as one
         batch on :attr:`global_version`.

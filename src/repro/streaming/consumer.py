@@ -14,16 +14,15 @@ Batch processing protocol (at-least-once, batch-atomic visibility):
    double-apply);
 3. group by user — which makes the batch an
    :class:`~repro.core.updates.OpBatch`, canonical from here down — then
-   commit: on a columnar SUM backend the whole batch goes through
+   commit it, on every SUM backend, through
    :meth:`SumCache.apply_batch_and_publish
-   <repro.streaming.cache.SumCache.apply_batch_and_publish>` — validated
-   once, one vectorized apply against row ranges under every touched
-   user's lock;
-   otherwise (or when batch validation rejects an op) each user's slice
-   runs through :meth:`SumCache.apply_and_publish
-   <repro.streaming.cache.SumCache.apply_and_publish>` — either way
-   apply + version bump + snapshot invalidation happen in one lock
-   hold, exactly one version bump per touched user;
+   <repro.streaming.cache.SumCache.apply_batch_and_publish>`: validated
+   once, applied by the store's ``batch_apply_ops`` under every touched
+   user's lock, apply + version bump + snapshot invalidation in that
+   one hold, exactly one version bump per touched user.  A delivery is
+   applied whole or not at all: when validation rejects the batch, the
+   deliveries invalid on their own are dead-lettered and the rest
+   commit again;
 4. hand the applied events to the write-behind writer and mark the batch
    (one global-version bump);
 5. ack everything applied, recording update-to-visible latency samples.
@@ -34,10 +33,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from time import monotonic, perf_counter
 
 from repro.core.reward import ReinforcementPolicy
-from repro.core.updates import OpBatch, apply_ops
+from repro.core.sum_store import validate_batch_ops
+from repro.core.updates import OpBatch
 from repro.lifelog.events import Event
 from repro.obs.metrics import (
     SIZE_BUCKETS,
@@ -107,8 +108,8 @@ class ShardWorker(threading.Thread):
         super().__init__(name=f"sum-shard-{partition.partition}", daemon=True)
         if getattr(cache.repository, "readonly", False):
             # Fail at wiring time, not per delivery: a read-only mmap
-            # replica can never commit, and the scalar fallback would
-            # just dead-letter the whole stream one batch at a time.
+            # replica can never commit, so every commit would just
+            # dead-letter the whole stream one batch at a time.
             raise TypeError(
                 "cannot consume into a read-only (mmap-loaded) SUM store; "
                 "run shard workers against the writable primary"
@@ -192,6 +193,14 @@ class ShardWorker(threading.Thread):
             settled.add(id(delivery))
             self.partition.nack(delivery)
 
+    def _reject(self, deliveries: list[Delivery], settled: set[int]) -> None:
+        """Dead-letter without retry — at-most-once past the apply stage."""
+        self.stats.failed += len(deliveries)
+        self._m_failed.inc(len(deliveries))
+        for delivery in deliveries:
+            settled.add(id(delivery))
+            self.partition.reject(delivery)
+
     def _process(self, batch: list[Delivery]) -> None:
         """Process one batch, guaranteeing every delivery settles.
 
@@ -205,11 +214,7 @@ class ShardWorker(threading.Thread):
         try:
             self._process_settling(batch, settled)
         except Exception:
-            leaked = [d for d in batch if id(d) not in settled]
-            self.stats.failed += len(leaked)
-            self._m_failed.inc(len(leaked))
-            for delivery in leaked:
-                self.partition.reject(delivery)
+            self._reject([d for d in batch if id(d) not in settled], settled)
 
     def _drop_expired(
         self, batch: list[Delivery], settled: set[int]
@@ -273,9 +278,7 @@ class ShardWorker(threading.Thread):
             self._nack_in_order(unmappable, settled)
         mapped_at = perf_counter()
 
-        applied = self._apply_batch_columnar(per_user)
-        if applied is None:
-            applied = self._apply_per_user(per_user, settled)
+        applied = self._commit(per_user, settled)
         committed_at = perf_counter()
         if self.batcher is not None and applied:
             self.batcher.record(len(applied), committed_at - mapped_at)
@@ -334,92 +337,58 @@ class ShardWorker(threading.Thread):
                 tracer.add(trace_id, "worker.commit", mapped_at, committed_at)
                 tracer.add(trace_id, "cache.publish", committed_at, visible_at)
 
-    def _apply_batch_columnar(
-        self, per_user: dict[int, list[Delivery]]
-    ) -> list[Delivery] | None:
-        """Commit the whole batch as row-range slices on a columnar store.
+    def _commit(
+        self, per_user: dict[int, list[Delivery]], settled: set[int]
+    ) -> list[Delivery]:
+        """Commit the batch once, on any backend; returns what applied.
 
-        Only taken when the cache's repository is columnar
-        (``batch_apply_ops``).  ``per_user`` *is* the canonical batch —
-        unique int ids in first-appearance order, each user's ops in
-        delivery order — so it is handed down as an
-        :class:`~repro.core.updates.OpBatch` and no layer below
-        normalises it again.  The cache validates every op *before*
-        taking a lock or mutating anything, so a validation failure
-        (returning ``None`` here) safely falls through to the per-user
-        scalar path with its per-delivery error isolation — no
-        double-apply is possible.
+        ``per_user`` *is* the canonical batch — unique int ids in
+        first-appearance order, each user's ops in delivery order — so
+        it is handed down as an :class:`~repro.core.updates.OpBatch` and
+        no layer below normalises it again.  A raising commit is one of
+        two failures, told apart by ``batch.validated``:
+
+        * *rejected* — validation failed, nothing was applied: the
+          deliveries invalid on their own are dead-lettered and the rest
+          commit again (if none is invalid alone, the whole batch is
+          dead-lettered, so there is no loop);
+        * *failed after validation* — a prefix may be applied, and the
+          cache has published every user of the batch: the whole batch
+          is dead-lettered, since a retry could double-apply.
         """
         if not per_user:
             return []
-        batch_apply = getattr(self.cache, "apply_batch_and_publish", None)
-        if batch_apply is None or not callable(
-            getattr(self.cache.repository, "batch_apply_ops", None)
-        ):
-            return None
         ops = [
             slice_[0].mapped[1] if len(slice_) == 1
             else tuple(chain.from_iterable(d.mapped[1] for d in slice_))
             for slice_ in per_user.values()
         ]
+        batch = OpBatch(list(per_user), ops)
+        deliveries = list(chain.from_iterable(per_user.values()))
         try:
-            counts, __ = batch_apply(OpBatch(list(per_user), ops), self.policy)
-        except (KeyError, TypeError, ValueError):
-            # Pre-mutation validation rejected an op; the scalar path
-            # will isolate and dead-letter the offending delivery.
-            return None
-        self.stats.ops_applied += sum(counts)
-        return list(chain.from_iterable(per_user.values()))
+            counts, __ = self.cache.apply_batch_and_publish(batch, self.policy)
+        except Exception:
+            poison = [] if batch.validated else [
+                d for d in deliveries if not _valid_alone(d)
+            ]
+        else:
+            self.stats.ops_applied += sum(counts)
+            return deliveries
+        if not poison:  # failed after validation, or no culprit alone
+            poison = deliveries
+        self._reject(sorted(poison, key=attrgetter("offset")), settled)
+        bad = set(map(id, poison))
+        rest: dict[int, list[Delivery]] = {}
+        for delivery in deliveries:
+            if id(delivery) not in bad:
+                rest.setdefault(delivery.mapped[0], []).append(delivery)
+        return self._commit(rest, settled)
 
-    def _apply_per_user(
-        self, per_user: dict[int, list[Delivery]], settled: set[int]
-    ) -> list[Delivery]:
-        """The scalar commit path: one lock hold per user, per-delivery
-        error isolation (see the class docstring's batch protocol)."""
-        applied: list[Delivery] = []
-        for user_id, slice_ in per_user.items():
-            ok: list[Delivery] = []
-            bad: list[Delivery] = []
-            ops_applied = [0]
 
-            def apply_user(model, slice_=slice_, ok=ok, bad=bad,
-                           ops_applied=ops_applied):
-                total = 0
-                for delivery in slice_:
-                    # Per-delivery isolation: one failing apply must not
-                    # poison its neighbours or kill the shard.
-                    try:
-                        total += apply_ops(
-                            model, delivery.mapped[1], self.policy
-                        )
-                    except Exception:
-                        bad.append(delivery)
-                    else:
-                        ok.append(delivery)
-                ops_applied[0] = total
-                # A failed delivery may have applied a prefix of its ops
-                # before raising, so a bad slice must still commit (bump
-                # the version, invalidate the snapshot) even if no
-                # delivery completed cleanly.
-                return total if not bad else max(total, 1)
-
-            # Apply + version bump + snapshot invalidation in one lock
-            # hold, so readers never observe the mutation at the old
-            # version (no bump when nothing applied).
-            try:
-                self.cache.apply_and_publish(user_id, apply_user)
-            except Exception:
-                self._nack_in_order(slice_, settled)
-                continue
-            self.stats.ops_applied += ops_applied[0]
-            if bad:
-                # Straight to the dead-letter list: the delivery's side
-                # effects may be partially in place, so a retry would
-                # double-apply — at-most-once past the apply stage.
-                self.stats.failed += len(bad)
-                self._m_failed.inc(len(bad))
-                for delivery in bad:
-                    settled.add(id(delivery))
-                    self.partition.reject(delivery)
-            applied.extend(ok)
-        return applied
+def _valid_alone(delivery: Delivery) -> bool:
+    """Whether one delivery's ops pass batch validation on their own."""
+    try:
+        validate_batch_ops((delivery.mapped,))
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True

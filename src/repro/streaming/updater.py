@@ -11,8 +11,8 @@
            ShardWorker  ShardWorker  …          one thread per partition
                 │            │
                 │ mapper: event ──▶ reward/punish/decay ops
-                │ cache.apply_and_publish: apply ops + version bump
-                │   in one per-user lock hold
+                │ cache.apply_batch_and_publish: apply ops + version
+                │   bumps under the touched users' locks
                 │ write-behind ──▶ EventLog.extend (batched)
                 └─▶ cache.mark_batch: one global bump per batch
                           │
@@ -93,9 +93,9 @@ class StreamingUpdater:
     sums:
         The live SUM collection to update — an object-backed
         :class:`~repro.core.sum_model.SumRepository` or the columnar
-        :class:`~repro.core.sum_store.ColumnarSumStore` (workers then
-        commit whole batch slices vectorized against row ranges).
-        Workers create SUMs on first contact, like the offline loop.
+        :class:`~repro.core.sum_store.ColumnarSumStore`.  Workers commit
+        whole batches through its ``batch_apply_ops`` and create SUMs on
+        first contact, like the offline loop.
     item_emotions:
         ``str(item_id) -> emotions`` mapping for the update mapper (see
         :meth:`~repro.datagen.catalog.CourseCatalog.emotion_links`).

@@ -3,7 +3,7 @@
 The columnar store's correctness contract: for *arbitrary* interleavings
 of Decay/Reward/Punish ops — duplicate attributes inside one op,
 duplicate users across batch items, clamp-saturating strengths, any
-policy knobs — :func:`repro.core.updates.apply_ops_batch` over a
+policy knobs — :meth:`ColumnarSumStore.batch_apply_ops` over a
 columnar shard leaves every user in exactly (``==``, not approximately)
 the state sequential :func:`repro.core.updates.apply_op` produces on the
 object backend.  The JSON serializations must therefore also be equal
@@ -24,7 +24,6 @@ from repro.core.updates import (
     PunishOp,
     RewardOp,
     apply_ops,
-    apply_ops_batch,
 )
 
 # duplicates allowed on purpose: one op rewarding ("shy", "shy") must
@@ -65,7 +64,7 @@ def test_batch_apply_bit_equal_to_sequential(items, policy):
         apply_ops(reference.get_or_create(user_id), user_ops, policy)
 
     store = ColumnarSumStore()
-    counts = apply_ops_batch(store, items, policy)
+    counts = store.batch_apply_ops(items, policy)
 
     assert counts == [len(user_ops) for __, user_ops in items]
     assert store.dumps() == reference.dumps()
@@ -74,11 +73,11 @@ def test_batch_apply_bit_equal_to_sequential(items, policy):
 @settings(max_examples=100, deadline=None)
 @given(batch_items, policies)
 def test_batch_apply_on_object_repo_matches_columnar(items, policy):
-    # the dispatcher's scalar fallback and the vectorized path agree
+    # the object store's sequential reference and the vectorized path agree
     repo = SumRepository()
     store = ColumnarSumStore()
-    assert apply_ops_batch(repo, items, policy) == apply_ops_batch(
-        store, items, policy
+    assert repo.batch_apply_ops(items, policy) == store.batch_apply_ops(
+        items, policy
     )
     assert repo.dumps() == store.dumps()
 
@@ -87,7 +86,7 @@ def test_batch_apply_on_object_repo_matches_columnar(items, policy):
 @given(batch_items, policies)
 def test_json_and_catalog_round_trips_preserve_state(tmp_path_factory, items, policy):
     store = ColumnarSumStore()
-    apply_ops_batch(store, items, policy)
+    store.batch_apply_ops(items, policy)
     payload = store.dumps()
 
     # JSON import/export path (SumRepository-compatible both ways)

@@ -181,8 +181,8 @@ def test_replica_serves_cache_version_floors(tmp_path):
     for uid in range(4):
         primary.get_or_create(uid)
     for __ in range(3):  # user 1 published three times
-        cache.apply_and_publish(
-            1, lambda m: POLICY.reward(m, ("enthusiastic",), 1.0) or 1
+        cache.apply_batch_and_publish(
+            [(1, (RewardOp(("enthusiastic",), 1.0),))], POLICY
         )
     cache.mark_batch()
     Checkpointer(primary, tmp_path / "state", cache=cache).checkpoint()

@@ -213,11 +213,9 @@ def test_unknown_emotion_names_rejected_at_construction():
 def test_apply_failure_dead_letters_without_retry_or_killing_the_shard(
     sum_backend_cls,
 ):
-    # An op that fails mid-apply may have left side effects, so it goes
-    # straight to the dead-letter list (no double-applying retries) and
-    # the shard keeps consuming.  On the columnar backend the batch
-    # validation rejects the poison op *before* mutating, and the shard
-    # falls back to the scalar path for the same dead-letter outcome.
+    # On every backend, batch validation rejects the poison op before
+    # anything mutates; the worker dead-letters the delivery carrying it
+    # (no retry), commits the rest, and the shard keeps consuming.
     from repro.core.reward import ReinforcementPolicy as Policy
     from repro.core.updates import RewardOp
     from repro.streaming.bus import PartitionQueue
@@ -227,7 +225,7 @@ def test_apply_failure_dead_letters_without_retry_or_killing_the_shard(
     class StubMapper:
         def ops(self, event):
             if event.action == "poison":
-                return (object(),)  # apply_ops raises TypeError on this
+                return (object(),)  # validation raises TypeError on this
             return (RewardOp(("shy",), 1.0),)
 
         def tick_ops(self, user_id):

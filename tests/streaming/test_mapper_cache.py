@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_model import SumRepository
 from repro.core.updates import DecayOp, PunishOp, RewardOp
 from repro.lifelog.events import ActionCategory, Event
@@ -9,6 +10,7 @@ from repro.streaming.cache import SumCache
 from repro.streaming.mapper import EventUpdateMapper, MapperConfig
 
 ITEM_EMOTIONS = {"7": ("enthusiastic", "motivated"), "9": ("shy",)}
+POLICY = ReinforcementPolicy()
 
 
 def event(action="course_view", category=ActionCategory.NAVIGATION,
@@ -165,15 +167,13 @@ class TestSumCache:
         sums.get_or_create(1).activate_emotion("shy", 0.2)
         cache = SumCache(sums)
         assert cache.get(1).emotional["shy"] == pytest.approx(0.2)
-        def bump(model):
-            model.activate_emotion("shy", 0.3)
-            return 1  # ops applied
-
-        applied, version = cache.apply_and_publish(1, bump)
-        assert applied == 1
-        assert version == 1 == cache.version(1)
+        counts, versions = cache.apply_batch_and_publish(
+            [(1, (RewardOp(("shy",), 1.0),))], POLICY
+        )
+        assert counts == [1]
+        assert versions == {1: 1} and cache.version(1) == 1
         # visible immediately at the new version — no mutate/publish gap
-        assert cache.get(1).emotional["shy"] == pytest.approx(0.5)
+        assert cache.get(1).emotional["shy"] == pytest.approx(0.4)
         assert cache.global_version == 0  # batches are marked separately
         assert cache.mark_batch() == 1
 
@@ -181,8 +181,8 @@ class TestSumCache:
         sums = SumRepository()
         sums.get_or_create(1)
         cache = SumCache(sums)
-        applied, version = cache.apply_and_publish(1, lambda m: 0)
-        assert (applied, version) == (0, 0)
+        counts, versions = cache.apply_batch_and_publish([(1, ())], POLICY)
+        assert (counts, versions) == ([0], {1: 0})
         assert cache.version(1) == 0
 
     def test_invalidate_empty_is_noop(self):

@@ -8,7 +8,6 @@ batch-applied state at the bumped version.  Never a torn read.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,11 +129,18 @@ def test_zero_op_batches_do_not_bump_or_invalidate():
     }
 
 
-def test_object_backend_rejects_batch_publish():
+def test_object_backend_batch_publish_matches_columnar():
     from repro.core.sum_model import SumRepository
 
-    cache = SumCache(SumRepository())
-    with pytest.raises(TypeError, match="columnar"):
-        cache.apply_batch_and_publish(
-            [(1, (RewardOp(("shy",), 1.0),))], POLICY
-        )
+    items = [
+        (1, (RewardOp(("shy",), 1.0),)),
+        (2, (PunishOp(("shy", "shy"), 0.5), DecayOp())),
+        (1, (DecayOp(), RewardOp(("shy", "lively"), 0.3))),  # duplicate id
+        (3, ()),
+    ]
+    results = []
+    for store in (SumRepository(), ColumnarSumStore()):
+        published = SumCache(store).apply_batch_and_publish(items, POLICY)
+        results.append((published, store.dumps()))
+    assert results[0] == results[1]
+    assert results[0][0] == ([1, 2, 2, 0], {1: 1, 2: 1, 3: 0})
