@@ -13,8 +13,9 @@ states by construction), then measures the serving read path —
 while batches keep landing between reads:
 
 * **object-snapshot baseline** — ``SumCache`` over ``SumRepository``:
-  every touched user's snapshot is rebuilt through the dict round trip,
-  then the Advice stage does per-model scalar reads;
+  every touched user's snapshot is rebuilt from one ``to_dict()`` copy
+  (sealed by ``frozen_model``; no ``from_dict``), then the Advice stage
+  does per-model scalar reads;
 * **columnar snapshots** — ``SumCache`` over ``ColumnarSumStore``: the
   first read after each publish refreshes the touched rows in the
   mirror, then everything is column slices.
@@ -25,7 +26,7 @@ Assertions, not just numbers:
 * the columnar read path performs **zero** ``to_dict``/``from_dict``
   object rebuilds and materializes zero per-user snapshots
   (allocation-free of per-user work); the object baseline demonstrably
-  pays thousands;
+  pays one ``to_dict`` per rebuilt snapshot;
 * columnar reads are ≥ ``SPEEDUP_FLOOR`` faster.
 
 Smoke mode for CI (smaller population, relaxed floor)::

@@ -1,10 +1,11 @@
 """Rule SN — snapshot immutability.
 
-Published snapshots (:class:`~repro.core.sum_store.FrozenSumBatch`,
-frozen row views from ``freeze_view``) are the serving plane's
-consistency boundary: readers hold them lock-free *because* nothing
-mutates them.  The arrays enforce that at runtime (``writeable=False``);
-these rules enforce it statically, before a rarely-taken path trips the
+Published snapshots (:class:`~repro.core.sum_store.FrozenSumBatch`
+captures, and the sealed per-user models every backend's
+``freeze_view`` returns) are the serving plane's consistency boundary:
+readers hold them lock-free *because* nothing mutates them.  The runtime
+enforces that (read-only arrays, mapping proxies, sealed classes); these
+rules enforce it statically, before a rarely-taken path trips the
 runtime guard in production.
 
 * **SN001** — mutation of a frozen snapshot: attribute/item assignment
@@ -32,7 +33,7 @@ from repro.analysis.core import (
 )
 
 #: classes whose instances are immutable captures
-FROZEN_TYPES = frozenset({"FrozenSumBatch", "_FrozenRowStore", "_FrozenFamily"})
+FROZEN_TYPES = frozenset({"FrozenSumBatch", "_FrozenFamily"})
 
 #: zero-argument-receiver calls that produce a frozen capture
 FROZEN_PRODUCERS = frozenset({"freeze_view"})

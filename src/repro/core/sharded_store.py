@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.sum_model import SumRepository, UnknownUserError
+from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import (
     ColumnarSumStore,
     SumBatch,
@@ -312,7 +312,7 @@ class ShardedSumStore:
         """Fetch an existing SUM view; raises for unknown users."""
         return self.shard_for(user_id).get(user_id)
 
-    def freeze_view(self, user_id: int) -> SumRowView:
+    def freeze_view(self, user_id: int) -> SmartUserModel:
         """Immutable point-in-time copy of one user's SUM (see the shard)."""
         return self.shard_for(user_id).freeze_view(user_id)
 

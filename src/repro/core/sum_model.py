@@ -25,11 +25,13 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.core.emotions import (
+    EMOTION_CATALOG,
     EMOTION_NAMES,
     EmotionalState,
     clamp01,
@@ -230,6 +232,68 @@ class SmartUserModel:
         )
 
 
+_SEALED_CLASSES: dict[type, type] = {}
+
+
+def seal_attributes(obj: object) -> object:
+    """Reject all future attribute rebinding on ``obj``.
+
+    The last layer of snapshot freezing: mapping proxies stop item
+    writes, but a plain ``snapshot.sensibility = {...}`` would still swap
+    a whole family out from under every reader sharing the cached
+    snapshot.  Swapping in a sealed subclass keeps ``isinstance`` intact
+    while making any later ``setattr`` raise.
+    """
+    cls = obj.__class__
+    sealed = _SEALED_CLASSES.get(cls)
+    if sealed is None:
+        def __setattr__(self: Any, name: str, value: Any) -> None:
+            raise TypeError(
+                f"snapshot is read-only; cannot set attribute {name!r}"
+            )
+
+        sealed = type(f"_Sealed{cls.__name__}", (cls,), {"__setattr__": __setattr__})
+        _SEALED_CLASSES[cls] = sealed
+    obj.__class__ = sealed
+    return obj
+
+
+#: ``to_dict()`` key of each Four-Branch score -> the branch
+_BRANCH_OF = {branch.value: branch for branch in BRANCH_ORDER}
+
+
+def frozen_model(payload: dict[str, Any]) -> SmartUserModel:
+    """What every backend's ``freeze_view`` returns: a sealed, read-only
+    model over one :meth:`~SmartUserModel.to_dict`-shaped ``payload``.
+
+    The payload is live state its caller just copied, so it is adopted
+    through ``__new__``: nothing re-clamped, nothing default-constructed.
+    Families become mapping proxies, question sets frozensets, and the
+    model, ``emotional`` and ``ei_profile`` are sealed — every write raises.
+    """
+    emotional = EmotionalState.__new__(EmotionalState)
+    emotional.intensities = MappingProxyType(payload["emotional"])
+    emotional.catalog = EMOTION_CATALOG
+    ei_profile = FourBranchProfile.__new__(FourBranchProfile)
+    ei_profile.scores = MappingProxyType(
+        {_BRANCH_OF[key]: score for key, score in payload["ei_profile"].items()}
+    )
+    model = SmartUserModel.__new__(SmartUserModel)
+    model.user_id = payload["user_id"]
+    model.objective = MappingProxyType(payload["objective"])
+    model.subjective = MappingProxyType(payload["subjective"])
+    model.emotional = emotional
+    model.ei_profile = ei_profile
+    model.sensibility = MappingProxyType(payload["sensibility"])
+    model.evidence = MappingProxyType(payload["evidence"])
+    model.asked_questions = frozenset(payload["asked_questions"])
+    model.answered_questions = frozenset(payload["answered_questions"])
+    seal_attributes(emotional)
+    seal_attributes(ei_profile)
+    seal_attributes(model)
+    return model
+
+
 class SumRepository:
     """The SUM collection SPA maintains for the whole population."""
 
@@ -255,6 +319,11 @@ class SumRepository:
             return self._models[int(user_id)]
         except KeyError:
             raise UnknownUserError([user_id]) from None
+
+    def freeze_view(self, user_id: int) -> SmartUserModel:
+        """An immutable copy of one user's SUM: :func:`frozen_model` over
+        one ``to_dict()``, taken under the caller's user write lock."""
+        return frozen_model(self.get(user_id).to_dict())
 
     def __contains__(self, user_id: object) -> bool:
         return user_id in self._models

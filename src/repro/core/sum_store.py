@@ -31,7 +31,10 @@ keeps working unchanged on top of the columns.  Scalar mutations through
 a view and vectorized mutations through :meth:`ColumnarSumStore.
 batch_apply_ops` are bit-equal by construction: both run the same IEEE
 double operations, just batched differently (the property suite in
-``tests/properties/test_columnar_batch.py`` pins this down).
+``tests/properties/test_columnar_batch.py`` pins this down).  A view's
+``to_dict()`` is one row copy taken inside the row's seqlock windows;
+:meth:`ColumnarSumStore.freeze_view` seals that copy into a plain
+``SmartUserModel`` (``frozen_model``), the type every backend returns.
 
 Persistence is columnar too: :meth:`ColumnarSumStore.save` writes the
 population as dense, mmap-able ``.npy`` column pages through the
@@ -45,6 +48,7 @@ import json
 import math
 import threading
 from collections.abc import MutableMapping
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -66,7 +70,7 @@ from repro.core.emotions import (
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
 from repro.core.seqlock import Seqlock, SeqlockStarved
-from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
+from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError, frozen_model
 from repro.core.updates import (
     BatchItems,
     DecayOp,
@@ -108,11 +112,6 @@ class _MutationClock:
         self.value += 1
 
 
-#: absorbs the odd/even bumps of a write through a frozen view — the
-#: read-only arrays reject the write itself, and nothing ever reads this
-_FROZEN_ROW_GEN = Seqlock(np.zeros(1, dtype=np.int64))
-
-
 # Column families share their owning store's RLock (one serialization
 # domain per store), so "_ColumnFamily.lock" is the same runtime object
 # as "ColumnarSumStore._lock" and the analyzer treats them as one node;
@@ -130,17 +129,20 @@ declare_lock(
 # (or read_many) — or under the writer lock, which excludes every bump.
 declare_seqlock(
     "ColumnarSumStore.row_generations",
-    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows"),
+    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows", "_row_payload"),
     writer_lock="ColumnarSumStore._lock",
 )
 # One more cell for the column layout: odd while compact_vocab() swaps
 # family registries and arrays.  Whatever slices columns by position —
-# a frozen row, a staged mirror capture — runs inside one even window.
+# a row payload, a staged mirror capture — runs inside one even window.
 declare_seqlock(
     "ColumnarSumStore.layout_epoch",
-    protects=("_freeze_row", "_capture_staged"),
+    protects=("_row_payload", "_capture_staged"),
     writer_lock="ColumnarSumStore._lock",
 )
+
+#: ``to_dict()`` keys of the EI block's columns
+_BRANCH_KEYS = tuple(branch.value for branch in BRANCH_ORDER)
 
 #: the frozen emotion vocabulary every store shares; batch-op validation
 #: checks against it so the check is store-independent (a sharded router
@@ -201,32 +203,6 @@ def validate_batch_ops(items: BatchItems) -> OpBatch:
                 raise TypeError(f"unknown SUM update op {op!r}")
     batch.validated = True
     return batch
-
-
-_SEALED_CLASSES: dict[type, type] = {}
-
-
-def seal_attributes(obj: object) -> object:
-    """Reject all future attribute rebinding on ``obj``.
-
-    The last layer of snapshot freezing: read-only arrays and mapping
-    proxies stop item writes, but a plain ``snapshot.sensibility = {...}``
-    would still swap a whole family out from under every reader sharing
-    the cached snapshot.  Swapping in a sealed subclass keeps
-    ``isinstance`` intact while making any later ``setattr`` raise.
-    """
-    cls = obj.__class__
-    sealed = _SEALED_CLASSES.get(cls)
-    if sealed is None:
-        def __setattr__(self: Any, name: str, value: Any) -> None:
-            raise TypeError(
-                f"snapshot is read-only; cannot set attribute {name!r}"
-            )
-
-        sealed = type(f"_Sealed{cls.__name__}", (cls,), {"__setattr__": __setattr__})
-        _SEALED_CLASSES[cls] = sealed
-    obj.__class__ = sealed
-    return obj
 
 
 def _masked_matrix(
@@ -346,6 +322,15 @@ class _ColumnFamily:
         """``(len(rows), len(names))`` values; absent entries → ``default``."""
         return _masked_matrix(self, rows, names, default)
 
+    def row_dict(self, row: int) -> dict[str, Any]:
+        """``row``'s present entries as ``{name: value}`` (Python scalars)."""
+        order = self.order
+        width = len(order)
+        return dict(compress(
+            zip(order, self.values[row, :width].tolist()),
+            self.mask[row, :width].tolist(),
+        ))
+
     @requires_lock("lock")
     def grow_rows(self, new_capacity: int) -> None:
         grown_v = self._alloc((new_capacity, self.values.shape[1]), self._dtype)
@@ -358,16 +343,13 @@ class _ColumnFamily:
 class _FrozenFamily:
     """Read-only point-in-time copy of some rows of a column family.
 
-    Shares the owning family's append-only ``index``/``order`` registries
-    (bounded by the captured ``width``) instead of rebuilding them, so a
-    capture allocates nothing beyond the row slices themselves.  The
-    value and mask arrays are marked non-writeable: any mutation attempt
-    through a view raises instead of silently diverging from the live
-    store — the "immutable-by-convention" era of snapshots is over.
+    What a mirror capture hands a :class:`FrozenSumBatch`: the captured
+    rows' value and mask slices, marked non-writeable (a mutation attempt
+    raises instead of silently diverging from the live store), plus the
+    owning family's ``index`` registry, bounded by the captured ``width``.
     """
 
-    __slots__ = ("index", "order", "width", "values", "mask", "lock",
-                 "clock", "row_gen")
+    __slots__ = ("index", "width", "values", "mask")
 
     def __init__(
         self,
@@ -382,25 +364,10 @@ class _FrozenFamily:
         # columns are mask-False for every captured row — interning them
         # did not touch these users, or their version would have bumped).
         self.width = min(len(order), values.shape[1])
-        self.order = list(order[: self.width])
         self.values = values
         self.mask = mask
         values.flags.writeable = False
         mask.flags.writeable = False
-        # satisfies the row-view locking protocol; the arrays still raise
-        self.lock = threading.Lock()
-        # absorbs the pre-write clock bump; the read-only arrays still
-        # reject the write itself
-        self.clock = _MutationClock()
-        # frozen rows have no live writers or lock-free readers
-        self.row_gen = _FROZEN_ROW_GEN
-
-    @classmethod
-    def capture(cls, family: _ColumnFamily, rows: np.ndarray) -> "_FrozenFamily":
-        """Freeze ``rows`` of a live family (fancy indexing copies)."""
-        return cls(
-            family.index, family.order, family.values[rows], family.mask[rows]
-        )
 
     def column_of(self, name: str) -> int | None:
         j = self.index.get(name)
@@ -420,38 +387,6 @@ class _FrozenFamily:
     ) -> np.ndarray:
         """Same contract as :meth:`_ColumnFamily.read_matrix`."""
         return _masked_matrix(self, rows, names, default)
-
-
-class _FrozenRowStore:
-    """One user's row, captured across every family and frozen.
-
-    Quacks like :class:`ColumnarSumStore` just enough to back a
-    :class:`SumRowView` (families, EI block, cold per-row state), so the
-    full scalar :class:`SmartUserModel` API works on the snapshot — and
-    every write path raises: array writes hit read-only buffers, interning
-    raises in :class:`_FrozenFamily`, and the cold state is proxied.
-    """
-
-    __slots__ = ("_emotional", "_sensibility", "_subjective", "_evidence",
-                 "_ei", "_objective", "_asked", "_answered", "_lock",
-                 "_clock")
-
-    def __init__(self, store: "ColumnarSumStore", row: int) -> None:
-        rows = np.asarray([row], dtype=np.intp)
-        self._emotional = _FrozenFamily.capture(store._emotional, rows)
-        self._sensibility = _FrozenFamily.capture(store._sensibility, rows)
-        self._subjective = _FrozenFamily.capture(store._subjective, rows)
-        self._evidence = _FrozenFamily.capture(store._evidence, rows)
-        ei = store._ei[rows]
-        ei.flags.writeable = False
-        self._ei = ei
-        self._objective = (MappingProxyType(dict(store._objective[row])),)
-        self._asked = (frozenset(store._asked[row]),)
-        self._answered = (frozenset(store._answered[row]),)
-        self._lock = threading.RLock()
-        # writes through a frozen view still raise (read-only arrays /
-        # proxied cold state); the clock only absorbs the pre-write bump
-        self._clock = _MutationClock()
 
 
 class FrozenSumBatch:
@@ -841,6 +776,11 @@ class SumRowView(SmartUserModel):
             self._store._clock.bump()
             self._store._answered[self._row] = set(value)
 
+    def to_dict(self) -> dict[str, Any]:
+        """:meth:`SmartUserModel.to_dict` as one consistent row copy
+        (see :meth:`ColumnarSumStore.freeze_view`)."""
+        return self._store._read_row(self._row, self.user_id)
+
 
 class SumBatch:
     """A resolved batch of users: row indices + column-sliced reads.
@@ -1166,40 +1106,46 @@ class ColumnarSumStore:
         )
         return SumBatch(self, ids, self.rows_for(ids, create=create))
 
-    def freeze_view(self, user_id: int) -> SumRowView:
+    def freeze_view(self, user_id: int) -> SmartUserModel:
         """An immutable point-in-time copy of one user's SUM.
 
-        Captures the row's column slices directly — no ``to_dict()`` /
-        ``from_dict()`` object rebuild — and returns a full
-        :class:`SmartUserModel` view whose every write raises (item
-        writes via the frozen arrays/families, attribute rebinding via
-        :func:`seal_attributes`).  The caller is responsible for
-        quiescing the user's writers during the capture (the streaming
-        cache holds the user's write lock); a concurrent
-        :meth:`compact_vocab` is tolerated by capturing inside one
-        layout-epoch window.
+        :func:`~repro.core.sum_model.frozen_model` over one
+        :meth:`_read_row` copy (the sealed type every backend returns), so
+        neither a commit — from this process or a worker process writing
+        the same pages — nor a :meth:`compact_vocab` can tear it.
         """
         user_id = int(user_id)
-        row = self.row_index(user_id)
+        return frozen_model(self._read_row(self.row_index(user_id), user_id))
+
+    def _read_row(self, row: int, user_id: int) -> dict[str, Any]:
+        """:meth:`_row_payload` inside one row-generation window, nested in
+        one layout-epoch window; a starved read copies once under the
+        writer lock, as the mirror's row copy does."""
         try:
-            frozen = self.layout_epoch.read(0, self._freeze_row, row)
+            return self.layout_epoch.read(0, lambda: self.row_generations.read(
+                row, self._row_payload, row, user_id
+            ))
         except SeqlockStarved:
-            with self._lock:  # starved: exclude compaction outright
-                frozen = self._freeze_row(row)
-        view = SumRowView(frozen, user_id, 0)
-        seal_attributes(view.emotional)
-        seal_attributes(view.ei_profile)
-        seal_attributes(view)
-        return view
+            with self._lock:  # starved: exclude writers outright
+                return self._row_payload(row, user_id)
 
-    def _freeze_row(self, row: int) -> "_FrozenRowStore":
-        """One raw capture of ``row`` across every family.
+    def _row_payload(self, row: int, user_id: int) -> dict[str, Any]:
+        """``row`` as a :meth:`SmartUserModel.to_dict` payload (raw copy).
 
-        Protected by the layout-epoch seqlock: a compaction swapping
-        registries and arrays mid-capture would pair one family's old
-        index with another's new columns.
+        Protected by both seqlocks: a commit mid-copy would pair new
+        values with old ones, a compaction old registries with new columns.
         """
-        return _FrozenRowStore(self, row)
+        return {
+            "user_id": user_id,
+            "objective": dict(self._objective[row]),
+            "subjective": self._subjective.row_dict(row),
+            "emotional": self._emotional.row_dict(row),
+            "ei_profile": dict(zip(_BRANCH_KEYS, self._ei[row].tolist())),
+            "sensibility": self._sensibility.row_dict(row),
+            "evidence": self._evidence.row_dict(row),
+            "asked_questions": sorted(self._asked[row]),
+            "answered_questions": sorted(self._answered[row]),
+        }
 
     # -- vocabulary compaction ----------------------------------------------
 

@@ -32,6 +32,7 @@ here, only a faithful in-process model of the semantics.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 import zlib
@@ -66,13 +67,15 @@ class PublishTimeout(RuntimeError):
 def partition_for(key: Any, n_partitions: int) -> int:
     """Stable hash-partitioning of a message key.
 
-    Integer keys (user ids) partition by value; anything else goes
-    through CRC-32 of its ``repr``.  Deterministic across processes and
-    runs — required so "which shard owned user *u*" is reproducible.
+    Integer keys (user ids, numpy integers too; not ``bool``) partition by
+    value; anything else goes through CRC-32 of its ``repr``.  Stable
+    across processes and runs, so "which shard owned user *u*" is too.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
-    if isinstance(key, bool) or not isinstance(key, int):
+    if key.__class__ is int:  # the common case, ahead of the ABC check
+        return key % n_partitions
+    if isinstance(key, bool) or not isinstance(key, numbers.Integral):
         return zlib.crc32(repr(key).encode("utf-8")) % n_partitions
     return int(key) % n_partitions
 

@@ -10,13 +10,14 @@ machinery:
   every backend) — dropping the cached snapshots and bumping each
   user's monotonic version counter atomically with the mutation;
 * readers receive **genuinely immutable** snapshots, rebuilt lazily on
-  the first read after a publish.  On a columnar repository the snapshot
-  is a copy of the user's row slices (no ``to_dict()``/``from_dict()``
-  object rebuild) and batch readers get whole column slices through
-  :meth:`SumCache.batch`; on an object repository it is a frozen deep
-  copy.  Either way a mutation attempt on a snapshot *raises* — one
-  misbehaving reader can no longer poison every other reader at that
-  version.
+  the first read after a publish.  A per-user snapshot is the
+  repository's ``freeze_view`` on every backend: a sealed
+  :class:`~repro.core.sum_model.SmartUserModel` built from one
+  ``to_dict()``-shaped copy (on a columnar store, one row copy taken
+  inside the row's seqlock window).  Batch readers of a columnar
+  repository get whole column slices through :meth:`SumCache.batch`.
+  A mutation attempt on a snapshot *raises* — one misbehaving reader
+  can no longer poison every other reader at that version.
 
 Version counters make staleness *observable*: a snapshot at
 ``version(user) == 3`` reflects every batch published up to 3 and
@@ -49,7 +50,6 @@ can run against live mirrors without quiescing anyone.
 from __future__ import annotations
 
 import threading
-from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from repro.analysis.contracts import (
@@ -67,7 +67,6 @@ from repro.core.sum_store import (
     ColumnMirror,
     ColumnarSumStore,
     FrozenSumBatch,
-    seal_attributes,
     validate_batch_ops,
 )
 from repro.core.updates import BatchItems
@@ -137,35 +136,6 @@ class _MirrorShard:
         self.epoch = int(store.layout_epoch.cells[0])
 
 
-def _freeze_object_model(live: SmartUserModel) -> SmartUserModel:
-    """A deep-copied, genuinely immutable snapshot of an object-backed SUM.
-
-    The copy's mapping attributes are re-bound as read-only proxies, its
-    question sets as frozensets, and the instance *and* its nested
-    emotional/EI objects are sealed against attribute rebinding
-    (:func:`~repro.core.sum_store.seal_attributes`) — so every mutation
-    path (scalar attribute writes, ``activate_emotion``, EIT
-    bookkeeping, wholesale attribute swaps like
-    ``snapshot.emotional.intensities = {...}``) raises instead of
-    silently corrupting the snapshot other readers share.
-    """
-    snapshot = SmartUserModel.from_dict(live.to_dict())
-    snapshot.objective = MappingProxyType(snapshot.objective)
-    snapshot.subjective = MappingProxyType(snapshot.subjective)
-    snapshot.sensibility = MappingProxyType(snapshot.sensibility)
-    snapshot.evidence = MappingProxyType(snapshot.evidence)
-    snapshot.emotional.intensities = MappingProxyType(
-        snapshot.emotional.intensities
-    )
-    snapshot.ei_profile.scores = MappingProxyType(snapshot.ei_profile.scores)
-    snapshot.asked_questions = frozenset(snapshot.asked_questions)
-    snapshot.answered_questions = frozenset(snapshot.answered_questions)
-    seal_attributes(snapshot.emotional)
-    seal_attributes(snapshot.ei_profile)
-    seal_attributes(snapshot)
-    return snapshot
-
-
 @guarded_by("_registry_lock", "_user_locks", "_global_version")
 @guarded_by("_lock_for()", "_snapshots", "_versions")
 class SumCache:
@@ -188,7 +158,7 @@ class SumCache:
         self._global_version = 0
         self._registry_lock = make_lock("SumCache._registry_lock")
         self._user_locks: dict[int, threading.Lock] = {}
-        self._columnar = callable(getattr(repository, "freeze_view", None))
+        self._columnar = callable(getattr(repository, "batch", None))
         if self._columnar:
             # One mirror per store partition: a sharded repository exposes
             # its partitions via ``shards`` and routes via ``shard_of``; a
@@ -378,12 +348,9 @@ class SumCache:
 
     def get(self, user_id: int) -> SmartUserModel:
         """Immutable snapshot of one user's SUM at their last published
-        version.
-
-        Columnar repositories are snapshotted as frozen row-slice copies
-        (:meth:`~repro.core.sum_store.ColumnarSumStore.freeze_view` — no
-        dict round trip); object repositories as a frozen deep copy.
-        Either way the snapshot raises on any mutation attempt.
+        version: the repository's ``freeze_view``, a sealed
+        :class:`~repro.core.sum_model.SmartUserModel` on every backend
+        that raises on any mutation attempt.
         """
         user_id = int(user_id)
         snapshot = self._snapshots.get(user_id)
@@ -392,12 +359,7 @@ class SumCache:
         with self._lock_for(user_id):
             snapshot = self._snapshots.get(user_id)
             if snapshot is None:
-                if self._columnar:
-                    snapshot = self.repository.freeze_view(user_id)
-                else:
-                    snapshot = _freeze_object_model(
-                        self.repository.get(user_id)
-                    )
+                snapshot = self.repository.freeze_view(user_id)
                 self._snapshots[user_id] = snapshot
             return snapshot
 

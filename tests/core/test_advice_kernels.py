@@ -173,7 +173,9 @@ class TestMaskedMatrix:
         got = _masked_matrix(family, rows, asked, default)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-        frozen = _FrozenFamily.capture(family, rows)
+        frozen = _FrozenFamily(
+            family.index, family.order, family.values[rows], family.mask[rows]
+        )
         every = np.arange(len(rows), dtype=np.intp)
         assert np.array_equal(frozen.read_matrix(every, asked, default), want)
 

@@ -21,10 +21,12 @@ from repro.core.sharded_store import (
     generation_dirs,
     read_manifest,
 )
+from repro.core.shm_store import MultiProcSumStore
 from repro.core.sum_model import SumRepository, UnknownUserError
 from repro.core.sum_store import ColumnarSumStore, SumBatch
 from repro.core.updates import DecayOp, PunishOp, RewardOp
 from repro.streaming.bus import partition_for
+from repro.streaming.cache import SumCache
 
 POLICY = ReinforcementPolicy()
 
@@ -38,6 +40,25 @@ def populate(sums, n_users=40):
             model.set_sensibility(name, float(rng.uniform(0.1, 0.9)))
         model.set_subjective(f"pref[p{uid % 3}]", float(rng.uniform(0, 1)))
     return sums
+
+
+def test_numpy_integer_ids_are_the_same_users(sum_backend_cls):
+    # numpy integers used to hash through CRC-32 like any non-int key,
+    # so a sharded store looked up a present user on the wrong partition
+    store = sum_backend_cls()
+    try:
+        for uid in range(8):
+            store.get_or_create(uid)
+        cache = SumCache(store)
+        for uid in range(16):
+            assert (np.int64(uid) in store) == (uid in store) == (uid < 8)
+            assert (np.int64(uid) in cache) == (uid in cache)
+        for n in (1, 3, 4):
+            for k in range(40):
+                assert partition_for(np.int64(k), n) == k % n
+    finally:
+        if isinstance(store, MultiProcSumStore):
+            store.close()
 
 
 class TestRouting:

@@ -192,43 +192,6 @@ class TestVectorizedOps:
         assert store.dumps() == before  # untouched
 
 
-class TestFreezeView:
-    def test_freeze_view_matches_live_state(self):
-        __, store = paired_backends()
-        for uid in store.user_ids():
-            assert store.freeze_view(uid).to_dict() == store.get(uid).to_dict()
-
-    def test_freeze_view_is_stable_across_live_writes(self):
-        __, store = paired_backends()
-        frozen = store.freeze_view(3)
-        before = frozen.to_dict()
-        store.get(3).activate_emotion("shy", 0.4)
-        store.get(3).set_subjective("pref[new]", 0.9)
-        assert frozen.to_dict() == before
-
-    def test_freeze_view_raises_on_every_write_family(self):
-        __, store = paired_backends()
-        frozen = store.freeze_view(3)
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            frozen.activate_emotion("shy", 0.1)
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            frozen.set_subjective("pref[x]", 0.5)
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            frozen.set_sensibility("shy", 0.5)
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            frozen.evidence["shy"] = 3
-        with pytest.raises((TypeError, ValueError)):
-            frozen.ei_profile.scores[Branch.MANAGING] = 0.9
-        with pytest.raises(TypeError):
-            frozen.objective = {"age": 1}
-        with pytest.raises((TypeError, AttributeError)):
-            frozen.asked_questions.add("q-9")
-
-    def test_freeze_view_unknown_user(self):
-        with pytest.raises(UnknownUserError):
-            ColumnarSumStore().freeze_view(99)
-
-
 class TestPersistence:
     def test_json_dumps_identical_to_object_backend(self):
         repo, store = paired_backends()

@@ -191,47 +191,6 @@ class TestSumCache:
         assert cache.invalidate() == {}  # empty repository
         assert cache.global_version == 0
 
-    def test_snapshots_are_frozen_and_raise_on_write(self):
-        # One mutating reader used to silently poison every other reader
-        # at that version ("immutable-by-convention"); snapshots are now
-        # genuinely immutable on both backends.
-        sums = SumRepository()
-        sums.get_or_create(5).activate_emotion("shy", 0.2)
-        cache = SumCache(sums)
-        snapshot = cache.get(5)
-        with pytest.raises((TypeError, ValueError)):
-            snapshot.activate_emotion("shy", 0.7)
-        with pytest.raises((TypeError, ValueError)):
-            snapshot.set_subjective("pref", 0.4)
-        with pytest.raises((TypeError, ValueError)):
-            snapshot.set_sensibility("shy", 0.9)
-        with pytest.raises((TypeError, ValueError, AttributeError)):
-            snapshot.asked_questions.add("q-1")
-        # the live model and the shared snapshot are both unharmed
-        assert sums.get(5).emotional["shy"] == pytest.approx(0.2)
-        assert cache.get(5).emotional["shy"] == pytest.approx(0.2)
-
-    def test_columnar_snapshots_are_frozen_row_views(self):
-        from repro.core.sum_store import ColumnarSumStore
-
-        store = ColumnarSumStore()
-        view = store.get_or_create(5)
-        view.activate_emotion("shy", 0.2)
-        view.set_subjective("pref[a]", 0.7)
-        cache = SumCache(store)
-        snapshot = cache.get(5)
-        assert snapshot.to_dict() == store.get(5).to_dict()
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            snapshot.activate_emotion("shy", 0.5)
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            snapshot.subjective["pref[b]"] = 0.1
-        with pytest.raises(TypeError):
-            snapshot.objective = {"age": 30}
-        # frozen at the published version: live writes don't show through
-        store.get(5).activate_emotion("shy", 0.3)
-        assert snapshot.emotional["shy"] == pytest.approx(0.2)
-        assert cache.get(5) is snapshot  # cached until the next publish
-
     def test_repository_duck_type(self):
         sums = SumRepository()
         sums.get_or_create(3)
@@ -369,37 +328,3 @@ class TestColumnarBatchReads:
         assert batch.intensity_matrix(EMOTION_NAMES).shape == (82, 10)
         shy = EMOTION_NAMES.index("shy")
         assert batch.intensity_matrix(EMOTION_NAMES)[-2, shy] == pytest.approx(0.1)
-
-    def test_object_snapshots_reject_attribute_rebinding(self):
-        # regression: mapping proxies stopped item writes, but a reader
-        # could still swap whole attribute mappings on the shared copy
-        sums = SumRepository()
-        sums.get_or_create(5).activate_emotion("shy", 0.2)
-        cache = SumCache(sums)
-        snapshot = cache.get(5)
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.objective = {"poison": 1}
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.sensibility = {"shy": 99.0}
-        # nested objects are sealed too, not just the model itself
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.emotional.intensities = {"shy": 0.99}
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.ei_profile.scores = {}
-        assert cache.get(5).sensibility.get("shy", 0.0) != 99.0
-        assert cache.get(5).emotional["shy"] == pytest.approx(0.2)
-
-    def test_columnar_snapshots_reject_attribute_rebinding(self):
-        from repro.core.sum_store import ColumnarSumStore
-
-        store = ColumnarSumStore()
-        store.get_or_create(5).activate_emotion("shy", 0.2)
-        cache = SumCache(store)
-        snapshot = cache.get(5)
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.sensibility = {"shy": 99.0}
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.emotional.intensities = {"shy": 0.99}
-        with pytest.raises(TypeError, match="read-only"):
-            snapshot.ei_profile.scores = {}
-        assert cache.get(5).emotional["shy"] == pytest.approx(0.2)
