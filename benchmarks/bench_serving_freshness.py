@@ -3,9 +3,10 @@
 ISSUE 4's tentpole: the streaming serving plane (`RecommendationService`
 over `SumCache`) used to fall off the columnar fast path — every read
 after a publish rebuilt per-user ``SmartUserModel`` snapshots via
-``to_dict()``/``from_dict()``.  The cache now keeps copy-on-write row
-slices in a column mirror and serves batch reads through
-:class:`~repro.core.sum_store.FrozenSumBatch` column slices.
+``to_dict()``/``from_dict()``.  A batch read now copies the requested
+rows straight out of the live columns, inside their seqlock windows,
+and serves them as :class:`~repro.core.sum_store.FrozenSumBatch` column
+slices.
 
 This bench drives the *same* write stream into both backends (bit-equal
 states by construction), then measures the serving read path —
@@ -16,9 +17,10 @@ while batches keep landing between reads:
   every touched user's snapshot is rebuilt from one ``to_dict()`` copy
   (sealed by ``frozen_model``; no ``from_dict``), then the Advice stage
   does per-model scalar reads;
-* **columnar snapshots** — ``SumCache`` over ``ColumnarSumStore``: the
-  first read after each publish refreshes the touched rows in the
-  mirror, then everything is column slices.
+* **columnar snapshots** — ``SumCache`` over ``ColumnarSumStore``: each
+  read is the version stamps plus one copy of the population's
+  intensity and sensibility rows (``ColumnarSumStore.batch``), then
+  everything is column slices.
 
 Assertions, not just numbers:
 
@@ -178,7 +180,7 @@ def test_columnar_cache_reads_are_allocation_free_and_faster():
     ):
         cache = SumCache(build_population(backend_cls))
         service, items = build_service(cache)
-        service.score_matrix(ids, items)  # warm: first-read snapshot fill
+        service.score_matrix(ids, items)  # warm: object snapshots fill
         read_times = []
         with RebuildCounter() as counter:
             for batch in rounds:
@@ -190,7 +192,7 @@ def test_columnar_cache_reads_are_allocation_free_and_faster():
         grids[label] = grid
         rebuilds[label] = counter.total
         if label == "columnar":
-            # the read path resolves through frozen column slices —
+            # the read path resolves through one frozen row copy —
             # zero object rebuilds, zero per-user snapshot materialization
             assert counter.total == 0, (
                 f"columnar read path did {counter.total} dict round trips"
@@ -214,7 +216,7 @@ def test_columnar_cache_reads_are_allocation_free_and_faster():
         f"  {'read path':<28}{'best read':>12}{'dict round trips':>18}",
         f"  {'object snapshots':<28}{results['object'] * 1e3:>10.1f}ms"
         f"{rebuilds['object']:>18,}",
-        f"  {'columnar mirror slices':<28}{results['columnar'] * 1e3:>10.1f}ms"
+        f"  {'columnar direct capture':<28}{results['columnar'] * 1e3:>10.1f}ms"
         f"{rebuilds['columnar']:>18,}",
         f"  speedup: {speedup:.1f}x (floor {SPEEDUP_FLOOR}x)",
     ]

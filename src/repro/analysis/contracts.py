@@ -35,8 +35,9 @@ Module-level declaration calls:
   :class:`repro.core.seqlock.Seqlock`: writers bump odd/even under
   their lock, readers copy between two equal even observations) and the
   copy primitives it protects, so lock-free captures are machine-checked
-  too (``SQ001``/``SQ002``: a primitive runs only through
-  ``Seqlock.read`` or under the declared writer lock).
+  too (``SQ001``/``SQ002``: a primitive runs only through the
+  ``Seqlock.read`` of every seqlock declaring it, nested, or under the
+  declared writer lock).
 
 The runtime half: :func:`make_lock` returns plain :mod:`threading` locks
 normally, and :class:`ContractLock` wrappers when ``REPRO_LOCK_WITNESS``
@@ -182,9 +183,10 @@ class LockDecl:
 class SeqlockDecl:
     """One declared seqlock generation source (lock-free reader protocol).
 
-    ``node`` names the generation counters (``"Class.attr"``),
-    ``protects`` the copy primitives whose lock-free call sites must go
-    through ``Seqlock.read``, and ``writer_lock`` the lock under which
+    ``node`` names the generation counters (``"Class.attr"``, ``attr``
+    being what readers call ``.read`` on), ``protects`` the copy
+    primitives whose lock-free call sites must go through that
+    ``Seqlock.read``, and ``writer_lock`` the lock under which
     writers bump the generations (call sites holding it need no retry —
     they exclude every writer; ``None`` for a single-writer-by-protocol
     seqlock no lock can exclude, e.g. one shared across processes).

@@ -569,8 +569,8 @@ class TypeEnv:
     ``types[name]`` is a class/annotation string (or :data:`FRESH` for
     objects constructed locally — thread-private until published).
     ``origins[name]`` tracks aliases of guarded attributes:
-    ``stale = shard.stale`` records ``("_MirrorShard", "stale")`` so a
-    later ``stale.discard(...)`` is still checked against the guard.
+    ``versions = self._versions`` records ``("SumCache", "_versions")``
+    so a later ``versions.pop(...)`` is still checked against the guard.
     """
 
     def __init__(

@@ -3,8 +3,8 @@
 * **LD001** — a write to a guarded attribute (plain assignment, item
   assignment, augmented assignment, ``del``, or an in-place mutator call
   like ``.append``/``.setdefault``) reached without the declared lock
-  held.  Aliases count: ``stale = shard.stale; stale.discard(x)`` is
-  still a write to ``_MirrorShard.stale``.
+  held.  Aliases count: ``versions = self._versions;
+  versions.pop(x)`` is still a write to ``SumCache._versions``.
 * **LD002** — a call to a ``@requires_lock`` method without its lock
   held at the call site.
 * **LD003** — a ``@manual_guard`` escape hatch with a missing or empty

@@ -2,16 +2,21 @@
 
 ``declare_seqlock`` publishes a generation-counter protocol (the one in
 :mod:`repro.core.seqlock`): writers bump a cell odd before mutating and
-even after, and the *protected primitives* (e.g. ``refresh_row`` /
-``copy_row``) copy shared state that is only consistent between two
-equal even observations of that cell.  Exactly two shapes may run a
-primitive:
+even after, and the *protected primitives* (e.g. ``_row_payload`` /
+``_batch_payload``) copy shared state that is only consistent between two
+equal even observations of that cell.  A read discharges only the
+seqlock its receiver names — ``store.row_generations.read(...)``
+discharges ``ColumnarSumStore.row_generations``, never the layout epoch —
+and a primitive declared under several seqlocks must be discharged for
+each one.  Exactly two shapes discharge a seqlock:
 
-* handed **as a callable to** ``<seqlock>.read(idx, primitive, *args)``
-  or ``.read_many(rows, primitive)`` (or called inside a lambda handed
-  to either) — the retry loop validates the generation around the copy;
-* under a ``with`` on the **declared writer lock** (its own attribute,
-  e.g. ``_lock``, or the public ``writer_lock`` accessor) — holding the
+* handing the primitive **as a callable to** ``<seqlock>.read(idx,
+  primitive, *args)`` or ``.read_many(rows, primitive)`` (or calling it
+  inside a lambda handed to either) — the retry loop validates the
+  generation around the copy; reads nest, as
+  ``layout_epoch.read(0, lambda: row_generations.read(row, payload))``;
+* a ``with`` on the **declared writer lock** (its own attribute, e.g.
+  ``_lock``, or the public ``writer_lock`` accessor) — holding the
   writers' serialization point means no generation can change mid-copy,
   which is what a starved reader's fallback leans on.  A seqlock declared
   without a writer lock (a cross-process one) has only the first shape.
@@ -22,13 +27,13 @@ statically.
 
 * **SQ001** — a protected primitive *called* outside both shapes.
 * **SQ002** — a protected primitive *taken as a value* (assigned, passed
-  to an executor, stored in a table) outside both shapes: the reference
-  escapes to a call site the analyzer cannot see, so the only place it
-  may be handed to is ``Seqlock.read`` / ``Seqlock.read_many``.
+  to an executor, stored in a table, or handed to some other seqlock's
+  read) outside both shapes: the reference escapes to a call site the
+  analyzer cannot see.
 
-A primitive's own body may call other primitives — ``refresh_row`` is
-``copy_row`` per family, ``refresh_rows`` is ``copy_rows`` — because
-whoever runs the outer one already discharged the obligation.
+A primitive's own body starts with its own seqlocks discharged — whoever
+runs it already holds those windows — so it may call the primitives
+they protect, and discharge the rest itself.
 """
 
 from __future__ import annotations
@@ -53,18 +58,20 @@ _READ_METHODS = frozenset({"read", "read_many"})
 #: cache reaches the store's ``_lock`` through it)
 _WRITER_LOCK_ATTR = "writer_lock"
 
+#: one seqlock a primitive is declared under: ``(node, the attribute a
+#: read's receiver names, attribute names of its writer lock)``
+_Guard = tuple[str, str, frozenset[str]]
 
-def _protected_primitives(
-    project: Project,
-) -> dict[str, tuple[str, frozenset[str]]]:
-    """primitive name -> (seqlock node, attribute names of its writer lock).
+
+def _protected_primitives(project: Project) -> dict[str, list[_Guard]]:
+    """primitive name -> every seqlock declaring it.
 
     Built from the declarations, not hardcoded: ``writer_lock=
     "ColumnarSumStore._lock"`` makes both the raw ``_lock`` attribute
     and the public ``writer_lock`` accessor count as holding it; a
     seqlock declared without one has no lock shape at all.
     """
-    out: dict[str, tuple[str, frozenset[str]]] = {}
+    out: dict[str, list[_Guard]] = {}
     for node, spec in project.registry.seqlocks.items():
         writer_lock = spec.get("writer_lock")
         lock_attrs: frozenset[str] = frozenset()
@@ -72,9 +79,10 @@ def _protected_primitives(
             lock_attrs = frozenset(
                 {_WRITER_LOCK_ATTR, writer_lock.rsplit(".", 1)[1]}
             )
+        guard = (node, node.rsplit(".", 1)[-1], lock_attrs)
         protects = spec.get("protects") or ()
         for name in protects:  # type: ignore[union-attr]
-            out[str(name)] = (node, lock_attrs)
+            out.setdefault(str(name), []).append(guard)
     return out
 
 
@@ -85,15 +93,24 @@ def _lock_attr(item: ast.withitem) -> str | None:
     return expr.attr if isinstance(expr, ast.Attribute) else None
 
 
+def _receiver(func: ast.Attribute) -> str | None:
+    """The name a ``<receiver>.read(...)`` call's receiver ends in."""
+    value = func.value
+    if isinstance(value, ast.Attribute):
+        return value.attr
+    return value.id if isinstance(value, ast.Name) else None
+
+
 class _SeqlockWalker:
-    """Statement walker tracking held lock attributes and ``read`` args."""
+    """Statement walker tracking held lock attributes and the seqlocks
+    whose ``read`` a node is handed to."""
 
     def __init__(
         self,
         module: Module,
         cls: ClassInfo | None,
         method: MethodInfo,
-        primitives: dict[str, tuple[str, frozenset[str]]],
+        primitives: dict[str, list[_Guard]],
         findings: list[Finding],
     ) -> None:
         self.module = module
@@ -103,13 +120,13 @@ class _SeqlockWalker:
         self.findings = findings
 
     def run(self) -> None:
-        if self.method.node.name in self.primitives:
-            return  # the caller of this primitive holds the obligation
+        own = self.primitives.get(self.method.node.name, ())
+        reads = frozenset(attr for __, attr, __locks in own)
         for stmt in self.method.node.body:
-            self._walk(stmt, held=frozenset(), in_read=False)
+            self._walk(stmt, held=frozenset(), reads=reads)
 
     def _walk(
-        self, node: ast.AST, *, held: frozenset[str], in_read: bool
+        self, node: ast.AST, *, held: frozenset[str], reads: frozenset[str]
     ) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs get their own iter_functions pass
@@ -118,20 +135,24 @@ class _SeqlockWalker:
                 attr for attr in map(_lock_attr, node.items) if attr
             }
             for child in node.body:
-                self._walk(child, held=inner, in_read=in_read)
+                self._walk(child, held=inner, reads=reads)
             return
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
-            self._check("SQ001", func, held=held, in_read=in_read)
-            self._walk(func.value, held=held, in_read=in_read)
-            handed = in_read or func.attr in _READ_METHODS
+            self._check("SQ001", func, held=held, reads=reads)
+            self._walk(func.value, held=held, reads=reads)
+            handed = reads
+            if func.attr in _READ_METHODS:
+                receiver = _receiver(func)
+                if receiver is not None:
+                    handed = reads | {receiver}
             for arg in (*node.args, *(kw.value for kw in node.keywords)):
-                self._walk(arg, held=held, in_read=handed)
+                self._walk(arg, held=held, reads=handed)
             return
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            self._check("SQ002", node, held=held, in_read=in_read)
+            self._check("SQ002", node, held=held, reads=reads)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held=held, in_read=in_read)
+            self._walk(child, held=held, reads=reads)
 
     def _check(
         self,
@@ -139,17 +160,20 @@ class _SeqlockWalker:
         node: ast.Attribute,
         *,
         held: frozenset[str],
-        in_read: bool,
+        reads: frozenset[str],
     ) -> None:
-        spec = self.primitives.get(node.attr)
-        if spec is None or in_read:
+        missing = [
+            (seqlock, lock_attrs)
+            for seqlock, attr, lock_attrs in self.primitives.get(node.attr, ())
+            if attr not in reads and not lock_attrs & held
+        ]
+        if not missing:
             return
-        seqlock, lock_attrs = spec
-        if lock_attrs & held:
-            return
+        seqlocks = " and ".join(seqlock for seqlock, __ in missing)
+        lockless = any(not lock_attrs for __, lock_attrs in missing)
         shapes = "through Seqlock.read" + (
-            " or under the declared writer lock" if lock_attrs else
-            " (no writer lock is declared)"
+            " (no writer lock is declared)" if lockless else
+            " or under the declared writer lock"
         )
         what = (
             f".{node.attr}() is called" if rule == "SQ001"
@@ -162,7 +186,7 @@ class _SeqlockWalker:
                 path=self.module.display_path,
                 line=line,
                 message=(
-                    f"{what} but is protected by {seqlock}; it may only "
+                    f"{what} but is protected by {seqlocks}; it may only "
                     f"run {shapes}"
                 ),
                 symbol=qualname(self.cls, self.method),

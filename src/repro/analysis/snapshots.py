@@ -13,7 +13,7 @@ runtime guard in production.
   a ``FrozenSumBatch``, or anything typed as a frozen store class.
 * **SN002** — re-enabling writes on a captured array
   (``arr.setflags(write=True)`` / ``arr.flags.writeable = True``)
-  outside the store/mirror internals that own the capture protocol.
+  outside the store internals that own the capture protocol.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from repro.core.sum_model import (
     SumRepository,
     UnknownUserError,
 )
-from repro.core.sum_store import ColumnarSumStore, SumBatch, SumRowView
+from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch, SumRowView
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore
 from repro.core.updates import (
     DecayOp,
@@ -75,6 +75,7 @@ __all__ = [
     "EmotionalContextPipeline",
     "EmotionalState",
     "FourBranchProfile",
+    "FrozenSumBatch",
     "GradualEIT",
     "HumanValuesScale",
     "NEGATIVE_EMOTIONS",
@@ -88,7 +89,6 @@ __all__ = [
     "ShardedBatch",
     "ShardedSumStore",
     "SmartUserModel",
-    "SumBatch",
     "SumRepository",
     "SumRowView",
     "SumUpdateOp",

@@ -248,9 +248,11 @@ def evidence_matrix(
 ) -> np.ndarray:
     """``(n_users, n_emotions)`` intensity × sensibility evidence.
 
-    A columnar batch (anything with ``intensity_matrix``: ``SumBatch``,
-    ``FrozenSumBatch``) is read as column slices, a plain sequence of
-    user models one model at a time.  Absent sensibilities are 1.
+    A columnar batch (anything with ``intensity_matrix``: the
+    ``FrozenSumBatch`` / ``ShardedBatch`` every columnar ``batch`` read
+    returns) is read as column slices of its frozen copy, a plain
+    sequence of user models one model at a time.  Absent sensibilities
+    are 1.
     """
     if hasattr(models, "intensity_matrix"):
         intensity = models.intensity_matrix(emotions)

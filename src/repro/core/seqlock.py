@@ -11,7 +11,8 @@ the same protocol everywhere:
   :meth:`Seqlock.end` when the window is not one lexical block);
 * a **reader** runs its copy between two *equal, even* observations of
   the cell and retries otherwise (:meth:`Seqlock.read`; a block of
-  cells by :meth:`Seqlock.read_many`, retrying only the rows that lost).
+  cells by :meth:`Seqlock.read_many`, retrying only the positions that
+  lost).
 
 The cells are an int64 ndarray the caller hands in — a heap array or a
 :meth:`~repro.core.shm_store.ShmArena.alloc` page — so a seqlock is as
@@ -48,7 +49,8 @@ SPIN_LIMIT = 512
 class SeqlockStarved(RuntimeError):
     """A read never saw a quiet even window in its bound."""
 
-    #: the rows a :meth:`Seqlock.read_many` left unfinished
+    #: the positions (into its ``idx``) a :meth:`Seqlock.read_many` left
+    #: unfinished
     rows: np.ndarray | None = None
 
 
@@ -124,30 +126,34 @@ class Seqlock:
     def read_many(
         self, idx: np.ndarray, copy: Callable[[np.ndarray], object]
     ) -> None:
-        """:meth:`read` for many cells: ``copy(rows)``, idempotent per row.
+        """:meth:`read` for many cells: ``copy(positions)``, idempotent per
+        position.
 
-        One gather of the cells, ``copy`` once for the rows whose cell is
-        even, a second gather; a row is done iff its cell is unchanged
-        and ``cells`` is still the same array.  Only the rows that lost
+        ``positions`` index into ``idx``, so a copy can scatter its result
+        by position whatever ``idx`` repeats.  One gather of the cells,
+        ``copy`` once for the positions whose cell is even, a second
+        gather; a position is done iff its cell is unchanged and
+        ``cells`` is still the same array.  Only the positions that lost
         are retried, after the same yield, inside the same bound; then
-        :class:`SeqlockStarved` carries the unfinished ``rows``.
+        :class:`SeqlockStarved` carries the unfinished positions
+        (``rows``).
         """
-        pending = np.asarray(idx, dtype=np.intp)
+        rows = np.asarray(idx, dtype=np.intp)
+        pending = np.arange(rows.size)
         if not pending.size:
             return
         for __ in range(SPIN_LIMIT):
             cells = self.cells
-            rows = pending[pending < cells.shape[0]]  # else: racing a grow()
-            before = cells[rows]
-            quiet = (before & 1) == 0
-            rows, before = rows[quiet], before[quiet]
-            if rows.size:
-                copy(rows)
+            # a row past the cells is racing a grow(): never quiet
+            before = cells.take(rows, mode="clip")
+            quiet = ((before & 1) == 0) & (rows < cells.shape[0])
+            if quiet.any():
+                copy(pending if quiet.all() else pending[quiet])
                 if self.cells is cells:
-                    done = rows[cells[rows] == before]
-                    if done.size == pending.size:
+                    done = quiet & (cells.take(rows, mode="clip") == before)
+                    if done.all():
                         return
-                    pending = np.setdiff1d(pending, done)
+                    pending, rows = pending[~done], rows[~done]
             time.sleep(0)
         starved = SeqlockStarved(
             f"{pending.size} cells never held an even generation across a "

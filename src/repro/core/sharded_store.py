@@ -53,8 +53,9 @@ import numpy as np
 
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import (
+    BatchRead,
     ColumnarSumStore,
-    SumBatch,
+    FrozenSumBatch,
     SumRowView,
     validate_batch_ops,
 )
@@ -66,6 +67,10 @@ from repro.streaming.bus import partition_for
 #: the refresh-protocol manifest file at the root of a sharded save dir
 MANIFEST_NAME = "manifest.json"
 _FORMAT = "sharded-sum-store"
+
+#: one touched shard of a routed request: ``(shard, positions in the
+#: request, its ids, its local rows)``
+_Group = tuple[int, np.ndarray, Sequence[int], np.ndarray]
 
 
 def read_manifest(directory: str | Path) -> dict[str, Any] | None:
@@ -144,55 +149,28 @@ def positions_by_shard(shard_of: np.ndarray, n_shards: int) -> dict[int, np.ndar
     return dict(sorted((g for g in groups if len(g[1])), key=lambda g: g[1][0]))
 
 
-class ShardedBatch:
-    """A cross-shard batch: per-shard sub-batches + a gather index.
+class ShardedBatch(BatchRead):
+    """A cross-shard batch read: per-partition captures + a gather index.
 
-    Duck-types the consumer surface of :class:`~repro.core.sum_store.
-    SumBatch` / :class:`~repro.core.sum_store.FrozenSumBatch` (``len``,
-    iteration, the ``*_matrix`` reads, ``versions`` when the parts carry
-    stamps), reassembling each shard's column slices into request order —
-    so the Advice stage takes the same matrix path over a partitioned
+    Duck-types :class:`~repro.core.sum_store.FrozenSumBatch` (``len``,
+    iteration, ``versions``, ``starved``, the ``*_matrix`` reads),
+    reassembling each partition's frozen copy into request order — so
+    the Advice stage takes the same matrix path over a partitioned
     population as over a single store, bit-equal row for row.
     """
 
-    __slots__ = ("user_ids", "parts", "_resolve", "_versions")
+    __slots__ = ("parts",)
 
     def __init__(
         self,
-        user_ids: Sequence[int],
-        parts: Sequence[tuple[Sequence[int], Any]],
-        resolve=None,
+        user_ids: list[int],
+        parts: Sequence[tuple[np.ndarray, FrozenSumBatch]],
+        resolve: Callable[[int], SmartUserModel],
     ) -> None:
-        #: ``parts`` pairs each sub-batch with the positions (indices into
+        super().__init__(user_ids, resolve, sum(part.starved for __, part in parts))
+        #: each partition's capture with the positions (indices into
         #: ``user_ids``) its rows occupy in the assembled request order
-        self.user_ids = list(user_ids)
         self.parts = list(parts)
-        self._resolve = resolve
-        self._versions: dict[int, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.user_ids)
-
-    def __iter__(self) -> Iterator[SumRowView]:
-        if self._resolve is None:
-            raise TypeError(
-                "this sharded batch has no per-model resolver; read it "
-                "through the matrix accessors"
-            )
-        for uid in self.user_ids:
-            yield self._resolve(uid)
-
-    @property
-    def versions(self) -> dict[int, int]:
-        """Merged per-user version stamps (frozen captures only)."""
-        if self._versions is None:
-            merged: dict[int, int] = {}
-            for __, sub in self.parts:
-                merged.update(sub.versions)
-            self._versions = {
-                uid: merged.get(uid, 0) for uid in self.user_ids
-            }
-        return self._versions
 
     def _gather(self, method: str, *args) -> np.ndarray:
         out: np.ndarray | None = None
@@ -202,7 +180,7 @@ class ShardedBatch:
                 out = np.empty(
                     (len(self.user_ids), block.shape[1]), dtype=block.dtype
                 )
-            out[np.asarray(positions, dtype=np.intp)] = block
+            out[positions] = block
         if out is None:  # empty batch: width comes from the order argument
             return np.zeros((0, len(args[0])))
         return out
@@ -274,17 +252,6 @@ class ShardedSumStore:
     def shard_for(self, user_id: int) -> ColumnarSumStore:
         """The partition store owning ``user_id``."""
         return self.shards[self.shard_of(user_id)]
-
-    def _split(
-        self, ids: list[int], addresses: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray, list[int]]]:
-        """``(shard, positions, shard's ids)`` of :meth:`rows_for`'s
-        ``addresses`` for ``ids``, touched shards in first-appearance
-        order (see :func:`positions_by_shard`)."""
-        vector = np.asarray(ids, dtype=np.int64)
-        groups = positions_by_shard(addresses[:, 0], len(self.shards))
-        for s, positions in groups.items():
-            yield s, positions, vector[positions].tolist()
 
     def by_shard(self, user_ids: Sequence[int]) -> Mapping[int, Sequence[int]]:
         """``user_ids`` (ints) grouped by owning partition, order kept.
@@ -372,20 +339,30 @@ class ShardedSumStore:
         Ids are ints (every caller coerces): routing is ``uid % P``,
         bit-identical to :func:`partition_for`.
         """
+        out = np.empty((len(user_ids), 2), dtype=np.intp)
+        for s, positions, __, rows in self._route(user_ids, create):
+            out[positions, 0] = s
+            out[positions, 1] = rows
+        return out
+
+    def _route(
+        self, user_ids: Sequence[int], create: bool = False
+    ) -> list[_Group]:
+        """One ``(shard, positions, shard's ids, shard's rows)`` group per
+        touched shard, in first-appearance order (see
+        :func:`positions_by_shard`), with :meth:`rows_for`'s contract."""
         n = len(self.shards)
         if n == 1 or len(user_ids) == 1:  # one owner: delegate outright
             s = int(user_ids[0]) % n if n > 1 else 0
             rows = self.shards[s].rows_for(user_ids, create=create)
-            return np.stack((np.full_like(rows, s), rows), axis=1)
+            return [(s, np.arange(len(rows)), user_ids, rows)]
         # One pass: route the whole vector, then one C-speed dict walk
         # per shard; unknown ids are collected by position so the error
         # names them in request order whatever shard they fell in.
         ids = np.asarray(user_ids, dtype=np.int64)
-        shard_of = ids % n
-        out = np.empty((len(ids), 2), dtype=np.intp)
-        out[:, 0] = shard_of
+        groups: list[_Group] = []
         unknown: list[int] = []
-        for s, positions in positions_by_shard(shard_of, n).items():
+        for s, positions in positions_by_shard(ids % n, n).items():
             shard = self.shards[s]
             shard_ids = ids[positions].tolist()
             rows = list(map(shard._row_of.get, shard_ids))
@@ -396,37 +373,41 @@ class ShardedSumStore:
                     continue
                 for i in holes:
                     rows[i] = shard._new_row(shard_ids[i])
-            out[positions, 1] = rows
+            groups.append(
+                (s, positions, shard_ids, np.asarray(rows, dtype=np.intp))
+            )
         if unknown:
             raise UnknownUserError(ids[np.sort(unknown)].tolist())
-        return out
+        return groups
 
     def batch(
         self, user_ids: Sequence[int] | None = None, create: bool = False
-    ):
-        """Resolve a batch for columnar reads (default: every user).
+    ) -> BatchRead:
+        """A frozen batch read of ``user_ids`` (default: every user).
 
-        One shard touched → that shard's plain
-        :class:`~repro.core.sum_store.SumBatch` (zero assembly cost);
-        otherwise a :class:`ShardedBatch` gathering per-shard slices
-        into request order.
+        One capture per touched partition
+        (:meth:`~repro.core.sum_store.ColumnarSumStore.batch`'s).  A
+        one-owner request is that partition's
+        :class:`~repro.core.sum_store.FrozenSumBatch`; otherwise a
+        :class:`ShardedBatch` gathers the captures into request order.
         """
         ids = (
-            [int(uid) for uid in user_ids]
+            list(map(int, user_ids))
             if user_ids is not None
             else self.user_ids()
         )
         # Validate (or create) the whole batch up front so unknown users
         # fail as one typed error naming every id, not shard by shard;
-        # each part reads its rows off the same addresses.
-        addresses = self.rows_for(ids, create=create)
+        # each capture reads its rows off the same routing.
+        groups = self._route(ids, create)
+        if len(groups) == 1:  # one owner: that partition's capture
+            s, __, __, rows = groups[0]
+            return self.shards[s]._capture(ids, rows)
         parts = [
-            (positions, SumBatch(self.shards[s], shard_ids, addresses[positions, 1]))
-            for s, positions, shard_ids in self._split(ids, addresses)
+            (positions, self.shards[s]._capture(shard_ids, rows))
+            for s, positions, shard_ids, rows in groups
         ]
-        if len(parts) == 1:
-            return parts[0][1]
-        return ShardedBatch(ids, parts, resolve=self.get)
+        return ShardedBatch(ids, parts, resolve=self.freeze_view)
 
     def feature_matrix(
         self,
@@ -447,9 +428,9 @@ class ShardedSumStore:
         )
         if not ids:
             return np.zeros((0, width)), []
-        addresses = self.rows_for(ids)  # one error naming every unknown id
         out = np.empty((len(ids), width))
-        for s, positions, shard_ids in self._split(ids, addresses):
+        # one error naming every unknown id, before any shard reads
+        for s, positions, shard_ids, __ in self._route(ids):
             block, __ = self.shards[s].feature_matrix(
                 shard_ids, subjective_order, include_ei
             )
@@ -503,11 +484,10 @@ class ShardedSumStore:
             )
         if user_ids is None:
             return sum(shard.decay_tick(policy) for shard in self.shards)
-        ids = [int(uid) for uid in user_ids]
-        addresses = self.rows_for(ids)
+        groups = self._route([int(uid) for uid in user_ids])
         return sum(
             self.shards[s].decay_tick(policy, shard_ids)
-            for s, __, shard_ids in self._split(ids, addresses)
+            for s, __, shard_ids, __ in groups
         )
 
     # -- maintenance ---------------------------------------------------------

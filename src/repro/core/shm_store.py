@@ -326,7 +326,9 @@ def adopt_layout(
     def attach(spec: Mapping[str, Any]) -> np.ndarray:
         return arena.attach(spec["segment"], spec["shape"], spec["dtype"])
 
-    with shard._lock:
+    # arrays are swapped wholesale: inside one layout-epoch window, so
+    # in-flight captures retry and none starts mid-swap
+    with shard._lock, shard.layout_epoch.write(0):
         shard._user_ids = attach(layout["user_ids"])
         shard._ei = attach(layout["ei"])
         # swap the cells in place: families alias the same Seqlock
@@ -355,10 +357,6 @@ def adopt_layout(
             shard._asked.append(set())
             shard._answered.append(set())
         shard._n = n
-        # arrays were swapped wholesale: advance the layout epoch (even
-        # to even) so mirror captures staged against the old segments
-        # restage everything instead of trusting stale stamps
-        shard.layout_epoch.cells[0] += 2
 
 
 def copy_shard_into(src: ColumnarSumStore, dst: ColumnarSumStore) -> None:
@@ -448,8 +446,8 @@ class MultiProcSumStore(ShardedSumStore):
         (:func:`shard_layout`, ``len(shard)``); ``wrote`` says whether
         the worker committed to it since its previous barrier.  Nothing
         is re-attached when the layout still names the arrays this
-        process already maps — the layout epoch stays put, so rows a
-        serving mirror staged stay staged.  The writer must be quiescent
+        process already maps — the layout epoch stays put, so no
+        in-flight capture retries.  The writer must be quiescent
         (the plane's ``sync`` barrier) — see :func:`adopt_layout`.
         """
         i = int(shard_index)

@@ -35,6 +35,11 @@ double operations, just batched differently (the property suite in
 ``to_dict()`` is one row copy taken inside the row's seqlock windows;
 :meth:`ColumnarSumStore.freeze_view` seals that copy into a plain
 ``SmartUserModel`` (``frozen_model``), the type every backend returns.
+A batch read (:meth:`ColumnarSumStore.batch`) is the same protocol for
+many users: the intensity and sensibility rows copied straight out of
+the live columns into a :class:`FrozenSumBatch`, each row across an even,
+unchanged row generation and the whole copy inside one layout-epoch
+window, so no commit and no compaction can tear it.
 
 Persistence is columnar too: :meth:`ColumnarSumStore.save` writes the
 population as dense, mmap-able ``.npy`` column pages through the
@@ -124,20 +129,20 @@ declare_lock(
 
 # Lock-free reader captures (the protocol is repro.core.seqlock): every
 # mutation path bumps the touched rows' generation cells odd before
-# writing and even after (always under the store lock), so the mirror
-# copy primitives may be called lock-free *only* through Seqlock.read
-# (or read_many) — or under the writer lock, which excludes every bump.
+# writing and even after (always under the store lock), so the row copy
+# primitives may be called lock-free *only* through Seqlock.read (or
+# read_many) — or under the writer lock, which excludes every bump.
 declare_seqlock(
     "ColumnarSumStore.row_generations",
-    protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows", "_row_payload"),
+    protects=("_row_payload", "_batch_payload"),
     writer_lock="ColumnarSumStore._lock",
 )
 # One more cell for the column layout: odd while compact_vocab() swaps
 # family registries and arrays.  Whatever slices columns by position —
-# a row payload, a staged mirror capture — runs inside one even window.
+# a row payload, a batch capture — runs inside one even window.
 declare_seqlock(
     "ColumnarSumStore.layout_epoch",
-    protects=("_row_payload", "_capture_staged"),
+    protects=("_row_payload", "_batch_payload", "_capture_rows"),
     writer_lock="ColumnarSumStore._lock",
 )
 
@@ -225,6 +230,28 @@ def _masked_matrix(
             family.mask[grid], family.values[grid], float(default)
         )
     return out
+
+
+def _scattered(
+    pieces: Sequence[tuple[np.ndarray, tuple[np.ndarray, ...]]],
+) -> tuple[np.ndarray, ...]:
+    """The first piece's arrays (a copy of every row) with each later
+    piece's rows scattered in at its positions.
+
+    A column interned between two copies makes a later piece wider; the
+    earlier rows then gain the new columns as absent (zero).
+    """
+    (__, first), *later = pieces
+    merged = list(first)
+    for at, payload in later:
+        for k, block in enumerate(payload):
+            into = merged[k]
+            if block.shape[1] > into.shape[1]:
+                wider = np.zeros((into.shape[0], block.shape[1]), into.dtype)
+                wider[:, : into.shape[1]] = into
+                merged[k] = into = wider
+            into[at, : block.shape[1]] = block
+    return tuple(merged)
 
 
 @guarded_by("lock", "values", "mask", "index", "order")
@@ -331,6 +358,18 @@ class _ColumnFamily:
             self.mask[row, :width].tolist(),
         ))
 
+    def take(self, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of ``rows`` (a basic slice or an index array) of the
+        values and the mask, as wide as both arrays: column growth swaps
+        the two one after the other."""
+        values, mask = self.values, self.mask
+        if values.shape[1] != mask.shape[1]:
+            width = min(values.shape[1], mask.shape[1])
+            values, mask = values[:, :width], mask[:, :width]
+        if isinstance(rows, slice):
+            return values[rows].copy(), mask[rows].copy()
+        return values.take(rows, axis=0), mask.take(rows, axis=0)
+
     @requires_lock("lock")
     def grow_rows(self, new_capacity: int) -> None:
         grown_v = self._alloc((new_capacity, self.values.shape[1]), self._dtype)
@@ -343,8 +382,8 @@ class _ColumnFamily:
 class _FrozenFamily:
     """Read-only point-in-time copy of some rows of a column family.
 
-    What a mirror capture hands a :class:`FrozenSumBatch`: the captured
-    rows' value and mask slices, marked non-writeable (a mutation attempt
+    What a batch read hands a :class:`FrozenSumBatch`: the captured
+    rows' value and mask copies, marked non-writeable (a mutation attempt
     raises instead of silently diverging from the live store), plus the
     owning family's ``index`` registry, bounded by the captured ``width``.
     """
@@ -389,69 +428,72 @@ class _FrozenFamily:
         return _masked_matrix(self, rows, names, default)
 
 
-class FrozenSumBatch:
-    """A version-stamped, immutable columnar batch — the cache read path.
+class BatchRead:
+    """What every batch read returns: user ids in request order, version
+    stamps, a starved-row count and per-model iteration.
 
-    Duck-types the consumer surface of :class:`SumBatch` (``len``,
-    iteration, :meth:`intensity_matrix`, :meth:`sensibility_matrix`) over
-    *captured* row slices, so the Advice stage takes the same column-slice
-    path on cached snapshots as on a live store, and the capture is
-    bit-stable no matter how many batches land afterwards.  ``versions``
-    records each user's published version at capture time: the batch
-    serves old state at the old version or batch-applied state at the new
-    one — never a torn read.
+    ``stamps`` maps a user id to the published version the reader took
+    *before* copying (absent means 0; a bare store's reads carry none), so
+    a row's data is at least as new as its stamp.  ``starved`` counts the
+    rows copied under a writer lock because their seqlock read starved.
     """
 
-    __slots__ = ("user_ids", "emotional", "sensibility",
-                 "_stamps", "_versions", "_resolve")
+    __slots__ = ("user_ids", "stamps", "starved", "_resolve")
 
     def __init__(
         self,
-        user_ids: Sequence[int],
-        versions: Mapping[int, int],
-        emotional: _FrozenFamily,
-        sensibility: _FrozenFamily,
-        resolve: Callable[[int], "SmartUserModel"] | None = None,
+        user_ids: list[int],
+        resolve: Callable[[int], SmartUserModel],
+        starved: int = 0,
     ) -> None:
-        self.user_ids = list(user_ids)
-        # ``versions`` maps uid -> stamp at capture (absent means 0); the
-        # per-user dict is built lazily so the hot read path never pays a
-        # Python loop over the whole batch for stamps nobody asked about.
-        self._stamps = versions
-        self._versions: dict[int, int] | None = None
-        self.emotional = emotional
-        self.sensibility = sensibility
+        self.user_ids = user_ids
+        self.stamps: Mapping[int, int] = {}
+        self.starved = starved
         self._resolve = resolve
 
     @property
     def versions(self) -> dict[int, int]:
-        """Each user's published version at capture time."""
-        if self._versions is None:
-            get = self._stamps.get
-            self._versions = {uid: int(get(uid, 0)) for uid in self.user_ids}
-        return self._versions
+        """Each user's stamp: their published version when read."""
+        get = self.stamps.get
+        return {uid: int(get(uid, 0)) for uid in self.user_ids}
 
     def __len__(self) -> int:
         return len(self.user_ids)
 
-    def __iter__(self) -> Iterator["SmartUserModel"]:
+    def __iter__(self) -> Iterator[SmartUserModel]:
         """Per-model fallback for scalar consumers.
 
-        Yields each user's *current* frozen snapshot from the resolver —
-        at least as fresh as this batch's version stamps, possibly
-        fresher if batches landed since the capture.  Only the matrix
-        reads (:meth:`intensity_matrix` / :meth:`sensibility_matrix`)
-        are pinned to the capture itself; consumers that need per-model
-        state at exactly the stamped versions should capture before
-        writers publish, or read the matrices.
+        Yields each user's ``freeze_view`` taken *now* — at least as
+        fresh as this batch, possibly fresher if commits landed since the
+        copy.  Only the matrix reads are pinned to the copy itself.
         """
-        if self._resolve is None:
-            raise TypeError(
-                "this frozen batch has no per-model resolver; read it "
-                "through intensity_matrix/sensibility_matrix"
-            )
-        for uid in self.user_ids:
-            yield self._resolve(uid)
+        return map(self._resolve, self.user_ids)
+
+
+class FrozenSumBatch(BatchRead):
+    """An immutable columnar batch: what a columnar store's ``batch``
+    returns, behind a :class:`~repro.streaming.cache.SumCache` or bare.
+
+    The intensity and sensibility rows of ``user_ids``, copied out of the
+    live columns (:meth:`ColumnarSumStore.batch`): every row one committed
+    state, and the batch bit-stable no matter how many commits land
+    afterwards.  The Advice stage slices :meth:`intensity_matrix` /
+    :meth:`sensibility_matrix` directly.
+    """
+
+    __slots__ = ("emotional", "sensibility")
+
+    def __init__(
+        self,
+        user_ids: list[int],
+        emotional: _FrozenFamily,
+        sensibility: _FrozenFamily,
+        resolve: Callable[[int], SmartUserModel],
+        starved: int = 0,
+    ) -> None:
+        super().__init__(user_ids, resolve, starved)
+        self.emotional = emotional
+        self.sensibility = sensibility
 
     def intensity_matrix(self, order: Sequence[str]) -> np.ndarray:
         """``(n_users, len(order))`` emotional intensities at capture."""
@@ -464,136 +506,6 @@ class FrozenSumBatch:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
         rows = np.arange(len(self.user_ids), dtype=np.intp)
         return self.sensibility.read_matrix(rows, order, default)
-
-
-class _MirrorFamily:
-    """Writable staging copy of one live family's columns (reader-owned).
-
-    Grows to track the live arrays; row content is only ever written by
-    :meth:`copy_row` / :meth:`copy_rows` inside a validated generation
-    window, so a row holds exactly one committed state at a time.
-    """
-
-    __slots__ = ("live", "values", "mask")
-
-    def __init__(self, live: _ColumnFamily) -> None:
-        self.live = live
-        self.values = np.zeros((0, 0), dtype=live.values.dtype)
-        self.mask = np.zeros((0, 0), dtype=bool)
-
-    def sync_shape(self) -> None:
-        # Growth replaces the live values and mask in two separate
-        # attribute stores, so a reader can observe a torn pair (new
-        # values, old mask).  Re-fetch until the pair agrees, and grow
-        # *both* mirror arrays to that consistent shape — comparing only
-        # one of them could leave the mirror permanently divergent.
-        while True:
-            live_values, live_mask = self.live.values, self.live.mask
-            if live_values.shape != live_mask.shape:
-                continue  # caught mid-growth; the writer is about to fix it
-            if (self.values.shape == live_values.shape
-                    and self.mask.shape == live_mask.shape):
-                return
-            # Copy only the overlapping region: growth is the common case,
-            # but vocabulary compaction can *shrink* the live column count,
-            # and a mirror must follow either way (compacted stores require
-            # an invalidate before the next capture — see compact_vocab).
-            rows = min(self.values.shape[0], live_values.shape[0])
-            cols = min(self.values.shape[1], live_values.shape[1])
-            grown_values = np.zeros(live_values.shape, dtype=live_values.dtype)
-            grown_values[:rows, :cols] = self.values[:rows, :cols]
-            mask_rows = min(self.mask.shape[0], live_mask.shape[0])
-            mask_cols = min(self.mask.shape[1], live_mask.shape[1])
-            grown_mask = np.zeros(live_mask.shape, dtype=bool)
-            grown_mask[:mask_rows, :mask_cols] = self.mask[:mask_rows, :mask_cols]
-            self.values, self.mask = grown_values, grown_mask
-            return
-
-    def copy_row(self, row: int) -> None:
-        # The live arrays can be replaced (capacity growth) between the
-        # shape check and the copy; loop until one consistent pair copies.
-        while True:
-            live_values, live_mask = self.live.values, self.live.mask
-            if (live_values.shape != live_mask.shape
-                    or live_values.shape != self.values.shape
-                    or self.mask.shape != self.values.shape):
-                self.sync_shape()
-                continue
-            self.values[row] = live_values[row]
-            self.mask[row] = live_mask[row]
-            return
-
-    def copy_rows(self, rows: np.ndarray) -> None:
-        """:meth:`copy_row` for an index array (idempotent per row)."""
-        while True:
-            live_values, live_mask = self.live.values, self.live.mask
-            if (live_values.shape != live_mask.shape
-                    or live_values.shape != self.values.shape
-                    or self.mask.shape != self.values.shape):
-                self.sync_shape()
-                continue
-            self.values[rows] = live_values[rows]
-            self.mask[rows] = live_mask[rows]
-            return
-
-
-class ColumnMirror:
-    """Copy-on-write staging columns for published reads.
-
-    The streaming cache refreshes a user's mirror row on the first read
-    after a publish; captures then slice the mirror, which writers never
-    touch — so a capture cannot observe a half-applied batch even while
-    writers stream into the live arrays.  Exactly the two families the
-    Advice-stage batch read path consumes (emotional intensities and
-    sensibilities) are mirrored.  Scalar snapshot reads go through
-    :meth:`ColumnarSumStore.freeze_view` instead.
-    """
-
-    __slots__ = ("emotional", "sensibility")
-
-    def __init__(self, store: "ColumnarSumStore") -> None:
-        self.emotional = _MirrorFamily(store._emotional)
-        self.sensibility = _MirrorFamily(store._sensibility)
-
-    def sync_shape(self) -> None:
-        self.emotional.sync_shape()
-        self.sensibility.sync_shape()
-
-    def refresh_row(self, row: int) -> None:
-        """Copy one user's live row slices into the mirror.
-
-        Protected by the row-generation seqlock: call it through
-        ``store.row_generations.read`` or under ``store.writer_lock``, so
-        the mirrored row is exactly one committed state.
-        """
-        self.emotional.copy_row(row)
-        self.sensibility.copy_row(row)
-
-    def refresh_rows(self, rows: np.ndarray) -> None:
-        """:meth:`refresh_row` for an index array, protected the same way."""
-        self.emotional.copy_rows(rows)
-        self.sensibility.copy_rows(rows)
-
-    def capture(
-        self,
-        user_ids: Sequence[int],
-        rows: np.ndarray,
-        versions: Mapping[int, int],
-        resolve: Callable[[int], "SmartUserModel"] | None = None,
-    ) -> FrozenSumBatch:
-        """Freeze ``rows`` of the mirror into a bit-stable batch."""
-        rows = np.asarray(rows, dtype=np.intp)
-
-        def frozen(family: _MirrorFamily) -> _FrozenFamily:
-            live = family.live
-            return _FrozenFamily(
-                live.index, live.order, family.values[rows], family.mask[rows]
-            )
-
-        return FrozenSumBatch(
-            user_ids, versions, frozen(self.emotional),
-            frozen(self.sensibility), resolve,
-        )
 
 
 class _RowMapView(MutableMapping):
@@ -782,43 +694,6 @@ class SumRowView(SmartUserModel):
         return self._store._read_row(self._row, self.user_id)
 
 
-class SumBatch:
-    """A resolved batch of users: row indices + column-sliced reads.
-
-    Behaves like a sequence of models (``len``, iteration) so existing
-    per-model code keeps working, while batch consumers — the Advice
-    stage, feature extraction — slice whole columns instead of looping.
-    """
-
-    __slots__ = ("store", "user_ids", "rows")
-
-    def __init__(
-        self, store: "ColumnarSumStore", user_ids: Sequence[int], rows: np.ndarray
-    ) -> None:
-        self.store = store
-        self.user_ids = [int(uid) for uid in user_ids]
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.user_ids)
-
-    def __iter__(self) -> Iterator[SumRowView]:
-        for uid in self.user_ids:
-            yield self.store.get(uid)
-
-    def intensity_matrix(self, order: Sequence[str]) -> np.ndarray:
-        """``(n_users, len(order))`` emotional intensities."""
-        family = self.store._emotional
-        cols = [family.ensure_column(name) for name in order]
-        return family.values[np.ix_(self.rows, cols)]
-
-    def sensibility_matrix(
-        self, order: Sequence[str], default: float = 1.0
-    ) -> np.ndarray:
-        """``(n_users, len(order))`` sensibilities; absent → ``default``."""
-        return self.store._sensibility.read_matrix(self.rows, order, default)
-
-
 @guarded_by(
     "_lock",
     "_row_of",
@@ -851,8 +726,8 @@ class ColumnarSumStore:
         #: serializes every mutation: rows share arrays and capacity
         #: growth replaces them, so concurrent shard workers must not
         #: interleave writes with structural changes (reads stay
-        #: lock-free — per-user read consistency comes from the
-        #: streaming cache's user locks, as with the object backend)
+        #: lock-free: row and batch copies run inside the seqlock
+        #: windows below)
         self._lock = make_lock("ColumnarSumStore._lock", reentrant=True)
         #: ``alloc(shape, dtype) -> zeroed writable array`` — every dense
         #: block (family values/masks, user ids, EI) goes through it, so
@@ -867,8 +742,8 @@ class ColumnarSumStore:
         self.row_generations = Seqlock(self._alloc((capacity,), np.int64))
         #: column-layout seqlock epoch: odd while compact_vocab() swaps
         #: family registries/arrays; captures run inside one even window
-        #: and restage their mirrors when the value moved, so compaction
-        #: requires neither quiesced readers nor a manual invalidate().
+        #: and retry when the value moved, so compaction requires neither
+        #: quiesced readers nor a manual invalidate().
         #: Allocated like every other block, so on shared pages a writer
         #: process's compaction is visible to the parent's captures.
         self.layout_epoch = Seqlock(self._alloc((1,), np.int64))
@@ -1097,14 +972,83 @@ class ColumnarSumStore:
 
     def batch(
         self, user_ids: Sequence[int] | None = None, create: bool = False
-    ) -> SumBatch:
-        """Resolve a batch of users for columnar reads (default: all)."""
+    ) -> FrozenSumBatch:
+        """A frozen batch read of ``user_ids`` (default: every user).
+
+        :meth:`rows_for` plus one capture (:meth:`_capture`): unknown
+        users raise one :class:`~repro.core.sum_model.UnknownUserError`
+        naming them all, ``create=True`` creates them first.
+        """
         ids = (
-            [int(uid) for uid in user_ids]
+            list(map(int, user_ids))
             if user_ids is not None
             else self.user_ids()
         )
-        return SumBatch(self, ids, self.rows_for(ids, create=create))
+        return self._capture(ids, self.rows_for(ids, create=create))
+
+    def _capture(self, user_ids: list[int], rows: np.ndarray) -> FrozenSumBatch:
+        """The intensity and sensibility ``rows`` of ``user_ids``, copied
+        inside one layout-epoch window (:meth:`_capture_rows`).
+
+        A compaction mid-copy makes the whole copy retry; one starved of
+        a quiet layout copies under the writer lock.
+        """
+        try:
+            families, starved = self.layout_epoch.read(0, self._capture_rows, rows)
+        except SeqlockStarved:
+            with self._lock:  # starved: exclude compaction outright
+                families, starved = self._capture_rows(rows)
+        return FrozenSumBatch(user_ids, *families, self.freeze_view, starved)
+
+    def _capture_rows(
+        self, rows: np.ndarray
+    ) -> tuple[tuple[_FrozenFamily, _FrozenFamily], int]:
+        """``rows`` of the two batch families, each row across an even,
+        unchanged row generation; ``(families, rows starved)``.
+
+        Protected by the layout epoch.  One row (every ``recommend``) or
+        none is the scalar read over basic slices.  Many rows are one
+        ``take`` per array and a second gather of the cells; only the rows
+        whose cell was odd or moved are copied again, by position, and
+        scattered into the first copy.  Rows starved of a quiet window are
+        copied under the writer lock and counted.
+        """
+        if len(rows) < 2:
+            row = int(rows[0]) if len(rows) else 0
+            span = slice(row, row + len(rows))
+            try:
+                payload = self.row_generations.read(row, self._batch_payload, span)
+                starved = 0
+            except SeqlockStarved:
+                with self._lock:  # starved: exclude writers outright
+                    payload = self._batch_payload(span)
+                starved = len(rows)
+        else:
+            # the first copy takes every row; later ones only the losers
+            pieces: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
+            try:
+                self.row_generations.read_many(rows, lambda at: pieces.append(
+                    (at, self._batch_payload(rows[at] if pieces else rows))
+                ))
+                starved = 0
+            except SeqlockStarved as lost:
+                at = lost.rows
+                with self._lock:  # starved: exclude writers outright
+                    pieces.append(
+                        (at, self._batch_payload(rows[at] if pieces else rows))
+                    )
+                starved = len(at)
+            payload = _scattered(pieces)
+        emotional, sensibility = self._emotional, self._sensibility
+        return (
+            _FrozenFamily(emotional.index, emotional.order, *payload[:2]),
+            _FrozenFamily(sensibility.index, sensibility.order, *payload[2:]),
+        ), starved
+
+    def _batch_payload(self, rows: slice | np.ndarray) -> tuple[np.ndarray, ...]:
+        """Copies of ``rows`` of the intensity and sensibility values and
+        masks.  Protected by both seqlocks, as :meth:`_row_payload` is."""
+        return (*self._emotional.take(rows), *self._sensibility.take(rows))
 
     def freeze_view(self, user_id: int) -> SmartUserModel:
         """An immutable point-in-time copy of one user's SUM.
@@ -1120,7 +1064,7 @@ class ColumnarSumStore:
     def _read_row(self, row: int, user_id: int) -> dict[str, Any]:
         """:meth:`_row_payload` inside one row-generation window, nested in
         one layout-epoch window; a starved read copies once under the
-        writer lock, as the mirror's row copy does."""
+        writer lock, as a batch read's starved rows do."""
         try:
             return self.layout_epoch.read(0, lambda: self.row_generations.read(
                 row, self._row_payload, row, user_id
@@ -1164,9 +1108,9 @@ class ColumnarSumStore:
         Safe under live captures: the swap runs inside a layout-epoch
         seqlock window (odd while columns move, even once the new layout
         is published), and every capture path compares the epoch before
-        and after slicing — a capture that raced the swap restages its
-        mirror and retries, so no quiescing or manual ``invalidate()`` is
-        needed.  Writers are excluded the ordinary way (the store lock).
+        and after slicing — a capture that raced the swap retries, so no
+        quiescing or manual ``invalidate()`` is needed.  Writers are
+        excluded the ordinary way (the store lock).
         Frozen captures taken earlier stay valid — they hold the
         pre-compaction registries and arrays.
         """
@@ -1177,7 +1121,7 @@ class ColumnarSumStore:
             )
         with self._lock:
             dropped = 0
-            # odd while columns move: captures stall, then restage
+            # odd while columns move: captures stall, then retry
             with self.layout_epoch.write(0):
                 for family in (
                     self._sensibility, self._subjective, self._evidence

@@ -10,9 +10,9 @@ the served score into one inner product (the classic MIPS reduction):
   DomainProfile.layout`) applied to the item's attribute presences.
 * **query side** — ``[p_u | 1 | w·e_u]`` where ``p_u`` are the user
   factors, the constant 1 picks up the item bias, and ``e_u =
-  intensity_u ⊙ sensibility_u`` is the user's emotional evidence, taken
-  zero-copy from the resolved :class:`~repro.core.sum_store.
-  FrozenSumBatch` row of the request.
+  intensity_u ⊙ sensibility_u`` is the user's emotional evidence, read
+  off the request's resolved :class:`~repro.core.sum_store.
+  FrozenSumBatch` (a frozen copy of the user's row).
 
 ``query · item = p_u·q_i + b_i + w · e_uᵀ G presence_i``.  The first two
 terms are the rank-relevant part of the FunkSVD score (``μ`` and ``b_u``

@@ -58,7 +58,7 @@ from repro.serving.scorer import ItemId
 
 declare_lock("CandidateRetriever._swap_lock")
 declare_seqlock(
-    "CandidateRetriever.page_epoch",
+    "CandidateRetriever._epoch",
     protects=("_read_pair",),
     writer_lock="CandidateRetriever._swap_lock",
 )

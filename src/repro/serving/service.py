@@ -248,9 +248,9 @@ class RecommendationService:
         — every read of one request must come from the same resolver
         object, so a concurrent replica swap can never mix generations
         within a response).  A columnar resolver (``sums.batch``) returns
-        a :class:`~repro.core.sum_store.SumBatch` whose intensity and
-        sensibility blocks the Advice stage slices directly; object
-        repositories resolve model by model.  Either way, unknown users
+        a :class:`~repro.core.sum_store.FrozenSumBatch` — a frozen copy of
+        the users' intensity and sensibility rows, which the Advice stage
+        slices directly; object repositories resolve model by model.  Either way, unknown users
         raise one :class:`~repro.core.sum_model.UnknownUserError` naming
         every offending id (unless :attr:`create_missing` opts into the
         streaming path's first-contact auto-create).

@@ -30,8 +30,9 @@ adopts structural changes (row growth, new interned columns) only at
 layout and row count, plus ``wrote`` (whether the shard moved since the
 worker's previous barrier), which the parent turns into a clock bump
 for delta checkpoints.  Serving captures
-(:class:`~repro.streaming.cache.SumCache` snapshots) are point-in-time
-row copies, so they stay bit-stable while workers commit.
+(:class:`~repro.streaming.cache.SumCache` snapshots and batch reads) are
+point-in-time row copies taken inside the rows' seqlock windows, so they
+stay bit-stable while workers commit, between barriers too.
 
 Delivery contract: per-user FIFO (users are pinned to shards by the same
 ``partition_for`` hash the in-process plane uses; one command queue per
@@ -494,7 +495,10 @@ class MultiProcUpdater:
         The attached cache is then told what moved: ``invalidate`` of
         the users routed an event or tick since the previous barrier.
         A worker only writes a user it was routed a message of, so
-        everyone else keeps their ``sum_version`` and staged mirror row.
+        everyone else keeps their ``sum_version``.  Values are not
+        published here: committed rows are on the shared pages at once,
+        and the parent's ``cache.get`` and ``cache.batch`` copy them
+        between barriers too, each row at least as new as its stamp.
         *Direct* repository writes are not this plane's to publish: pair
         them with ``cache.invalidate(ids)`` (``SumCache.write_lock``).
         """

@@ -4,8 +4,9 @@ The same primitives that are violations there are legal here — handed
 as a callable to ``Seqlock.read`` / ``Seqlock.read_many`` (directly or
 inside a lambda), run under the declared writer lock (raw attribute or
 public accessor), or the starvation fallback that combines both.  A
-primitive's own body may call another primitive: its caller already
-holds the obligation.
+primitive under two seqlocks runs inside both reads, nested, or under
+the writer lock.  A primitive's own body may call another primitive its
+own seqlocks protect: its caller already holds those windows.
 """
 
 import threading
@@ -17,6 +18,17 @@ declare_seqlock(
     "CleanMirrorTable.row_generations",
     protects=("refresh_row", "copy_row", "refresh_rows", "copy_rows"),
     writer_lock="CleanMirrorTable._lock",
+)
+# one primitive under two seqlocks, and a window primitive under one
+declare_seqlock(
+    "CleanPagedTable.row_generations",
+    protects=("_row_copy",),
+    writer_lock="CleanPagedTable._lock",
+)
+declare_seqlock(
+    "CleanPagedTable.layout_epoch",
+    protects=("_row_copy", "_rows_window"),
+    writer_lock="CleanPagedTable._lock",
 )
 # single-writer-by-protocol (another process): no lock shape exists
 declare_seqlock(
@@ -39,10 +51,10 @@ class CleanMirror:
 
 
 class CleanMirrorTable:
-    def __init__(self, mirror, gens) -> None:
+    def __init__(self, mirror, row_generations) -> None:
         self._lock = threading.Lock()
         self.mirror = mirror
-        self.gens = gens
+        self.row_generations = row_generations
 
     @property
     def writer_lock(self):
@@ -56,21 +68,21 @@ class ReadingCapture:
         self.table = table
 
     def capture(self, row: int) -> None:
-        self.table.gens.read(row, self.table.mirror.refresh_row, row)
+        self.table.row_generations.read(row, self.table.mirror.refresh_row, row)
 
     def capture_via_lambda(self, row: int) -> None:
-        self.table.gens.read(row, lambda: self.table.mirror.copy_row(row))
+        self.table.row_generations.read(row, lambda: self.table.mirror.copy_row(row))
 
     def capture_bounded(self, row: int) -> None:
         try:
-            self.table.gens.read(row, self.table.mirror.refresh_row, row)
+            self.table.row_generations.read(row, self.table.mirror.refresh_row, row)
         except SeqlockStarved:
             with self.table.writer_lock:  # starved: exclude writers
                 self.table.mirror.refresh_row(row)
 
     def capture_block(self, rows) -> None:
         try:
-            self.table.gens.read_many(rows, self.table.mirror.refresh_rows)
+            self.table.row_generations.read_many(rows, self.table.mirror.refresh_rows)
         except SeqlockStarved as starved:
             with self.table.writer_lock:  # only the rows that starved
                 self.table.mirror.refresh_rows(starved.rows)
@@ -94,12 +106,41 @@ class LockedCopier:
 
 
 class CleanControlBlock:
-    def __init__(self, seq, slots) -> None:
-        self.seq = seq
+    def __init__(self, layout_seq, slots) -> None:
+        self.layout_seq = layout_seq
         self.slots = slots
 
     def _read_published(self):
         return bytes(self.slots)
 
     def read_layout(self):
-        return self.seq.read(0, self._read_published)
+        return self.layout_seq.read(0, self._read_published)
+
+
+class CleanPagedTable:
+    """A row copy needs its row's generation *and* the layout epoch."""
+
+    def __init__(self, row_generations, layout_epoch, pages) -> None:
+        self._lock = threading.Lock()
+        self.row_generations = row_generations
+        self.layout_epoch = layout_epoch
+        self.pages = pages
+
+    def _row_copy(self, row: int):
+        return bytes(self.pages[row])
+
+    def read_row(self, row: int):
+        try:
+            return self.layout_epoch.read(0, lambda: self.row_generations.read(
+                row, self._row_copy, row
+            ))
+        except SeqlockStarved:
+            with self._lock:  # starved: exclude writers outright
+                return self._row_copy(row)
+
+    def _rows_window(self, rows):
+        # runs inside the layout window: only the row generation is left
+        return [self.row_generations.read(row, self._row_copy, row) for row in rows]
+
+    def read_rows(self, rows):
+        return self.layout_epoch.read(0, self._rows_window, rows)

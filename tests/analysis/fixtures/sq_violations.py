@@ -14,17 +14,27 @@ declare_seqlock(
     writer_lock="MirrorTable._lock",
 )
 declare_seqlock(
+    "PagedTable.row_generations",
+    protects=("_row_copy",),
+    writer_lock="PagedTable._lock",
+)
+declare_seqlock(
+    "PagedTable.layout_epoch",
+    protects=("_row_copy",),
+    writer_lock="PagedTable._lock",
+)
+declare_seqlock(
     "ControlBlock.layout_seq",
     protects=("_read_published",),
 )
 
 
 class MirrorTable:
-    def __init__(self, mirror, gens) -> None:
+    def __init__(self, mirror, row_generations) -> None:
         self._lock = threading.Lock()
         self._other_lock = threading.Lock()
         self.mirror = mirror
-        self.gens = gens
+        self.row_generations = row_generations
 
 
 class TornCapture:
@@ -38,12 +48,12 @@ class TornCapture:
 
     def capture_many(self, rows) -> None:
         for row in rows:  # a hand-rolled loop is not the protocol
-            if self.table.gens.cells[row] & 1:
+            if self.table.row_generations.cells[row] & 1:
                 continue
             self.table.mirror.refresh_row(row)  # [SQ001]
 
     def capture_after_read(self, row: int) -> None:
-        self.table.gens.read(row, self.table.mirror.refresh_row, row)
+        self.table.row_generations.read(row, self.table.mirror.refresh_row, row)
         self.table.mirror.copy_row(row)  # [SQ001]
 
     def capture_under_wrong_lock(self, row: int) -> None:
@@ -71,9 +81,9 @@ class EscapingCopier:
 
 
 class ControlBlock:
-    def __init__(self, seq, slots) -> None:
+    def __init__(self, layout_seq, slots) -> None:
         self._lock = threading.Lock()
-        self.seq = seq
+        self.layout_seq = layout_seq
         self.slots = slots
 
     def _read_published(self):
@@ -84,3 +94,26 @@ class ControlBlock:
         # cannot exclude the writer process, so it is no legal shape
         with self._lock:
             return self._read_published()  # [SQ001]
+
+
+class PagedTable:
+    """A primitive under two seqlocks, discharged for one of them only."""
+
+    def __init__(self, row_generations, layout_epoch, pages) -> None:
+        self._lock = threading.Lock()
+        self.row_generations = row_generations
+        self.layout_epoch = layout_epoch
+        self.pages = pages
+
+    def _row_copy(self, row: int):
+        return bytes(self.pages[row])
+
+    def read_row_outside_the_layout(self, row: int):
+        return self.row_generations.read(row, self._row_copy, row)  # [SQ002]
+
+    def read_row_outside_its_generation(self, row: int):
+        return self.layout_epoch.read(0, lambda: self._row_copy(row))  # [SQ001]
+
+    def read_row_through_another_read(self, row: int):
+        # a file-like ``read`` is no seqlock at all
+        return self.pages.read(row, self._row_copy, row)  # [SQ002]

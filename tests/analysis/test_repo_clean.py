@@ -42,7 +42,7 @@ def test_all_three_seqlocks_are_declared_for_the_sq_rules():
     assert set(declared) == {
         "ColumnarSumStore.row_generations",
         "ColumnarSumStore.layout_epoch",
-        "CandidateRetriever.page_epoch",
+        "CandidateRetriever._epoch",
     }
     assert all(spec["protects"] for spec in declared.values())
 

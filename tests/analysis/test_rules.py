@@ -103,9 +103,12 @@ def test_sq_findings_name_the_seqlock_and_protocol():
         "TornCapture.capture_under_wrong_lock",
         "TornCapture.capture_block_bare",
         "ControlBlock.read_layout",
+        "PagedTable.read_row_outside_its_generation",
     }
     assert {f.symbol for f in by_rule["SQ002"]} == {
         "EscapingCopier.snapshot", "EscapingCopier.snapshot_async",
+        "PagedTable.read_row_outside_the_layout",
+        "PagedTable.read_row_through_another_read",
     }
     # a seqlock declared without a writer lock offers no lock shape, and
     # the message says so instead of recommending one
@@ -113,10 +116,28 @@ def test_sq_findings_name_the_seqlock_and_protocol():
         f for f in findings if "ControlBlock.layout_seq" in f.message
     ]
     assert "no writer lock is declared" in lockless.message
+    paged = [f for f in findings if f.symbol.startswith("PagedTable.")]
     assert all(
         "MirrorTable.row_generations" in f.message
         and "declared writer lock" in f.message
-        for f in findings if f is not lockless
+        for f in findings if f is not lockless and f not in paged
+    )
+
+
+def test_a_read_discharges_only_the_seqlock_its_receiver_names():
+    _, findings = analyze("sq_violations.py")
+    missing = {
+        f.symbol.split(".")[1]: f.message
+        for f in findings if f.symbol.startswith("PagedTable.")
+    }
+    # each finding names exactly the seqlocks left undischarged
+    assert "by PagedTable.layout_epoch;" in missing["read_row_outside_the_layout"]
+    assert "by PagedTable.row_generations;" in (
+        missing["read_row_outside_its_generation"]
+    )
+    assert (
+        "by PagedTable.row_generations and PagedTable.layout_epoch;"
+        in missing["read_row_through_another_read"]
     )
 
 

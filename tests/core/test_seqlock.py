@@ -167,13 +167,17 @@ def test_write_bumps_each_row_of_an_index_array_once():
 
 
 # -- the block reader: one copy per round, only the losers retried -----------
+#
+# ``read_many``'s copy is handed *positions* into the cells it was asked
+# for, never row values: a caller scatters its copy by position.
 
 
 def recording_copy(calls, then=None):
-    """A ``read_many`` copy callback that records the rows it was handed."""
+    """A ``read_many`` copy callback that records the positions it was
+    handed."""
 
-    def copy(rows):
-        calls.append(rows.tolist())
+    def copy(at):
+        calls.append(at.tolist())
         if then is not None:
             then(len(calls))
 
@@ -184,7 +188,7 @@ def test_quiet_read_many_copies_once_and_never_yields(yields):
     lock = Seqlock(cells(6))
     calls = []
     lock.read_many(np.asarray([4, 1, 5]), recording_copy(calls))
-    assert calls == [[4, 1, 5]]
+    assert calls == [[0, 1, 2]]
     assert yields.seen == []
 
 
@@ -206,8 +210,9 @@ def test_an_odd_row_sits_the_round_out_and_is_retried_alone(yields):
     calls = []
     lock.read_many(np.asarray([0, 2, 3]), recording_copy(calls))
     # the quiet rows were copied once, in the first round; two rounds
-    # saw only the odd cell and copied nothing; then row 2 went alone
-    assert calls == [[0, 3], [2]]
+    # saw only the odd cell and copied nothing; then row 2 (position 1)
+    # went alone
+    assert calls == [[0, 2], [1]]
     assert len(yields.seen) == 3
 
 
@@ -221,11 +226,27 @@ def test_a_commit_landing_during_the_block_copy_discards_that_row_only(yields):
 
     calls = []
     lock.read_many(
-        np.asarray([0, 1, 3]),
+        np.asarray([3, 1, 0]),
         recording_copy(calls, writer_commits_row_1_during_the_first_copy),
     )
-    assert calls == [[0, 1, 3], [1]]
+    assert calls == [[0, 1, 2], [1]]
     assert len(yields.seen) == 1
+
+
+def test_a_repeated_row_is_retried_at_each_of_its_positions(yields):
+    lock = Seqlock(cells(4))
+
+    def writer_commits_row_2_during_the_first_copy(count):
+        if count == 1:
+            with lock.write(2):
+                pass
+
+    calls = []
+    lock.read_many(
+        np.asarray([2, 0, 2]),
+        recording_copy(calls, writer_commits_row_2_during_the_first_copy),
+    )
+    assert calls == [[0, 1, 2], [0, 2]]
 
 
 def test_grow_mid_read_many_is_detected_by_identity(yields):
@@ -250,10 +271,10 @@ def test_a_row_beyond_the_cells_waits_for_the_grow(yields):
     lock = Seqlock(cells(2))
     yields.then = lambda count: lock.grow(cells(4))
     calls = []
-    lock.read_many(np.asarray([1, 3]), recording_copy(calls))
+    lock.read_many(np.asarray([3, 1]), recording_copy(calls))
     # row 1 was in range and done in the first round; row 3 went alone
     # once the grown array covered it
-    assert calls == [[1], [3]]
+    assert calls == [[1], [0]]
     assert len(yields.seen) == 1
 
 
@@ -264,8 +285,9 @@ def test_read_many_starves_once_after_spin_limit_carrying_the_losers(yields):
     calls = []
     with pytest.raises(SeqlockStarved, match=str(SPIN_LIMIT)) as starved:
         lock.read_many(np.asarray([3, 0, 1, 2]), recording_copy(calls))
-    assert calls == [[0, 2]]  # an odd cell is never read
-    assert sorted(starved.value.rows.tolist()) == [1, 3]
+    assert calls == [[1, 3]]  # an odd cell is never read
+    # the positions of rows 3 and 1, not the rows
+    assert starved.value.rows.tolist() == [0, 2]
     assert len(yields.seen) == SPIN_LIMIT
     # the scalar read carries no rows
     with pytest.raises(SeqlockStarved) as scalar:
@@ -283,11 +305,11 @@ def test_a_saturating_writer_starves_only_its_own_row(yields):
     calls = []
     with pytest.raises(SeqlockStarved) as starved:
         lock.read_many(
-            np.asarray([0, 1, 2]),
+            np.asarray([2, 0, 1]),
             recording_copy(calls, every_copy_races_a_commit_of_row_2),
         )
-    assert calls == [[0, 1, 2]] + [[2]] * (SPIN_LIMIT - 1)
-    assert starved.value.rows.tolist() == [2]
+    assert calls == [[0, 1, 2]] + [[0]] * (SPIN_LIMIT - 1)
+    assert starved.value.rows.tolist() == [0]
     assert int(lock.cells[2]) == 2 * SPIN_LIMIT  # left even
 
 
@@ -389,16 +411,16 @@ def test_threaded_block_readers_never_see_a_torn_pair():
     """:func:`test_threaded_readers_never_see_a_torn_pair`, by block.
 
     The writer keeps ``b[i] == 2 * a[i]`` on a few rows at a time; each
-    reader stages all rows into its own pair of arrays through
-    ``read_many`` (starved rows under the writer's lock) and checks the
-    invariant on every row it staged.
+    reader copies every row, in a shuffled order, into its own pair of
+    arrays by position through ``read_many`` (starved positions under the
+    writer's lock) and checks the invariant on every row it copied.
     """
     n = 16
     lock = Seqlock(cells(n))
     writer_lock = threading.Lock()
     a = np.zeros(n, dtype=np.int64)
     b = np.zeros(n, dtype=np.int64)
-    everything = np.arange(n)
+    everything = np.random.default_rng(3).permutation(n)
     stop = threading.Event()
     torn: list[tuple[int, int]] = []
     reads = [0]
@@ -417,10 +439,11 @@ def test_threaded_block_readers_never_see_a_torn_pair():
         mine_a = np.zeros(n, dtype=np.int64)
         mine_b = np.zeros(n, dtype=np.int64)
 
-        def copy(rows):
-            mine_a[rows] = a[rows]
+        def copy(at):
+            rows = everything[at]
+            mine_a[at] = a[rows]
             time.sleep(0)  # let the writer in: a tear needs this gap
-            mine_b[rows] = b[rows]
+            mine_b[at] = b[rows]
 
         while not stop.is_set():
             try:

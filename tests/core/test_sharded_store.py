@@ -23,7 +23,7 @@ from repro.core.sharded_store import (
 )
 from repro.core.shm_store import MultiProcSumStore
 from repro.core.sum_model import SumRepository, UnknownUserError
-from repro.core.sum_store import ColumnarSumStore, SumBatch
+from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch
 from repro.core.updates import DecayOp, PunishOp, RewardOp
 from repro.streaming.bus import partition_for
 from repro.streaming.cache import SumCache
@@ -74,7 +74,7 @@ class TestRouting:
     def test_single_shard_degenerates_to_one_store(self):
         store = populate(ShardedSumStore(n_shards=1))
         assert len(store.shards[0]) == 40
-        assert isinstance(store.batch([1, 2, 3]), SumBatch)
+        assert isinstance(store.batch([1, 2, 3]), FrozenSumBatch)
 
     def test_n_shards_validated(self):
         with pytest.raises(ValueError, match="n_shards"):

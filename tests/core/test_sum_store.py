@@ -17,7 +17,7 @@ from repro.core.four_branch import BRANCH_ORDER, Branch
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
-from repro.core.sum_store import ColumnarSumStore, SumBatch, SumRowView
+from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch, SumRowView
 from repro.core.updates import DecayOp, PunishOp, RewardOp, apply_ops
 
 POLICY = ReinforcementPolicy()
@@ -150,7 +150,7 @@ class TestBatchReads:
         engine = AdviceEngine()
         ids = repo.user_ids()
         batch = store.batch(ids)
-        assert isinstance(batch, SumBatch)
+        assert isinstance(batch, FrozenSumBatch)
         expected = engine.boosts_matrix([repo.get(u) for u in ids], profile)
         actual = engine.boosts_matrix(batch, profile)
         assert np.array_equal(expected, actual)

@@ -520,12 +520,14 @@ class TestFirstContactSemantics:
         # Membership checks only: the no-adjust path must not pay for
         # snapshot builds it will never read.
         from repro.core.sum_store import ColumnarSumStore
+        from repro.obs.metrics import MetricsRegistry
         from repro.streaming.cache import SumCache
 
         store = ColumnarSumStore()
         for uid in (1, 2):
             store.get_or_create(uid).activate_emotion("enthusiastic", 0.5)
-        cache = SumCache(store)
+        telemetry = MetricsRegistry()
+        cache = SumCache(store, telemetry=telemetry)
         service = RecommendationService(
             sums=cache,
             domain_profile=make_profile(),
@@ -541,7 +543,7 @@ class TestFirstContactSemantics:
         )
         assert len(response.ranked) == 2
         assert cache.cached_users == 0
-        assert cache.mirrored_users == 0
+        assert telemetry.counter("cache.captures").value == 0
 
     def test_create_missing_applies_on_the_no_adjust_path_too(self, repo):
         service = self._service(repo, create_missing=True)

@@ -282,26 +282,6 @@ class TestColumnarBatchReads:
         batch = cache.batch([404], create=True)
         assert batch.user_ids == [404] and 404 in cache
 
-    def test_mirror_copies_rows_once_per_published_version(self):
-        from repro.core.emotions import EMOTION_NAMES
-
-        store, cache, policy = self._world()
-        assert cache.mirrored_users == 0
-        cache.batch([1, 2, 3])
-        assert cache.mirrored_users == 3
-        # unpublished live writes stay invisible at the old version
-        store.get(1).activate_emotion("shy", 0.5)
-        stale = cache.batch([1])
-        assert stale.intensity_matrix(EMOTION_NAMES)[0][
-            EMOTION_NAMES.index("shy")
-        ] == pytest.approx(0.1)
-        cache.invalidate([1])
-        fresh = cache.batch([1])
-        assert fresh.intensity_matrix(EMOTION_NAMES)[0][
-            EMOTION_NAMES.index("shy")
-        ] == pytest.approx(0.6)
-        assert fresh.versions[1] == 1
-
     def test_batch_iteration_yields_frozen_snapshots(self):
         __, cache, __ = self._world()
         models = list(cache.batch([1, 2]))
@@ -311,8 +291,8 @@ class TestColumnarBatchReads:
 
     def test_mirror_survives_store_growth_between_reads(self):
         # regression: a torn (values, mask) shape pair during capacity
-        # growth could leave the mirror permanently divergent and crash
-        # every later refresh with IndexError
+        # growth once left the cache's read copy permanently divergent
+        # and crashed every later read with IndexError
         from repro.core.emotions import EMOTION_NAMES
         from repro.core.sum_store import ColumnarSumStore
 
@@ -320,7 +300,7 @@ class TestColumnarBatchReads:
         for uid in (1, 2):
             store.get_or_create(uid).activate_emotion("shy", 0.1 * uid)
         cache = SumCache(store)
-        cache.batch([1, 2])  # mirror sized to the tiny initial capacity
+        cache.batch([1, 2])  # read at the tiny initial capacity
         for uid in range(10, 90):  # several row-capacity doublings
             store.get_or_create(uid).set_subjective(f"pref[{uid}]", 0.5)
         cache.invalidate([1])
