@@ -109,3 +109,25 @@ class InternedIds(Sequence[Any]):
 
     def __repr__(self) -> str:
         return f"InternedIds({self._ids!r})"
+
+
+class Population(InternedIds):
+    """A SUM store's users: sorted ids, interned once per row set.
+
+    What every SUM resolver's ``population()`` returns.  ``key`` is the
+    row-set state read *before* the listing, so the listing holds at
+    least the users it counts; the store hands out the same object until
+    its key moves.  ``rows`` address the ids in ``source``, whose
+    ``batch`` of the population routes no id (``None`` without rows).
+    Rows never move, so an older population stays a valid subset.
+    """
+
+    __slots__ = ("key", "source", "rows")
+
+    def __init__(
+        self, items: Iterable[Any], key: object, source: Any = None, rows: Any = None
+    ) -> None:
+        super().__init__(items)
+        self.key = key
+        self.source = source
+        self.rows = rows

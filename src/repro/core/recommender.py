@@ -26,6 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.advice import AdviceEngine, DomainProfile
+from repro.core.interned import InternedIds
 from repro.core.sum_model import SmartUserModel, SumRepository
 
 #: ``base_scorer(model, item) -> float`` — higher means more appealing.
@@ -55,8 +56,8 @@ class _SingleModelResolver:
     def get(self, user_id: int) -> SmartUserModel:
         return self._model
 
-    def user_ids(self) -> list[int]:
-        return [self._model.user_id]
+    def population(self) -> InternedIds:
+        return InternedIds([self._model.user_id])
 
 
 class _SwappableResolver:
@@ -76,8 +77,8 @@ class _SwappableResolver:
     def get(self, user_id: int) -> SmartUserModel:
         return self._target.get(user_id)
 
-    def user_ids(self) -> list[int]:
-        return self._target.user_ids()
+    def population(self) -> InternedIds:
+        return self._target.population()
 
 
 class EmotionAwareRecommender:

@@ -51,6 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.interned import Population
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import (
     BatchRead,
@@ -163,7 +164,7 @@ class ShardedBatch(BatchRead):
 
     def __init__(
         self,
-        user_ids: list[int],
+        user_ids: Sequence[int],
         parts: Sequence[tuple[np.ndarray, FrozenSumBatch]],
         resolve: Callable[[int], SmartUserModel],
     ) -> None:
@@ -233,6 +234,8 @@ class ShardedSumStore:
         #: that write) — an untouched shard hardlinks the previous
         #: generation's page files instead of re-serializing them
         self._checkpoint_marks: dict[str, tuple[int, list[int]]] = {}
+        #: the last :meth:`population`, replaced when its key moves
+        self._population: Population | None = None
 
     # -- routing -------------------------------------------------------------
 
@@ -296,11 +299,26 @@ class ShardedSumStore:
 
     def user_ids(self) -> list[int]:
         """Sorted user ids with a SUM, across every shard."""
-        ids: list[int] = []
-        for shard in self.shards:
-            ids.extend(shard._row_of)
-        ids.sort()
-        return ids
+        return list(self.population())
+
+    def population(self) -> Population:
+        """Every user across the shards, sorted and interned: the merge of
+        the partitions' own populations, rebuilt only when one of them is
+        a new object or a partition was replaced.  ``rows`` holds, per
+        partition, its users' positions in the merged order and its
+        population (whose ``rows`` are their local rows)."""
+        shards = self.shards
+        parts = [shard.population() for shard in shards]
+        key = tuple(map(id, parts))  # parts stay alive in ``rows``
+        population = self._population
+        if population is None or population.source is not shards or population.key != key:
+            ids = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+            order = np.argsort(ids, kind="stable")
+            cuts = np.cumsum([len(part) for part in parts])[:-1]
+            rows = list(zip(np.split(np.argsort(order), cuts), parts))
+            merged = parts[0] if len(parts) == 1 else ids[order]
+            population = self._population = Population(merged, key, shards, rows)
+        return population
 
     @property
     def readonly(self) -> bool:
@@ -390,21 +408,28 @@ class ShardedSumStore:
         one-owner request is that partition's
         :class:`~repro.core.sum_store.FrozenSumBatch`; otherwise a
         :class:`ShardedBatch` gathers the captures into request order.
+        A :meth:`population` of these partitions brings its routing along.
         """
-        ids = (
-            list(map(int, user_ids))
-            if user_ids is not None
-            else self.user_ids()
-        )
-        # Validate (or create) the whole batch up front so unknown users
-        # fail as one typed error naming every id, not shard by shard;
-        # each capture reads its rows off the same routing.
-        groups = self._route(ids, create)
+        shards = self.shards
+        ids = self.population() if user_ids is None else user_ids
+        if isinstance(ids, Population) and ids.source is shards:
+            # a population of these partitions: routed when it was built
+            groups: list[_Group] = [
+                (s, positions, part, part.rows)
+                for s, (positions, part) in enumerate(ids.rows)
+                if len(part)
+            ]
+        else:
+            # Validate (or create) the whole batch up front so unknown
+            # users fail as one typed error naming every id, not shard by
+            # shard; each capture reads its rows off the same routing.
+            ids = list(map(int, ids))
+            groups = self._route(ids, create)
         if len(groups) == 1:  # one owner: that partition's capture
             s, __, __, rows = groups[0]
-            return self.shards[s]._capture(ids, rows)
+            return shards[s]._capture(ids, rows)
         parts = [
-            (positions, self.shards[s]._capture(shard_ids, rows))
+            (positions, shards[s]._capture(shard_ids, rows))
             for s, positions, shard_ids, rows in groups
         ]
         return ShardedBatch(ids, parts, resolve=self.freeze_view)

@@ -37,6 +37,7 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
+from repro.core.interned import Population
 
 if TYPE_CHECKING:  # both import this module
     from repro.core.reward import ReinforcementPolicy
@@ -299,6 +300,7 @@ class SumRepository:
 
     def __init__(self) -> None:
         self._models: dict[int, SmartUserModel] = {}
+        self._population: Population | None = None
 
     def get_or_create(self, user_id: int) -> SmartUserModel:
         """Fetch a user's SUM, creating an empty one on first contact.
@@ -338,6 +340,15 @@ class SumRepository:
     def user_ids(self) -> list[int]:
         """Sorted user ids with a SUM."""
         return sorted(self._models)
+
+    def population(self) -> Population:
+        """:meth:`user_ids` interned, one object per user count (read
+        first; models are never removed)."""
+        key = len(self._models)
+        population = self._population
+        if population is None or population.key != key:
+            population = self._population = Population(sorted(self._models), key)
+        return population
 
     def batch_apply_ops(
         self, items: BatchItems, policy: ReinforcementPolicy

@@ -74,6 +74,7 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
+from repro.core.interned import Population
 from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError, frozen_model
 from repro.core.updates import (
@@ -211,21 +212,25 @@ def validate_batch_ops(items: BatchItems) -> OpBatch:
 
 
 def _masked_matrix(
-    family: Any, rows: np.ndarray, names: Sequence[str], default: float
+    family: Any, rows: np.ndarray | None, names: Sequence[str], default: float
 ) -> np.ndarray:
     """``(len(rows), len(names))`` family values; absent → ``default``.
 
     Shared by the live and frozen families so the masked-default
     semantics can never diverge between a snapshot and the store it was
     captured from; ``family`` needs ``column_of``/``values``/``mask``.
+    ``rows=None`` reads every row of the arrays (a frozen batch whole)
+    and gathers the columns only.
     """
-    out = np.full((len(rows), len(names)), float(default))
+    n = family.values.shape[0] if rows is None else len(rows)
+    out = np.full((n, len(names)), float(default))
     columns = [family.column_of(name) for name in names]
     held = [k for k, j in enumerate(columns) if j is not None]
     if held:
         # one gather over the names that have a column; the rest keep
         # ``default``
-        grid = (rows[:, None], np.asarray([columns[k] for k in held]))
+        cols = np.asarray([columns[k] for k in held])
+        grid = (slice(None), cols) if rows is None else (rows[:, None], cols)
         out[:, held] = np.where(
             family.mask[grid], family.values[grid], float(default)
         )
@@ -343,12 +348,6 @@ class _ColumnFamily:
             self.clock.bump()
             return j
 
-    def read_matrix(
-        self, rows: np.ndarray, names: Sequence[str], default: float
-    ) -> np.ndarray:
-        """``(len(rows), len(names))`` values; absent entries → ``default``."""
-        return _masked_matrix(self, rows, names, default)
-
     def row_dict(self, row: int) -> dict[str, Any]:
         """``row``'s present entries as ``{name: value}`` (Python scalars)."""
         order = self.order
@@ -421,12 +420,6 @@ class _FrozenFamily:
             )
         return j
 
-    def read_matrix(
-        self, rows: np.ndarray, names: Sequence[str], default: float
-    ) -> np.ndarray:
-        """Same contract as :meth:`_ColumnFamily.read_matrix`."""
-        return _masked_matrix(self, rows, names, default)
-
 
 class BatchRead:
     """What every batch read returns: user ids in request order, version
@@ -442,7 +435,7 @@ class BatchRead:
 
     def __init__(
         self,
-        user_ids: list[int],
+        user_ids: Sequence[int],
         resolve: Callable[[int], SmartUserModel],
         starved: int = 0,
     ) -> None:
@@ -485,7 +478,7 @@ class FrozenSumBatch(BatchRead):
 
     def __init__(
         self,
-        user_ids: list[int],
+        user_ids: Sequence[int],
         emotional: _FrozenFamily,
         sensibility: _FrozenFamily,
         resolve: Callable[[int], SmartUserModel],
@@ -504,8 +497,7 @@ class FrozenSumBatch(BatchRead):
         self, order: Sequence[str], default: float = 1.0
     ) -> np.ndarray:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
-        rows = np.arange(len(self.user_ids), dtype=np.intp)
-        return self.sensibility.read_matrix(rows, order, default)
+        return _masked_matrix(self.sensibility, None, order, default)
 
 
 class _RowMapView(MutableMapping):
@@ -775,6 +767,8 @@ class ColumnarSumStore:
         self._asked: list[set[str]] = []
         self._answered: list[set[str]] = []
         self._views: dict[int, SumRowView] = {}
+        #: the last :meth:`population`, replaced when its key moves
+        self._population: Population | None = None
         #: set by :meth:`load` with ``mmap=True``: the column pages are
         #: read-only memory maps shared across replica processes, and
         #: every write path raises instead of faulting or forking pages
@@ -968,7 +962,26 @@ class ColumnarSumStore:
 
     def user_ids(self) -> list[int]:
         """Sorted user ids with a SUM."""
-        return sorted(self._row_of)
+        return list(self.population())
+
+    def population(self) -> Population:
+        """Every user, sorted and interned, with their rows: one object
+        per row set.
+
+        Keyed by the published row count (``_new_row`` publishes a row
+        last) and the layout epoch (``adopt_layout`` moves it), read
+        *before* the listing, so no population lacks a user created
+        before the call.  The ids are the row map's own keys.
+        """
+        key = (len(self._row_of), int(self.layout_epoch.cells[0]))
+        population = self._population
+        if population is None or population.key != key:
+            row_of = self._row_of
+            ids = sorted(row_of)
+            rows = np.fromiter(map(row_of.get, ids), np.intp, len(ids))
+            rows.setflags(write=False)
+            population = self._population = Population(ids, key, self, rows)
+        return population
 
     def batch(
         self, user_ids: Sequence[int] | None = None, create: bool = False
@@ -977,16 +990,17 @@ class ColumnarSumStore:
 
         :meth:`rows_for` plus one capture (:meth:`_capture`): unknown
         users raise one :class:`~repro.core.sum_model.UnknownUserError`
-        naming them all, ``create=True`` creates them first.
+        naming them all, ``create=True`` creates them first.  A
+        :meth:`population` of this store brings its rows along.
         """
-        ids = (
-            list(map(int, user_ids))
-            if user_ids is not None
-            else self.user_ids()
-        )
+        if user_ids is None:
+            user_ids = self.population()
+        if isinstance(user_ids, Population) and user_ids.source is self:
+            return self._capture(user_ids, user_ids.rows)
+        ids = list(map(int, user_ids))
         return self._capture(ids, self.rows_for(ids, create=create))
 
-    def _capture(self, user_ids: list[int], rows: np.ndarray) -> FrozenSumBatch:
+    def _capture(self, user_ids: Sequence[int], rows: np.ndarray) -> FrozenSumBatch:
         """The intensity and sensibility ``rows`` of ``user_ids``, copied
         inside one layout-epoch window (:meth:`_capture_rows`).
 
@@ -1187,7 +1201,7 @@ class ColumnarSumStore:
         rows = self.rows_for(ids)
         parts = [self._emotional.values[rows][:, : len(EMOTION_NAMES)]]
         parts.append(
-            self._subjective.read_matrix(rows, subjective_order, default=0.5)
+            _masked_matrix(self._subjective, rows, subjective_order, default=0.5)
         )
         if include_ei:
             parts.append(self._ei[rows])
@@ -1479,9 +1493,7 @@ class ColumnarSumStore:
         from repro.db.schema import Column, ColumnType, Schema
         from repro.db.table import Table
 
-        live = np.asarray(
-            [self._row_of[uid] for uid in self.user_ids()], dtype=np.intp
-        )
+        live = self.population().rows
         ids = self._user_ids[live]
         catalog = Catalog()
 

@@ -65,7 +65,9 @@ class RecommendationService:
     Parameters
     ----------
     sums:
-        User-model resolver (``.get(user_id)`` and ``.user_ids()``),
+        User-model resolver (``.get(user_id)``, and ``.population()`` —
+        its users sorted and interned, see
+        :class:`~repro.core.interned.Population` — for select-all),
         typically a :class:`~repro.core.sum_model.SumRepository`.
         Optional for services that never adjust emotionally and always
         receive explicit user lists.
@@ -337,7 +339,7 @@ class RecommendationService:
 
         ``known_users=True`` skips the no-adjust membership validation —
         for callers whose ids were just sourced from ``sums`` itself and
-        therefore cannot be unknown (select-all over ``user_ids()``).
+        therefore cannot be unknown (select-all over ``population()``).
         ``sums`` is the caller's captured resolver; defaults to a capture
         taken here (direct ``score_matrix`` calls).  ``stamps``, when
         given, receives five ``perf_counter()`` marks — start, resolved,
@@ -611,11 +613,12 @@ class RecommendationService:
         resolver = self.sums  # one capture per request; see recommend()
         trace_id = next_trace_id() if self.tracer.enabled else None
         stamps: list[float] | None = [] if self._obs_on else None
-        # the users' one id translation: scorer and ranking share it
+        # the users' one id translation: scorer and ranking share it (a
+        # select-all's is the resolver's, made once per row set)
         if request.user_ids is not None:
             ids = InternedIds([int(uid) for uid in request.user_ids])
         elif resolver is not None:
-            ids = InternedIds(resolver.user_ids())
+            ids = resolver.population()
         else:
             raise RuntimeError(
                 "selection over all users needs a SUM repository; pass "

@@ -53,6 +53,7 @@ from repro.analysis.contracts import (
     manual_guard,
     requires_lock,
 )
+from repro.core.interned import Population
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_model import SmartUserModel, SumRepository
 from repro.core.sum_store import BatchRead, validate_batch_ops
@@ -86,8 +87,8 @@ class SumCache:
     """Snapshot cache + version counters over a :class:`SumRepository`.
 
     Duck-types the repository read API (``get``, ``user_ids``,
-    ``__contains__``, ``__len__`` — plus ``batch`` when the repository is
-    columnar) so it can be handed to
+    ``population``, ``__contains__``, ``__len__`` — plus ``batch`` when
+    the repository is columnar) so it can be handed to
     :class:`~repro.serving.service.RecommendationService` as its ``sums``.
     """
 
@@ -274,6 +275,10 @@ class SumCache:
 
     def user_ids(self) -> list[int]:
         return self.repository.user_ids()
+
+    def population(self) -> Population:
+        """The repository's population: what a select-all ranks."""
+        return self.repository.population()
 
     def __contains__(self, user_id: object) -> bool:
         return user_id in self.repository

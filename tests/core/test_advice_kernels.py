@@ -17,6 +17,7 @@ import repro.core.advice as advice_module
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable, evidence_matrix
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.seqlock import Seqlock
+from repro.core.sharded_store import ShardedBatch, ShardedSumStore
 from repro.core.sum_model import SmartUserModel
 from repro.core.sum_store import (
     ColumnarSumStore,
@@ -176,8 +177,41 @@ class TestMaskedMatrix:
         frozen = _FrozenFamily(
             family.index, family.order, family.values[rows], family.mask[rows]
         )
-        every = np.arange(len(rows), dtype=np.intp)
-        assert np.array_equal(frozen.read_matrix(every, asked, default), want)
+        # every row of a frozen copy: the columns gathered, no row grid
+        assert np.array_equal(_masked_matrix(frozen, None, asked, default), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.lists(
+            st.dictionaries(
+                st.sampled_from(EMOTION_NAMES + NAMES), st.one_of(st.none(), unit), max_size=6
+            ),
+            min_size=2, max_size=9,  # users 0 and 1: both shards
+        ),
+        asked=st.lists(st.sampled_from(EMOTION_NAMES[:3] + NAMES + ("zz",)), max_size=7),
+        default=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sensibility_matrix_of_a_two_shard_batch_equals_the_loop(
+        self, states, asked, default, seed
+    ):
+        store = ShardedSumStore(n_shards=2)
+        for uid, state in enumerate(states):
+            model = store.get_or_create(uid)
+            for name, weight in state.items():
+                if weight is not None:
+                    model.set_sensibility(name, weight)
+        order = np.random.default_rng(seed).permutation(len(states)).tolist()
+        for batch in (store.batch(order), store.batch()):
+            assert isinstance(batch, ShardedBatch)
+            want = np.vstack([
+                per_name_loop(
+                    store.shard_for(uid)._sensibility,
+                    np.array([store.shard_for(uid).row_index(uid)]), asked, default,
+                )
+                for uid in batch.user_ids
+            ])
+            assert np.array_equal(batch.sensibility_matrix(asked, default), want)
 
 
 @st.composite

@@ -307,7 +307,7 @@ class TestUserIdsAreInternedOncePerSelection:
         for request in requests:
             response = service.select_users(request)
             users = scorer.seen[-1]
-            assert type(users) is InternedIds
+            assert isinstance(users, InternedIds)  # a select-all's: its Population
             assert [type(uid) for uid in users] == [int] * len(users)
             # int64 for free: the scorer's conversion is the vector itself
             assert np.asarray(users, dtype=np.int64) is users.vector
