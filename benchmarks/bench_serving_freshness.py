@@ -13,10 +13,13 @@ states by construction), then measures the serving read path —
 ``score_matrix`` over the whole population with emotional adjustment —
 while batches keep landing between reads:
 
-* **object-snapshot baseline** — ``SumCache`` over ``SumRepository``:
-  every touched user's snapshot is rebuilt from one ``to_dict()`` copy
-  (sealed by ``frozen_model``; no ``from_dict``), then the Advice stage
-  does per-model scalar reads;
+* **object-snapshot baseline** — ``SumCache`` over ``SumRepository``,
+  read per user: one ``cache.get`` per user (every touched user's
+  snapshot rebuilt from one ``to_dict()`` copy, sealed by
+  ``frozen_model``; no ``from_dict``), the Advice stage's
+  ``multiplier_matrix`` over that model list (per-model scalar reads),
+  times the service's unadjusted grid.  The service itself no longer
+  reads per user on any backend, so the bench runs this path itself;
 * **columnar snapshots** — ``SumCache`` over ``ColumnarSumStore``: each
   read is the version stamps plus one copy of the population's
   intensity and sensibility rows (``ColumnarSumStore.batch``), then
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 
@@ -126,6 +130,16 @@ def write_rounds(seed: int = 11):
     return rounds
 
 
+def object_snapshot_grid(cache, service, ids, items):
+    """The per-snapshot baseline: one ``cache.get`` per user, the Advice
+    stage over the model list, times the unadjusted service grid."""
+    models = [cache.get(uid) for uid in ids]
+    multiplier = service.advice.multiplier_matrix(
+        models, items, service.item_attributes, PROFILE
+    )
+    return service.score_matrix(ids, items, adjust=False) * multiplier
+
+
 def apply_round(cache, batch, policy):
     """Commit one write round through the cache's publish path."""
     cache.apply_batch_and_publish(batch, policy)
@@ -180,13 +194,17 @@ def test_columnar_cache_reads_are_allocation_free_and_faster():
     ):
         cache = SumCache(build_population(backend_cls))
         service, items = build_service(cache)
-        service.score_matrix(ids, items)  # warm: object snapshots fill
+        read = (
+            partial(object_snapshot_grid, cache, service)
+            if label == "object" else service.score_matrix
+        )
+        read(ids, items)  # warm: object snapshots fill
         read_times = []
         with RebuildCounter() as counter:
             for batch in rounds:
                 apply_round(cache, batch, policy)
                 start = time.perf_counter()
-                grid = service.score_matrix(ids, items)
+                grid = read(ids, items)
                 read_times.append(time.perf_counter() - start)
         results[label] = min(read_times)
         grids[label] = grid

@@ -436,9 +436,7 @@ class CampaignEngine:
         """
         from repro.serving.replica import Checkpointer
 
-        if not callable(getattr(self.sums, "save", None)) or not hasattr(
-            self.sums, "shards"
-        ):
+        if not isinstance(self.sums, ShardedSumStore):
             raise TypeError(
                 "checkpointing needs the sharded SUM backend; build the "
                 "engine with EngineConfig(sum_backend='sharded')"

@@ -248,10 +248,10 @@ def evidence_matrix(
 ) -> np.ndarray:
     """``(n_users, n_emotions)`` intensity × sensibility evidence.
 
-    A columnar batch (anything with ``intensity_matrix``: the
-    ``FrozenSumBatch`` / ``ShardedBatch`` every columnar ``batch`` read
-    returns) is read as column slices of its frozen copy, a plain
-    sequence of user models one model at a time.  Absent sensibilities
+    A batch (anything with ``intensity_matrix``: the ``FrozenSumBatch``
+    / ``ShardedBatch`` every ``batch`` read returns) is read as column
+    slices of its frozen copy, a plain sequence of user models (the
+    reference) one model at a time.  Absent sensibilities
     are 1.
     """
     if hasattr(models, "intensity_matrix"):

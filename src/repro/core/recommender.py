@@ -26,8 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.advice import AdviceEngine, DomainProfile
-from repro.core.interned import InternedIds
-from repro.core.sum_model import SmartUserModel, SumRepository
+from repro.core.sum_model import SmartUserModel, SumRepository, SumResolver
 
 #: ``base_scorer(model, item) -> float`` — higher means more appealing.
 BaseScorer = Callable[[SmartUserModel, str], float]
@@ -40,45 +39,6 @@ class RankedItem:
     item: str
     base_score: float
     adjusted_score: float
-
-
-class _SingleModelResolver:
-    """Resolver serving one in-hand SUM regardless of the requested id.
-
-    The legacy ``recommend(model, items)`` signature hands the model in
-    directly, so the serving layer's id-based resolution short-circuits
-    here.
-    """
-
-    def __init__(self, model: SmartUserModel) -> None:
-        self._model = model
-
-    def get(self, user_id: int) -> SmartUserModel:
-        return self._model
-
-    def population(self) -> InternedIds:
-        return InternedIds([self._model.user_id])
-
-
-class _SwappableResolver:
-    """Indirection letting one cached service serve varying resolvers.
-
-    The legacy API takes the repository (or a bare model) per *call*, so
-    the shim retargets this resolver instead of rebuilding the service
-    and its adapter for every invocation.
-    """
-
-    def __init__(self) -> None:
-        self._target: object | None = None
-
-    def retarget(self, target: object) -> None:
-        self._target = target
-
-    def get(self, user_id: int) -> SmartUserModel:
-        return self._target.get(user_id)
-
-    def population(self) -> InternedIds:
-        return self._target.population()
 
 
 class EmotionAwareRecommender:
@@ -108,33 +68,23 @@ class EmotionAwareRecommender:
         self.domain_profile = domain_profile
         self.item_attributes = dict(item_attributes)
         self.advice = advice or AdviceEngine()
-        self._resolver = _SwappableResolver()
-        self._cached_service = None
 
-    def _service(self, resolver: object):
-        """The cached serving facade, retargeted to ``resolver``."""
-        if self._cached_service is None:
-            # Imported lazily: repro.serving depends on repro.core.advice,
-            # and this module is imported by repro.core's own __init__.
-            from repro.serving.adapters import LegacyScorerAdapter
-            from repro.serving.service import RecommendationService
+    def _service(self, sums: SumResolver):
+        """A serving facade over ``sums``, the legacy scorer registered:
+        built per call, so each call reads ``item_attributes`` afresh."""
+        # Imported lazily: repro.serving depends on repro.core.advice,
+        # and this module is imported by repro.core's own __init__.
+        from repro.serving.adapters import LegacyScorerAdapter
+        from repro.serving.service import RecommendationService
 
-            service = RecommendationService(
-                sums=self._resolver,
-                domain_profile=self.domain_profile,
-                advice=self.advice,
-            )
-            service.register(
-                "base", LegacyScorerAdapter(self.base_scorer, self._resolver)
-            )
-            self._cached_service = service
-        # The service serves from a read-only item table, so the public
-        # dict is handed over again on every call: post-construction
-        # mutation of self.item_attributes keeps the seed's semantics, at
-        # O(catalog) per call next to the per-pair scorer loop.
-        self._cached_service.item_attributes = self.item_attributes
-        self._resolver.retarget(resolver)
-        return self._cached_service
+        service = RecommendationService(
+            sums=sums,
+            domain_profile=self.domain_profile,
+            item_attributes=self.item_attributes,
+            advice=self.advice,
+        )
+        service.register("base", LegacyScorerAdapter(self.base_scorer, sums))
+        return service
 
     # -- recommendation function ------------------------------------------
 
@@ -152,7 +102,8 @@ class EmotionAwareRecommender:
         validate_k(k)
         if len(items) == 0:
             return []
-        response = self._service(_SingleModelResolver(model)).recommend(
+        # the model in hand is the whole repository: held, not copied
+        response = self._service(SumRepository([model])).recommend(
             RecommendationRequest(
                 user_id=model.user_id, items=list(items), k=k
             )

@@ -154,7 +154,7 @@ class ShardedBatch(BatchRead):
     """A cross-shard batch read: per-partition captures + a gather index.
 
     Duck-types :class:`~repro.core.sum_store.FrozenSumBatch` (``len``,
-    iteration, ``versions``, ``starved``, the ``*_matrix`` reads),
+    ``versions``, ``starved``, the ``*_matrix`` reads),
     reassembling each partition's frozen copy into request order — so
     the Advice stage takes the same matrix path over a partitioned
     population as over a single store, bit-equal row for row.
@@ -166,9 +166,8 @@ class ShardedBatch(BatchRead):
         self,
         user_ids: Sequence[int],
         parts: Sequence[tuple[np.ndarray, FrozenSumBatch]],
-        resolve: Callable[[int], SmartUserModel],
     ) -> None:
-        super().__init__(user_ids, resolve, sum(part.starved for __, part in parts))
+        super().__init__(user_ids, sum(part.starved for __, part in parts))
         #: each partition's capture with the positions (indices into
         #: ``user_ids``) its rows occupy in the assembled request order
         self.parts = list(parts)
@@ -432,7 +431,7 @@ class ShardedSumStore:
             (positions, shards[s]._capture(shard_ids, rows))
             for s, positions, shard_ids, rows in groups
         ]
-        return ShardedBatch(ids, parts, resolve=self.freeze_view)
+        return ShardedBatch(ids, parts)
 
     def feature_matrix(
         self,

@@ -26,10 +26,11 @@ import enum
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.analysis.contracts import declare_lock, make_lock
 from repro.core.emotions import (
     EMOTION_CATALOG,
     EMOTION_NAMES,
@@ -41,6 +42,7 @@ from repro.core.interned import Population
 
 if TYPE_CHECKING:  # both import this module
     from repro.core.reward import ReinforcementPolicy
+    from repro.core.sum_store import BatchRead, FrozenSumBatch
     from repro.core.updates import BatchItems
 
 
@@ -295,12 +297,52 @@ def frozen_model(payload: dict[str, Any]) -> SmartUserModel:
     return model
 
 
-class SumRepository:
-    """The SUM collection SPA maintains for the whole population."""
+@runtime_checkable
+class SumResolver(Protocol):
+    """The one read surface of every SUM backend, and of a
+    :class:`~repro.streaming.cache.SumCache` over any of them.
 
-    def __init__(self) -> None:
-        self._models: dict[int, SmartUserModel] = {}
+    ``batch`` is the Advice stage's evidence, one frozen copy of the
+    users' intensities and sensibilities; ``rows_for`` checks users
+    exist without reading them.  Both raise one :class:`UnknownUserError`
+    naming every unknown id, or with ``create=True`` create them empty.
+    The freshness stamps are ``None`` where the state is unversioned.
+    """
+
+    def get(self, user_id: int) -> SmartUserModel: ...
+    def population(self) -> Population: ...
+    def rows_for(self, user_ids: Sequence[int], create: bool = False) -> np.ndarray: ...
+    def batch(self, user_ids: Sequence[int] | None = None, create: bool = False) -> BatchRead: ...
+    def version(self, user_id: int) -> int | None: ...
+    @property
+    def global_version(self) -> int | None: ...
+    @property
+    def snapshot_generation(self) -> int | None: ...
+
+
+# A batch commit and a batch copy exclude each other on the object store.
+declare_lock("SumRepository._lock")
+
+
+class SumRepository:
+    """The SUM collection SPA maintains for the whole population
+    (``models`` are held as given, not copied)."""
+
+    def __init__(self, models: Iterable[SmartUserModel] = ()) -> None:
+        self._models: dict[int, SmartUserModel] = {m.user_id: m for m in models}
         self._population: Population | None = None
+        #: held by :meth:`batch_apply_ops` for a whole batch and by
+        #: :meth:`batch` for its copy, so no read sees half a commit
+        self._lock = make_lock("SumRepository._lock")
+
+    #: live state: writable, unversioned (a SumCache over the store
+    #: counts versions), from no checkpoint
+    readonly = False
+    global_version = None
+    snapshot_generation = None
+
+    def version(self, user_id: int) -> None:
+        return None
 
     def get_or_create(self, user_id: int) -> SmartUserModel:
         """Fetch a user's SUM, creating an empty one on first contact.
@@ -321,6 +363,32 @@ class SumRepository:
             return self._models[int(user_id)]
         except KeyError:
             raise UnknownUserError([user_id]) from None
+
+    def rows_for(self, user_ids: Sequence[int], create: bool = False) -> np.ndarray:
+        """The addresses of ``user_ids`` — on the object store, the ids —
+        with the columnar contract: one :class:`UnknownUserError` naming
+        every unknown user, who ``create=True`` creates empty instead."""
+        ids = list(map(int, user_ids))
+        missing = [uid for uid in ids if uid not in self._models]
+        if missing and not create:
+            raise UnknownUserError(missing)
+        for uid in missing:
+            self.get_or_create(uid)
+        return np.asarray(ids, dtype=np.int64)
+
+    def batch(self, user_ids: Sequence[int] | None = None, create: bool = False) -> FrozenSumBatch:
+        """A frozen batch read of ``user_ids`` (default: every user):
+        :meth:`rows_for`'s contract, then each user's intensities and
+        sensibilities copied under the store lock
+        (``FrozenSumBatch.of_rows``)."""
+        from repro.core.sum_store import FrozenSumBatch
+
+        ids = self.population() if user_ids is None else self.rows_for(user_ids, create).tolist()
+        models = list(map(self._models.__getitem__, ids))
+        with self._lock:
+            return FrozenSumBatch.of_rows(
+                ids, [m.emotional.intensities for m in models], [m.sensibility for m in models]
+            )
 
     def freeze_view(self, user_id: int) -> SmartUserModel:
         """An immutable copy of one user's SUM: :func:`frozen_model` over
@@ -360,15 +428,17 @@ class SumRepository:
         <repro.core.sum_store.ColumnarSumStore.batch_apply_ops>`: the
         batch is validated before any mutation, then each user's ops run
         in order through :func:`~repro.core.updates.apply_ops` on
-        :meth:`get_or_create` (first contact creates the SUM).  Returns
-        the batch's ``counts``: applied ops per raw item.
+        :meth:`get_or_create` (first contact creates the SUM), under the
+        store lock.  Returns the batch's ``counts``: applied ops per raw
+        item.
         """
         from repro.core.sum_store import validate_batch_ops
         from repro.core.updates import apply_ops
 
         batch = validate_batch_ops(items)
-        for user_id, ops in batch:
-            apply_ops(self.get_or_create(user_id), ops, policy)
+        with self._lock:
+            for user_id, ops in batch:
+                apply_ops(self.get_or_create(user_id), ops, policy)
         return batch.counts
 
     def feature_matrix(
@@ -413,8 +483,4 @@ class SumRepository:
     @classmethod
     def loads(cls, payload: str) -> "SumRepository":
         """Inverse of :meth:`dumps`."""
-        repository = cls()
-        for item in json.loads(payload):
-            model = SmartUserModel.from_dict(item)
-            repository._models[model.user_id] = model
-        return repository
+        return cls(map(SmartUserModel.from_dict, json.loads(payload)))

@@ -423,7 +423,7 @@ class _FrozenFamily:
 
 class BatchRead:
     """What every batch read returns: user ids in request order, version
-    stamps, a starved-row count and per-model iteration.
+    stamps and a starved-row count.
 
     ``stamps`` maps a user id to the published version the reader took
     *before* copying (absent means 0; a bare store's reads carry none), so
@@ -431,18 +431,18 @@ class BatchRead:
     rows copied under a writer lock because their seqlock read starved.
     """
 
-    __slots__ = ("user_ids", "stamps", "starved", "_resolve")
+    __slots__ = ("user_ids", "stamps", "starved")
 
-    def __init__(
-        self,
-        user_ids: Sequence[int],
-        resolve: Callable[[int], SmartUserModel],
-        starved: int = 0,
-    ) -> None:
+    def __init__(self, user_ids: Sequence[int], starved: int = 0) -> None:
         self.user_ids = user_ids
         self.stamps: Mapping[int, int] = {}
         self.starved = starved
-        self._resolve = resolve
+
+    def stamped(self, stamps: Mapping[int, int]) -> "BatchRead":
+        """This capture, carrying ``stamps``: set by the cache that took
+        it, before the capture reaches any reader."""
+        self.stamps = stamps
+        return self
 
     @property
     def versions(self) -> dict[int, int]:
@@ -453,25 +453,17 @@ class BatchRead:
     def __len__(self) -> int:
         return len(self.user_ids)
 
-    def __iter__(self) -> Iterator[SmartUserModel]:
-        """Per-model fallback for scalar consumers.
-
-        Yields each user's ``freeze_view`` taken *now* — at least as
-        fresh as this batch, possibly fresher if commits landed since the
-        copy.  Only the matrix reads are pinned to the copy itself.
-        """
-        return map(self._resolve, self.user_ids)
-
 
 class FrozenSumBatch(BatchRead):
-    """An immutable columnar batch: what a columnar store's ``batch``
-    returns, behind a :class:`~repro.streaming.cache.SumCache` or bare.
+    """An immutable batch: what a single store's ``batch`` returns,
+    behind a :class:`~repro.streaming.cache.SumCache` or bare.
 
     The intensity and sensibility rows of ``user_ids``, copied out of the
-    live columns (:meth:`ColumnarSumStore.batch`): every row one committed
-    state, and the batch bit-stable no matter how many commits land
-    afterwards.  The Advice stage slices :meth:`intensity_matrix` /
-    :meth:`sensibility_matrix` directly.
+    live columns (:meth:`ColumnarSumStore.batch`) or the live models
+    (:meth:`of_rows`): every row one committed state, and the batch
+    bit-stable no matter how many commits land afterwards.  The Advice
+    stage slices :meth:`intensity_matrix` / :meth:`sensibility_matrix`
+    directly.
     """
 
     __slots__ = ("emotional", "sensibility")
@@ -481,12 +473,29 @@ class FrozenSumBatch(BatchRead):
         user_ids: Sequence[int],
         emotional: _FrozenFamily,
         sensibility: _FrozenFamily,
-        resolve: Callable[[int], SmartUserModel],
         starved: int = 0,
     ) -> None:
-        super().__init__(user_ids, resolve, starved)
+        super().__init__(user_ids, starved)
         self.emotional = emotional
         self.sensibility = sensibility
+
+    @classmethod
+    def of_rows(
+        cls,
+        user_ids: Sequence[int],
+        intensities: Sequence[Mapping[str, float]],
+        sensibilities: Sequence[Mapping[str, float]],
+    ) -> "FrozenSumBatch":
+        """A batch over per-user mappings, the object store's copy (the
+        caller excludes writers): intensities in the emotion catalog's
+        columns, sensibilities in the catalog's and then every other name
+        a user carries; absent cells are mask-False zeros, as in a store."""
+        extra = set[str]().union(*sensibilities).difference(_EMOTION_INDEX)
+        return cls(
+            user_ids,
+            _gathered(intensities, EMOTION_NAMES),
+            _gathered(sensibilities, EMOTION_NAMES + tuple(sorted(extra))),
+        )
 
     def intensity_matrix(self, order: Sequence[str]) -> np.ndarray:
         """``(n_users, len(order))`` emotional intensities at capture."""
@@ -498,6 +507,18 @@ class FrozenSumBatch(BatchRead):
     ) -> np.ndarray:
         """``(n_users, len(order))`` sensibilities; absent → ``default``."""
         return _masked_matrix(self.sensibility, None, order, default)
+
+
+def _gathered(rows: Sequence[Mapping[str, float]], order: Sequence[str]) -> _FrozenFamily:
+    """``order``'s cells of every mapping in ``rows`` as a frozen family."""
+    shape = (len(rows), len(order))
+    values = [[row.get(name, 0.0) for name in order] for row in rows]
+    mask = [[name in row for name in order] for row in rows]
+    return _FrozenFamily(
+        {name: j for j, name in enumerate(order)}, order,
+        np.array(values, np.float64).reshape(shape),
+        np.array(mask, bool).reshape(shape),
+    )
 
 
 class _RowMapView(MutableMapping):
@@ -1012,7 +1033,7 @@ class ColumnarSumStore:
         except SeqlockStarved:
             with self._lock:  # starved: exclude compaction outright
                 families, starved = self._capture_rows(rows)
-        return FrozenSumBatch(user_ids, *families, self.freeze_view, starved)
+        return FrozenSumBatch(user_ids, *families, starved)
 
     def _capture_rows(
         self, rows: np.ndarray

@@ -106,7 +106,7 @@ class IndexRefresher(CadenceDriven):
         self._g_items = registry.gauge("serving.retrieval.index_items")
 
     def _cache_version(self) -> int | None:
-        version = getattr(self.cache, "global_version", None)
+        version = None if self.cache is None else self.cache.global_version
         return int(version) if version is not None else None
 
     def _stale(self) -> bool:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.sum_model import SmartUserModel
+from repro.core.sum_model import SmartUserModel, SumResolver
 from repro.serving.budget import Budget
 from repro.serving.scorer import ItemId, ScorerBase
 
@@ -229,8 +229,8 @@ class ContentScorer(ScorerBase):
 class LegacyScorerAdapter(ScorerBase):
     """Adapter for legacy ``BaseScorer`` callables ``(model, item) -> float``.
 
-    ``resolver`` maps user ids to :class:`SmartUserModel` instances — a
-    :class:`~repro.core.sum_model.SumRepository` or anything with ``.get``.
+    ``resolver`` maps user ids to :class:`SmartUserModel` instances: any
+    :class:`~repro.core.sum_model.SumResolver`.
     The wrapped callable is resolved per *user* (not per pair), so the
     batch makes exactly ``len(user_ids)`` model lookups.
     """
@@ -238,18 +238,17 @@ class LegacyScorerAdapter(ScorerBase):
     def __init__(
         self,
         base_scorer: Callable[[SmartUserModel, ItemId], float],
-        resolver: object,
+        resolver: SumResolver,
     ) -> None:
         if not callable(base_scorer):
             raise TypeError("base_scorer must be callable")
-        getter = getattr(resolver, "get", None)
-        if not callable(getter):
+        if not isinstance(resolver, SumResolver):
             raise TypeError(
                 f"{type(resolver).__name__} cannot resolve user ids: "
-                "needs .get(user_id)"
+                "needs a SumResolver"
             )
         self.base_scorer = base_scorer
-        self._get = getter
+        self._get = resolver.get
 
     def score_batch(
         self, user_ids: Sequence[int], items: Sequence[ItemId]
@@ -351,7 +350,7 @@ class MatrixScorer(ScorerBase):
         return grid
 
 
-def as_scorer(candidate: object, resolver: object | None = None) -> ScorerBase:
+def as_scorer(candidate: object, resolver: SumResolver | None = None) -> ScorerBase:
     """Coerce anything scorer-shaped to the batch contract.
 
     Accepts an object already implementing ``score_batch``, a pairwise

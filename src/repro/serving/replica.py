@@ -245,7 +245,7 @@ class ReplicaRefresher(CadenceDriven):
                 # pruned mid-load (or a torn copy on a non-atomic
                 # transport): never tear down serving over a refresh
                 return None
-            generation = getattr(store, "snapshot_generation", None)
+            generation = store.snapshot_generation
             self.service.swap_sums(store)
             self.generation = (
                 int(generation) if generation is not None else target

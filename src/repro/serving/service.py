@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
 from repro.core.interned import InternedIds
-from repro.core.sum_model import SmartUserModel, UnknownUserError
+from repro.core.sum_model import SumResolver, UnknownUserError
+from repro.core.sum_store import BatchRead
 from repro.obs.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
@@ -65,10 +66,12 @@ class RecommendationService:
     Parameters
     ----------
     sums:
-        User-model resolver (``.get(user_id)``, and ``.population()`` —
-        its users sorted and interned, see
-        :class:`~repro.core.interned.Population` — for select-all),
-        typically a :class:`~repro.core.sum_model.SumRepository`.
+        The :class:`~repro.core.sum_model.SumResolver` users are read
+        from: any SUM backend, or a
+        :class:`~repro.streaming.cache.SumCache` over one.  ``batch``
+        reads the Advice stage's evidence, ``rows_for`` validates users
+        without reading them, ``population()`` lists them for
+        select-all, and the freshness stamps go on every response.
         Optional for services that never adjust emotionally and always
         receive explicit user lists.
     domain_profile:
@@ -107,7 +110,7 @@ class RecommendationService:
 
     def __init__(
         self,
-        sums: object | None = None,
+        sums: SumResolver | None = None,
         domain_profile: DomainProfile | None = None,
         item_attributes: Mapping[ItemId, Mapping[str, float]] | None = None,
         advice: AdviceEngine | None = None,
@@ -242,19 +245,17 @@ class RecommendationService:
     # -- batch scoring -----------------------------------------------------
 
     def _resolve_models(
-        self, user_ids: Sequence[int], sums: object | None = None
-    ) -> Sequence[SmartUserModel]:
-        """User models for one batch — columnar zero-copy when possible.
+        self, user_ids: Sequence[int], sums: SumResolver | None = None
+    ) -> BatchRead:
+        """The Advice stage's evidence for one batch: ``sums.batch``, a
+        frozen copy of the users' intensity and sensibility rows.
 
         ``sums`` is the request's captured resolver (see :meth:`swap_sums`
         — every read of one request must come from the same resolver
         object, so a concurrent replica swap can never mix generations
-        within a response).  A columnar resolver (``sums.batch``) returns
-        a :class:`~repro.core.sum_store.FrozenSumBatch` — a frozen copy of
-        the users' intensity and sensibility rows, which the Advice stage
-        slices directly; object repositories resolve model by model.  Either way, unknown users
-        raise one :class:`~repro.core.sum_model.UnknownUserError` naming
-        every offending id (unless :attr:`create_missing` opts into the
+        within a response).  Unknown users raise one
+        :class:`~repro.core.sum_model.UnknownUserError` naming every
+        offending id (unless :attr:`create_missing` opts into the
         streaming path's first-contact auto-create).
         """
         if sums is None:
@@ -264,63 +265,13 @@ class RecommendationService:
                 "service has no SUM repository; cannot resolve user models "
                 "for emotional adjustment"
             )
-        batch = getattr(sums, "batch", None)
-        if callable(batch):
-            return batch(user_ids, create=self.create_missing)
-        models: list[SmartUserModel] = []
-        missing: list[int] = []
-        if self.create_missing:
-            for uid in user_ids:
-                models.append(sums.get_or_create(int(uid)))
-            return models
-        for uid in user_ids:
-            try:
-                models.append(sums.get(int(uid)))
-            except KeyError:
-                missing.append(int(uid))
-        if missing:
-            raise UnknownUserError(missing)
-        return models
+        return sums.batch(user_ids, create=self.create_missing)
 
-    def _validate_users(
-        self, user_ids: Sequence[int], sums: object | None = None
-    ) -> None:
-        """Batch-validate ``user_ids`` without materializing any models.
-
-        The no-adjust path owes callers the same typed-error contract as
-        the adjusting one: every unknown id in the batch named in one
-        :class:`~repro.core.sum_model.UnknownUserError` — but it has no
-        use for the models themselves, so this is membership checks only
-        (no snapshot builds, no object rebuilds).  Under
-        :attr:`create_missing`, unknown users are instead created empty,
-        matching streaming first contact.
-        """
-        if sums is None:
-            sums = self.sums
-        if sums is None:
-            return
-        if self.create_missing:
-            for uid in user_ids:
-                sums.get_or_create(int(uid))
-            return
-        # Columnar backends (bare or behind a SumCache) validate the
-        # whole batch at C speed with the same one-typed-error contract.
-        bulk = getattr(sums, "rows_for", None)
-        if not callable(bulk):
-            bulk = getattr(
-                getattr(sums, "repository", None), "rows_for", None
-            )
-        if callable(bulk):
-            bulk(user_ids)
-            return
-        if not hasattr(type(sums), "__contains__"):
-            # A bare resolver (e.g. the legacy shim's single-model
-            # indirection) cannot answer membership; scoring proceeds as
-            # before rather than iterating it by accident.
-            return
-        missing = [int(uid) for uid in user_ids if int(uid) not in sums]
-        if missing:
-            raise UnknownUserError(missing)
+    def _validate_users(self, user_ids: Sequence[int], sums: SumResolver) -> None:
+        """The no-adjust path's typed-error contract without reading any
+        model: ``sums.rows_for`` (creating unknown users empty under
+        :attr:`create_missing`)."""
+        sums.rows_for(user_ids, create=self.create_missing)
 
     def _grids(
         self,
@@ -329,7 +280,7 @@ class RecommendationService:
         scorer_name: str | None,
         adjust: bool,
         known_users: bool = False,
-        sums: object | None = None,
+        sums: SumResolver | None = None,
         stamps: list[float] | None = None,
         budget: Budget | None = None,
         partial_ok: bool = False,
@@ -473,7 +424,7 @@ class RecommendationService:
     # -- freshness ---------------------------------------------------------
 
     def sum_version(
-        self, user_id: int | None = None, sums: object | None = None
+        self, user_id: int | None = None, sums: SumResolver | None = None
     ) -> int | None:
         """The served emotional-state version, if the resolver exposes one.
 
@@ -486,32 +437,29 @@ class RecommendationService:
         captured resolver (defaults to the current one).
         """
         resolver = self.sums if sums is None else sums
-        if user_id is not None:
-            version = getattr(resolver, "version", None)
-            if callable(version):
-                value = version(int(user_id))
-                return int(value) if value is not None else None
+        if resolver is None:
             return None
-        global_version = getattr(resolver, "global_version", None)
-        return int(global_version) if global_version is not None else None
+        version = (
+            resolver.global_version if user_id is None
+            else resolver.version(int(user_id))
+        )
+        return int(version) if version is not None else None
 
-    def sum_generation(self, sums: object | None = None) -> int | None:
+    def sum_generation(self, sums: SumResolver | None = None) -> int | None:
         """Checkpoint generation of the served SUM state, if any.
 
         Stamped on resolvers loaded from a generation-stamped checkpoint
         (:meth:`~repro.core.sharded_store.ShardedSumStore.load` /
-        :meth:`~repro.core.sum_store.ColumnarSumStore.load`), probed on
-        the resolver itself or — for a cache-wrapped replica — on its
-        ``repository``.  ``None`` when serving live state.
+        :meth:`~repro.core.sum_store.ColumnarSumStore.load`); a cache
+        reports its repository's.  ``None`` when serving live state.
         """
         resolver = self.sums if sums is None else sums
-        for candidate in (resolver, getattr(resolver, "repository", None)):
-            generation = getattr(candidate, "snapshot_generation", None)
-            if generation is not None:
-                return int(generation)
-        return None
+        if resolver is None:
+            return None
+        generation = resolver.snapshot_generation
+        return int(generation) if generation is not None else None
 
-    def swap_sums(self, sums: object) -> None:
+    def swap_sums(self, sums: SumResolver) -> None:
         """Atomically replace the SUM resolver under live traffic.
 
         The refresh protocol's serving-side step: one attribute store

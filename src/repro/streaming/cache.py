@@ -14,9 +14,9 @@ machinery:
   repository's ``freeze_view`` on every backend: a sealed
   :class:`~repro.core.sum_model.SmartUserModel` built from one
   ``to_dict()``-shaped copy (on a columnar store, one row copy taken
-  inside the row's seqlock window).  Batch readers of a columnar
-  repository get a frozen copy of the requested rows through
-  :meth:`SumCache.batch`.
+  inside the row's seqlock window).  Batch readers get a frozen copy
+  of the requested users' intensities and sensibilities through
+  :meth:`SumCache.batch`, on every backend.
   A mutation attempt on a snapshot *raises* — one misbehaving reader
   can no longer poison every other reader at that version.
 
@@ -25,25 +25,27 @@ Version counters make staleness *observable*: a snapshot at
 nothing later, and tests can assert "exactly one bump per applied batch"
 instead of sleeping and hoping.
 
-Columnar batch reads
---------------------
+Batch reads
+-----------
 
-With a columnar repository underneath, :meth:`SumCache.batch` is the
-version stamps plus ``repository.batch(...)``: the stamps are read
-*before* the copy, and the copy is the store's own
+:meth:`SumCache.batch` is the version stamps plus ``repository.batch(...)``:
+the stamps are read *before* the copy, and the copy is the store's own
 (:meth:`~repro.core.sum_store.ColumnarSumStore.batch` — each row copied
 straight out of the live columns across an even, unchanged row
 generation, the whole copy inside one layout-epoch window, rows starved
-of a quiet window copied under the writer lock).  Writers publish data
-before they bump a version, so every row is at least as new as its
-stamp, and neither a batch commit nor ``compact_vocab()`` can tear a
-row.  The cache keeps no per-shard state and never blocks a writer.
+of a quiet window copied under the writer lock; on the object store,
+the models copied under the store lock its ``batch_apply_ops`` holds).
+Writers publish data before they bump a version, so every row is at
+least as new as its stamp, and neither a batch commit nor
+``compact_vocab()`` can tear a row.  The cache keeps no per-shard state.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.analysis.contracts import (
     declare_lock,
@@ -75,20 +77,20 @@ declare_lock(
     self_order="sorted user id",
     aliases=("SumCache.write_lock()",),
 )
-# Applying ops under a user's write lock mutates the columnar store,
-# which takes the store lock; hidden from the AST behind the
-# duck-typed repository, so asserted here.
+# Applying ops under a user's write lock mutates the store, which takes
+# its store lock; hidden from the AST behind the repository, so asserted
+# here for both kinds of store.
 declare_order("SumCache._lock_for()", "ColumnarSumStore._lock")
+declare_order("SumCache._lock_for()", "SumRepository._lock")
 
 
 @guarded_by("_registry_lock", "_user_locks", "_global_version")
 @guarded_by("_lock_for()", "_snapshots", "_versions")
 class SumCache:
-    """Snapshot cache + version counters over a :class:`SumRepository`.
+    """Snapshot cache + version counters over any SUM backend.
 
-    Duck-types the repository read API (``get``, ``user_ids``,
-    ``population``, ``__contains__``, ``__len__`` — plus ``batch`` when
-    the repository is columnar) so it can be handed to
+    A :class:`~repro.core.sum_model.SumResolver`, like the store it
+    wraps, so it can be handed to
     :class:`~repro.serving.service.RecommendationService` as its ``sums``.
     """
 
@@ -103,11 +105,6 @@ class SumCache:
         self._global_version = 0
         self._registry_lock = make_lock("SumCache._registry_lock")
         self._user_locks: dict[int, threading.Lock] = {}
-        # The columnar resolver duck-type: RecommendationService probes
-        # ``callable(sums.batch)`` to pick the batch path, so the
-        # attribute only exists when the backend can serve it.
-        if callable(getattr(repository, "batch", None)):
-            self.batch = self._batch
         # Telemetry: counters recorded strictly after lock scopes release
         # (instrument locks are leaves); gauges are snapshot-time callbacks
         # reading GIL-atomic aggregates, so they take no cache lock at all.
@@ -249,7 +246,7 @@ class SumCache:
             self._m_publishes.inc(len(versions))
         return versions
 
-    # -- read path (repository duck-type) ----------------------------------
+    # -- read path (the SumResolver surface) --------------------------------
 
     def get(self, user_id: int) -> SmartUserModel:
         """Immutable snapshot of one user's SUM at their last published
@@ -286,10 +283,15 @@ class SumCache:
     def __len__(self) -> int:
         return len(self.repository)
 
-    def _batch(
-        self, user_ids: Sequence[int], create: bool = False
+    def rows_for(self, user_ids: Sequence[int], create: bool = False) -> np.ndarray:
+        """The repository's ``rows_for``: validation (or creation) only."""
+        return self.repository.rows_for(user_ids, create=create)
+
+    def batch(
+        self, user_ids: Sequence[int] | None = None, create: bool = False
     ) -> BatchRead:
-        """Version-stamped columnar batch read — the serving fast path.
+        """Version-stamped batch read of ``user_ids`` (default: every
+        user) — the serving read path.
 
         The stamps first, then ``repository.batch(user_ids, create)``: a
         frozen copy of the rows (see the module docstring), bit-stable no
@@ -301,13 +303,14 @@ class SumCache:
         :class:`~repro.core.sum_model.UnknownUserError` naming them all;
         ``create=True`` opts into streaming first-contact semantics.
         """
+        if user_ids is None:
+            user_ids = self.population()
         versions = self._versions
         if len(user_ids) < len(versions) // 4:
             stamps = {uid: versions.get(uid, 0) for uid in user_ids}
         else:
             stamps = dict(versions)
-        batch = self.repository.batch(user_ids, create=create)
-        batch.stamps = stamps
+        batch = self.repository.batch(user_ids, create=create).stamped(stamps)
         self._m_captures.inc()
         if batch.starved:
             self._m_starved_rows.inc(batch.starved)
@@ -323,6 +326,11 @@ class SumCache:
     def global_version(self) -> int:
         """Total number of published batches across all users."""
         return self._global_version
+
+    @property
+    def snapshot_generation(self) -> int | None:
+        """The repository's checkpoint generation (``None`` when live)."""
+        return self.repository.snapshot_generation
 
     @property
     def cached_users(self) -> int:

@@ -106,7 +106,7 @@ class ShardWorker(threading.Thread):
         control: ControlPlaneConfig | None = None,
     ) -> None:
         super().__init__(name=f"sum-shard-{partition.partition}", daemon=True)
-        if getattr(cache.repository, "readonly", False):
+        if cache.repository.readonly:
             # Fail at wiring time, not per delivery: a read-only mmap
             # replica can never commit, so every commit would just
             # dead-letter the whole stream one batch at a time.

@@ -33,6 +33,7 @@ def test_lock_graph_is_acyclic_and_nonempty():
     # The stack's load-bearing orderings must be in the graph.
     edges = {(e["outer"], e["inner"]) for e in graph_dump["edges"]}
     assert ("SumCache._lock_for()", "ColumnarSumStore._lock") in edges
+    assert ("SumCache._lock_for()", "SumRepository._lock") in edges
     assert ("WriteBehindWriter._lock", "EventLog._write_lock") in edges
 
 

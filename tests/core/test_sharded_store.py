@@ -108,7 +108,7 @@ class TestStoreSurface:
             b_sharded.sensibility_matrix(EMOTION_NAMES),
             b_single.sensibility_matrix(EMOTION_NAMES),
         )
-        assert [m.user_id for m in b_sharded] == ids
+        assert b_sharded.user_ids == ids
 
     def test_feature_matrix_matches_object_backend(self):
         sharded = populate(ShardedSumStore(n_shards=4))

@@ -270,23 +270,36 @@ class TestLegacyEquivalence:
             for old, new in zip(legacy, response.ranked):
                 assert old.adjusted_score == pytest.approx(new.adjusted_score)
 
-    def test_shim_caches_service_across_calls(self, repo):
+    def test_shim_retargets_across_calls(self, repo):
         recommender = EmotionAwareRecommender(
             base_scorer=lambda model, item: 0.5,
             domain_profile=make_profile(),
             item_attributes=ITEM_ATTRIBUTES,
         )
-        first = recommender._service(repo)
         model = repo.get(1)
         recommender.recommend(model, ITEMS, k=2)
-        assert recommender._service(repo) is first
-        # retargeting between a repository and a bare model stays correct
+        # moving between a repository and a bare model stays correct
         other = SumRepository()
         lonely = other.get_or_create(9)
         ranked = recommender.recommend(lonely, ITEMS, k=1)
         assert len(ranked) == 1
         selection = recommender.select_users(repo, "course-innovative", k=1)
         assert selection[0][0] == 1
+
+    @pytest.mark.parametrize("item", ["course-plain", "course-innovative"])
+    def test_legacy_shim_names_every_unknown_user(self, repo, item):
+        # attribute-free or not, the shim's select reads through one
+        # resolver call that names every unknown id at once
+        from repro.serving import UnknownUserError
+
+        recommender = EmotionAwareRecommender(
+            base_scorer=lambda model, item: 0.5,
+            domain_profile=make_profile(),
+            item_attributes=ITEM_ATTRIBUTES,
+        )
+        with pytest.raises(UnknownUserError) as excinfo:
+            recommender.select_users(repo, item, user_ids=[1, 404, 405])
+        assert excinfo.value.user_ids == (404, 405)
 
     def test_legacy_select_matches_service(self, service, repo):
         recommender = EmotionAwareRecommender(

@@ -1,11 +1,13 @@
-"""One batch read on every columnar store: no half-applied commit.
+"""One batch read on every store: no half-applied commit.
 
-Every columnar ``batch(ids)`` — a bare ``ColumnarSumStore``, a
-``ShardedSumStore`` router, a ``MultiProcSumStore``, or any of them
-behind a ``SumCache`` — is a frozen copy of the live rows, each row
-taken across an even, unchanged row generation.  A writer holding a
-row's generation window open across two cells must be invisible: every
-user reads as the state before the window or the state after it.
+Every ``batch(ids)`` — a bare ``SumRepository``, ``ColumnarSumStore``,
+``ShardedSumStore`` router or ``MultiProcSumStore``, or any of them
+behind a ``SumCache`` — is a frozen copy of the live state.  A columnar
+row is taken across an even, unchanged row generation; the object
+store's models are copied under the store lock its ``batch_apply_ops``
+holds.  A writer holding a commit open across two cells must be
+invisible: every user reads as the state before the commit or the state
+after it.
 """
 
 import threading
@@ -17,6 +19,7 @@ import pytest
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sharded_store import ShardedSumStore
 from repro.core.shm_store import MultiProcSumStore
+from repro.core.sum_model import SumRepository
 from repro.core.sum_store import ColumnarSumStore
 from repro.core.updates import RewardOp
 from repro.streaming.cache import SumCache
@@ -29,6 +32,7 @@ BEFORE = (0.2, 0.3)
 AFTER = (0.8, 0.9)
 
 STORES = {
+    "object": SumRepository,
     "columnar": ColumnarSumStore,
     "sharded": lambda: ShardedSumStore(n_shards=3),
     "multiproc": lambda: MultiProcSumStore(n_shards=3),
@@ -45,7 +49,19 @@ def pairs(batch):
 
 def write_one_pair_slowly(store, opened):
     """One row commit spread over 50 ms: the intensity, then the
-    sensibility, inside one row-generation window."""
+    sensibility, inside one row-generation window (on the object store,
+    inside one ``batch_apply_ops``)."""
+    if isinstance(store, SumRepository):
+        class SlowReward(ReinforcementPolicy):
+            def reward(self, model, attributes, strength=1.0):
+                model.emotional.intensities[EMOTION] = AFTER[0]
+                opened.set()
+                time.sleep(0.05)
+                model.sensibility[EMOTION] = AFTER[1]
+
+        ops = (RewardOp((EMOTION,), 1.0),)
+        store.batch_apply_ops([(TORN, ops)], SlowReward())
+        return
     partition = store.shard_for(TORN) if hasattr(store, "shards") else store
     row = partition.row_index(TORN)
     column = partition._emotional.column_of(EMOTION)

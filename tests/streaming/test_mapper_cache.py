@@ -216,8 +216,11 @@ class TestColumnarBatchReads:
             view.set_sensibility("shy", 0.2)
         return store, SumCache(store), ReinforcementPolicy()
 
-    def test_batch_exposed_only_on_columnar_repositories(self):
-        assert not callable(getattr(SumCache(SumRepository()), "batch", None))
+    def test_batch_exposed_on_every_repository(self):
+        repo = SumRepository()
+        repo.get_or_create(1).activate_emotion("shy", 0.25)
+        batch = SumCache(repo).batch([1])
+        assert batch.intensity_matrix(("shy",)).tolist() == [[0.25]]
         __, cache, __ = self._world()
         assert callable(cache.batch)
 
@@ -281,13 +284,6 @@ class TestColumnarBatchReads:
         assert excinfo.value.user_ids == (404, 405)
         batch = cache.batch([404], create=True)
         assert batch.user_ids == [404] and 404 in cache
-
-    def test_batch_iteration_yields_frozen_snapshots(self):
-        __, cache, __ = self._world()
-        models = list(cache.batch([1, 2]))
-        assert [m.user_id for m in models] == [1, 2]
-        with pytest.raises((TypeError, ValueError, KeyError)):
-            models[0].activate_emotion("shy", 0.4)
 
     def test_mirror_survives_store_growth_between_reads(self):
         # regression: a torn (values, mask) shape pair during capacity
