@@ -124,7 +124,7 @@ class ShardWorker(threading.Thread):
         self.control = control
         # Adaptive batching replaces the fixed batch_max with a size
         # derived from queue depth + observed commit cost; the batcher is
-        # owned by this thread alone (reads/records happen in run()).
+        # owned by the consuming thread alone (run() or work_off()).
         self.batcher = (
             AdaptiveBatcher(control, batch_max)
             if control is not None and control.adaptive_batching
@@ -160,18 +160,29 @@ class ShardWorker(threading.Thread):
         self._stop_requested.set()
 
     def run(self) -> None:  # pragma: no cover - exercised via integration
-        batcher = self.batcher
         while True:
-            limit = (
-                batcher.next_size(self.partition.depth)
-                if batcher is not None
-                else self.batch_max
+            batch = self.partition.get_batch(
+                self._next_size(), self.poll_timeout
             )
-            batch = self.partition.get_batch(limit, self.poll_timeout)
             if batch:
                 self._process(batch)
             elif self._stop_requested.is_set() and self.partition.depth == 0:
                 return
+
+    def work_off(self) -> None:
+        """Process whatever is queued, on the caller's thread.
+
+        :meth:`run`'s loop without the wait, for a worker that is never
+        started: it returns once the partition is empty, redeliveries
+        included, so every delivery queued before the call is settled."""
+        while batch := self.partition.get_batch(self._next_size(), 0):
+            self._process(batch)
+
+    def _next_size(self) -> int:
+        """The next batch's size: the adaptive batcher's, or ``batch_max``."""
+        if self.batcher is None:
+            return self.batch_max
+        return self.batcher.next_size(self.partition.depth)
 
     # -- batch processing --------------------------------------------------
 

@@ -6,21 +6,26 @@ stayed at ~1x.  This module moves each shard's *entire* worker loop
 (mapper → batch commit → version bump) into its own OS process, where
 it runs as a one-shard
 :class:`~repro.streaming.updater.StreamingUpdater` — the thread plane's
-own stack, wired in one place:
+own stack, wired in one place, and never started: the process's one
+thread reads a chunk, publishes it and works it off before it reads
+the next command:
 
 .. code-block:: text
 
     parent (serving) process                 one worker process per shard
-    ────────────────────────                 ───────────────────────────
+    ────────────────────────                 (one thread)
     MultiProcUpdater.submit_many ──chunks──▶ mp.Queue ─▶ _worker_main
-      │  route: partition_for(uid)               │  StreamingUpdater(shard,
-      │  replay journal (checkpoint_root)        │    n_shards=1).submit_many
+      │  route: partition_for(uid)               │  per slice ≤ capacity:
+      │  replay journal (checkpoint_root)        │   updater.publish_many
+      │                                          │   ShardWorker.work_off
       │                                          │  (commit → shm pages)
-      ├─ sync ─────────token──────────────▶      │  drain · sweep
+      ├─ sync ────token · persist─────────▶      │  drain · sweep
       │    ◀─ applied_seq · layout · wrote ──    ▼
-      │       mapper state · metrics · stats
+      │       metrics · stats · new latencies
+      │       (+ mapper state if persist)
       ▼
     MultiProcSumStore.adopt_shard(i, layout, n_users, wrote)
+    + per-shard latency reservoir, stats, decay counters
 
 The store's column pages live on shared memory
 (:mod:`repro.core.shm_store`), so a worker's commits land directly on
@@ -29,7 +34,11 @@ adopts structural changes (row growth, new interned columns) only at
 ``sync`` barriers, from the reply pipe: each reply carries the shard's
 layout and row count, plus ``wrote`` (whether the shard moved since the
 worker's previous barrier), which the parent turns into a clock bump
-for delta checkpoints.  Serving captures
+for delta checkpoints.  A reply is small and mostly whole (metrics
+snapshot, stats), but carries only the latency samples recorded since
+the previous barrier, and the mapper decay counters only when the
+parent persists it (a checkpoint's, and ``stop``'s): the parent keeps
+each shard's reservoir and last counters.  Serving captures
 (:class:`~repro.streaming.cache.SumCache` snapshots and batch reads) are
 point-in-time row copies taken inside the rows' seqlock windows, so they
 stay bit-stable while workers commit, between barriers too.
@@ -38,12 +47,13 @@ Delivery contract: per-user FIFO (users are pinned to shards by the same
 ``partition_for`` hash the in-process plane uses; one command queue per
 shard preserves chunk order), exactly-once on the recovery path (with a
 ``checkpoint_root`` the parent journals every chunk per shard; a
-checkpoint persists each shard's ``applied_seq`` + mapper decay counters
-and trims the journal; a crashed worker restarts from the last
-checkpoint generation and replays only journal entries *after* its
-persisted ``applied_seq``).  Liveness: a worker that exits or stays
-silent through a barrier raises :class:`WorkerDied`; the parent restarts
-dead workers via the same generation/manifest machinery
+checkpoint persists each shard's ``applied_seq``, mapper decay counters
+and stats, and trims the journal; a crashed worker restarts from the
+last checkpoint generation, replays only journal entries *after* its
+persisted ``applied_seq`` and counts on from the persisted stats).
+Liveness: a worker that exits or stays silent through a barrier raises
+:class:`WorkerDied`; the parent restarts dead workers via the same
+generation/manifest machinery
 :class:`~repro.serving.replica.ReplicaRefresher` consumes, so served
 generations stay monotonic across crashes.
 
@@ -59,6 +69,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from collections import deque
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -97,6 +108,10 @@ class WorkerDied(RuntimeError):
     """A shard worker process exited (or wedged) outside the protocol."""
 
 
+def _zero_stats() -> dict[str, int]:
+    return {field.name: 0 for field in fields(StreamingStats)}
+
+
 def _worker_main(
     store: MultiProcSumStore,
     shard_index: int,
@@ -106,12 +121,17 @@ def _worker_main(
     commands: Any,
     responses: Any,
 ) -> None:
-    """One shard's worker process: a one-shard :class:`StreamingUpdater`.
+    """One shard's worker process: a one-shard :class:`StreamingUpdater`
+    that is never started.
 
-    The child runs the thread plane's own stack unchanged against its
-    own shard only, so bit-equality with sequential replay reduces to
-    the per-shard FIFO the command queue already provides.  ``options``
-    are the updater's keyword arguments, built once by the parent.
+    The child runs the thread plane's own stack against its own shard
+    only, so bit-equality with sequential replay reduces to the per-shard
+    FIFO the command queue already provides.  It holds one thread: each
+    chunk is published to the updater's bus and worked off by the shard
+    worker on this thread before the next command is read, in slices no
+    larger than the partition, which an unconsumed publish would block
+    on.  ``options`` are the updater's keyword arguments, built once by
+    the parent.
     """
     shard = store.shards[shard_index]
     arena = store.arenas[shard_index]
@@ -119,16 +139,18 @@ def _worker_main(
         shard, item_emotions, n_shards=1,
         telemetry=MetricsRegistry(), tracer=NULL_TRACER, **options,
     )
-    mapper = updater.workers[0].mapper
+    (worker,) = updater.workers
+    capacity = worker.partition.capacity
+    samples = worker.stats.latencies
+    mapper = worker.mapper
     if mapper_state:
         # restored decay counters: replay after recovery ticks decay at
         # exactly the offsets the checkpointed run would have
         mapper._since_decay.update(mapper_state)
-    updater.start()
     received_seq = 0
     stamped = shard.mutation_count
 
-    def barrier(token: Any, stop: bool) -> None:
+    def barrier(token: Any, persist: bool) -> None:
         nonlocal stamped
         settled = updater.drain(30.0)
         # segments grown past since the last alloc: the parent never saw
@@ -136,20 +158,23 @@ def _worker_main(
         arena.sweep()
         wrote = shard.mutation_count != stamped
         stamped = shard.mutation_count
-        if stop:
-            updater.stop(drain=False, timeout=5.0)
-        responses.send({
+        reply = {
             "token": token,
             "settled": settled,
             "applied_seq": received_seq,
             "n_users": len(shard),
             "layout": shard_layout(arena, shard),
             "wrote": wrote,
-            "mapper_state": dict(mapper._since_decay),
             "metrics": updater.telemetry.snapshot().as_dict(),
             "stats": asdict(updater.stats()),
-            "latencies": updater.latencies()[-ShardWorker.MAX_LATENCY_SAMPLES:],
-        })
+            # the samples since the previous barrier: the parent keeps
+            # the reservoir
+            "latencies": samples[-ShardWorker.MAX_LATENCY_SAMPLES:],
+        }
+        samples.clear()
+        if persist:
+            reply["mapper_state"] = dict(mapper._since_decay)
+        responses.send(reply)
 
     try:
         while True:
@@ -157,12 +182,15 @@ def _worker_main(
             kind = message[0]
             if kind == "events":
                 __, seq, chunk = message
-                updater.submit_many(chunk)
+                for start in range(0, len(chunk), capacity):
+                    updater.publish_many(chunk[start:start + capacity])
+                    worker.work_off()
                 received_seq = int(seq)
             elif kind == "sync":
-                barrier(message[1], stop=False)
+                barrier(message[1], persist=message[2])
             elif kind == "stop":
-                barrier("__stop__", stop=True)
+                # nothing to join: the updater never started a thread
+                barrier("__stop__", persist=True)
                 return
     finally:
         responses.close()
@@ -172,11 +200,13 @@ class ShardWorkerProcess:
     """Parent-side handle for one shard's worker process.
 
     Owns the command queue (events / sync / stop), the response pipe and
-    the liveness view.  ``sync`` is a full barrier for this shard: the
-    worker drains its topic and answers with its ``applied_seq``, shard
-    layout and row count, whether it wrote since its previous barrier,
-    its mapper state, metrics snapshot and :class:`StreamingStats` (as
-    a dict).
+    the liveness view.  The worker holds one thread, which commits each
+    chunk before it reads the next command, so ``sync`` is a full
+    barrier for this shard: the worker answers with its ``applied_seq``,
+    shard layout and row count, whether it wrote since its previous
+    barrier, its metrics snapshot and :class:`StreamingStats` (as a
+    dict), the latency samples recorded since its previous barrier, and,
+    for a ``persist`` sync or a ``stop``, its mapper decay counters.
     """
 
     def __init__(
@@ -242,11 +272,15 @@ class ShardWorkerProcess:
                     f"{self.process.exitcode}"
                 )
 
-    def sync(self, timeout: float = DEFAULT_SYNC_TIMEOUT) -> dict[str, Any]:
+    def sync(
+        self, timeout: float = DEFAULT_SYNC_TIMEOUT, persist: bool = False
+    ) -> dict[str, Any]:
+        """One barrier; ``persist`` asks for the mapper decay counters too
+        (the parent is about to write a checkpoint from this reply)."""
         with self._io_lock:
             self._token += 1
             token = self._token
-            self.commands.put(("sync", token))
+            self.commands.put(("sync", token, bool(persist)))
             return self._await_response(token, timeout)
 
     def stop(self, timeout: float = DEFAULT_SYNC_TIMEOUT) -> dict[str, Any] | None:
@@ -295,6 +329,11 @@ class MultiProcUpdater:
       adopts the layout each one replies with, so new rows/columns appear
       to the parent *then* (committed values on existing rows are visible
       immediately — same physical pages).
+    * Each worker process is one thread; a barrier reply ships the
+      latency samples since the previous one, which this side keeps as
+      each shard's newest ``MAX_LATENCY_SAMPLES``, and the mapper decay
+      counters only for a checkpoint (and at ``stop``).  ``latencies()``,
+      ``stats()`` and ``merged_metrics()`` answer from the last barrier.
     * ``checkpoint()`` persists store generations plus per-shard replay
       metadata; with a ``checkpoint_root`` the plane survives worker
       crashes exactly-once (see :meth:`recover`).
@@ -350,7 +389,19 @@ class MultiProcUpdater:
             [] for __ in range(n)
         ]
         self._seqs = [0] * n
+        #: per shard: the last barrier reply (applied_seq, metrics, ...)
         self._last_sync: list[dict[str, Any] | None] = [None] * n
+        #: per shard: the newest update-to-visible samples, fed by each
+        #: reply's samples since the previous barrier
+        self._latencies = [
+            deque(maxlen=ShardWorker.MAX_LATENCY_SAMPLES) for __ in range(n)
+        ]
+        #: per shard: the decay counters of the last persisted barrier
+        self._decay_counters: list[dict[int, int]] = [{} for __ in range(n)]
+        #: per shard: StreamingStats counted before the live worker (a
+        #: recovered shard's checkpoint), and that plus its last reply's
+        self._stats_base = [_zero_stats() for __ in range(n)]
+        self._stats = [_zero_stats() for __ in range(n)]
         self._submitted = 0
         #: users routed since the last barrier (what the next publishes)
         self._touched: set[int] = set()
@@ -472,16 +523,24 @@ class MultiProcUpdater:
             shard, payload["layout"], payload["n_users"], payload["wrote"]
         )
         self._last_sync[shard] = payload
+        self._latencies[shard].extend(payload["latencies"])
+        if "mapper_state" in payload:
+            self._decay_counters[shard] = payload["mapper_state"]
+        base = self._stats_base[shard]
+        self._stats[shard] = {
+            name: base[name] + value
+            for name, value in payload["stats"].items()
+        }
 
-    def _sync_shard(self, shard: int) -> dict[str, Any]:
+    def _sync_shard(self, shard: int, persist: bool) -> dict[str, Any]:
         """Barrier one shard, restarting its worker once if it is dead,
         and adopt its reply at once: a later shard's failure must not
         lose this one's ``wrote``."""
         try:
-            payload = self.workers[shard].sync(self.sync_timeout)
+            payload = self.workers[shard].sync(self.sync_timeout, persist)
         except WorkerDied:
             self.recover(shard)
-            payload = self.workers[shard].sync(self.sync_timeout)
+            payload = self.workers[shard].sync(self.sync_timeout, persist)
         self._adopt(shard, payload)
         return payload
 
@@ -502,6 +561,11 @@ class MultiProcUpdater:
         *Direct* repository writes are not this plane's to publish: pair
         them with ``cache.invalidate(ids)`` (``SumCache.write_lock``).
         """
+        return self._barrier(persist=False)
+
+    def _barrier(self, persist: bool) -> bool:
+        """:meth:`drain`; ``persist`` makes every reply carry its mapper
+        decay counters, for the checkpoint written from it."""
         if not self._started:
             return True
         # taken before the flush: anything routed while the barrier runs
@@ -512,7 +576,7 @@ class MultiProcUpdater:
                 self._flush_shard(shard)
             settled = True
             for shard in range(len(self.workers)):
-                payload = self._sync_shard(shard)
+                payload = self._sync_shard(shard, persist)
                 settled = settled and bool(payload.get("settled"))
         except BaseException:
             self._touched |= touched  # unpublished: the next barrier's
@@ -542,10 +606,14 @@ class MultiProcUpdater:
             applied = (
                 int(payload["applied_seq"]) if payload else self._seqs[i]
             )
-            state = dict(payload["mapper_state"]) if payload else {}
             shards_meta[str(i)] = {
                 "applied_seq": applied,
-                "mapper_state": {str(k): int(v) for k, v in state.items()},
+                "mapper_state": {
+                    str(k): int(v) for k, v in self._decay_counters[i].items()
+                },
+                # what the shard's workers counted up to here: a worker
+                # recovered from this checkpoint counts on from it
+                "stats": self._stats[i],
             }
         meta_path = path / PROCPLANE_META
         meta_path.write_text(
@@ -564,7 +632,7 @@ class MultiProcUpdater:
         if self.checkpoint_root is None:
             raise RuntimeError("MultiProcUpdater built without checkpoint_root")
         if self._started:
-            self.drain()
+            self._barrier(persist=True)
         return self._write_checkpoint()
 
     def _checkpoint_meta(self) -> tuple[Path, dict[str, Any]]:
@@ -587,7 +655,9 @@ class MultiProcUpdater:
         worker's partial post-checkpoint writes are discarded with its
         shm pages (a fresh arena-backed shard replaces them), and
         everything after the floor replays in order through a fresh
-        worker seeded with the checkpointed mapper decay counters.
+        worker seeded with the checkpointed mapper decay counters.  The
+        shard's stats restart from the checkpoint's, and its latency
+        reservoir from empty.
         Every user of the rebuilt shard counts as routed: the next
         barrier to start republishes the whole shard to the cache.
         """
@@ -617,6 +687,11 @@ class MultiProcUpdater:
             },
         )
         self.workers[shard] = worker
+        self._stats_base[shard] = {
+            **_zero_stats(), **shard_meta.get("stats", {})
+        }
+        self._stats[shard] = dict(self._stats_base[shard])
+        self._latencies[shard].clear()
         self._touched.update(fresh.user_ids())
         for seq, chunk in self._journals[shard]:
             if seq > applied:
@@ -627,10 +702,11 @@ class MultiProcUpdater:
     # -- observability ---------------------------------------------------------
 
     def latencies(self) -> list[float]:
+        """Each shard's newest ``MAX_LATENCY_SAMPLES`` update-to-visible
+        samples (seconds) as of the last barrier."""
         samples: list[float] = []
-        for payload in self._last_sync:
-            if payload:
-                samples.extend(payload["latencies"])
+        for reservoir in self._latencies:
+            samples.extend(reservoir)
         return samples
 
     def metrics_snapshots(self) -> list[dict[str, Any]]:
@@ -647,14 +723,14 @@ class MultiProcUpdater:
         return merge_metrics(self.metrics_snapshots())
 
     def stats(self) -> StreamingStats:
-        """The workers' :class:`StreamingStats` from the last barrier,
-        summed field by field, with this side's ``submitted`` and
-        ``pending_writes`` (events routed, events not yet shipped)."""
-        totals = {field.name: 0 for field in fields(StreamingStats)}
-        for payload in self._last_sync:
-            if payload:
-                for name, value in payload["stats"].items():
-                    totals[name] += value
+        """The workers' :class:`StreamingStats` from the last barrier
+        (a recovered shard's on top of its checkpoint's), summed field by
+        field, with this side's ``submitted`` and ``pending_writes``
+        (events routed, events not yet shipped)."""
+        totals = _zero_stats()
+        for counted in self._stats:
+            for name, value in counted.items():
+                totals[name] += value
         totals["submitted"] = self._submitted
         totals["pending_writes"] = sum(len(b) for b in self._pending)
         return StreamingStats(**totals)

@@ -252,6 +252,15 @@ class StreamingUpdater:
         returns how many."""
         if not self._started:
             raise RuntimeError("updater not started; call start() first")
+        return self.publish_many(events)
+
+    def publish_many(self, events: Iterable[Event]) -> int:
+        """:meth:`submit_many` without the started check: the call that
+        publishes into an updater whose partitions the caller works off
+        itself (:meth:`ShardWorker.work_off
+        <repro.streaming.consumer.ShardWorker.work_off>`) and which is
+        never started.  Such a caller must publish at most a partition's
+        capacity between work-offs, or the publish blocks forever."""
         pending: list[tuple[Event, int]] = []
         count = 0
         for event in events:

@@ -2,9 +2,10 @@
 
 It used to keep the *first* ``MAX_LATENCY_SAMPLES`` and then go blind.
 Now a worker extends its list and, at twice the cap, drops the oldest
-in place; the process plane ships the newest ``MAX_LATENCY_SAMPLES`` at
-each barrier.  The cap is shrunk here (forked workers inherit it) so a
-few hundred ticks cross it several times.
+in place.  On the process plane each barrier reply ships the samples
+recorded since the previous barrier, and the parent keeps each shard's
+newest ``MAX_LATENCY_SAMPLES``.  The cap is shrunk here (forked workers
+inherit it) so a few hundred ticks cross it several times.
 """
 
 import pytest
@@ -60,8 +61,8 @@ def test_process_plane_ships_the_newest_samples_at_each_barrier():
             updater.tick([1])
             assert updater.drain()
             second = updater.latencies()
-            # the worker's sample CAP + 1 is the payload's last; the
-            # payload itself stays CAP long
+            # the worker's sample CAP + 1 is the parent reservoir's
+            # last; the reservoir itself stays CAP long
             assert len(second) == CAP
             assert second[:-1] == first[1:]
             assert second != first

@@ -9,8 +9,14 @@ The contracts ISSUE 8 ships on:
   generation and its journal tail replays exactly-once — no lost and no
   duplicated commits, generations strictly monotonic;
 * per-worker metrics snapshots ride the control channel and merge into
-  one fleet view.
+  one fleet view;
+* a worker process holds one thread, and a barrier reply carries only
+  the latency samples since the previous barrier, plus the mapper decay
+  counters when the parent is about to persist it.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -24,12 +30,18 @@ from repro.core.reward import ReinforcementPolicy
 from repro.core.shm_store import MultiProcSumStore
 from repro.core.sharded_store import generation_dirs, read_manifest
 from repro.core.sum_model import SumRepository
+from repro.core.updates import apply_ops
 from repro.lifelog.events import ActionCategory, Event
 from repro.streaming import EventUpdateMapper, MapperConfig
 from repro.streaming.bus import partition_for
 from repro.streaming.cache import SumCache
 from repro.streaming.control import ControlPlaneConfig
-from repro.streaming.procplane import MultiProcUpdater, WorkerDied
+from repro.streaming.procplane import (
+    PROCPLANE_META,
+    MultiProcUpdater,
+    ShardWorkerProcess,
+    WorkerDied,
+)
 
 ITEM_EMOTIONS = {
     "10": (EMOTION_NAMES[0], EMOTION_NAMES[1]),
@@ -62,14 +74,19 @@ def make_events(specs):
     return events
 
 
-def sequential_reference(events, config=None):
+def sequential_reference(events, config=None, ticks=()):
+    """One sequential pass over ``events``, then one decay tick per id in
+    ``ticks`` (what a tick submitted after the events does)."""
     sums = SumRepository()
+    policy = ReinforcementPolicy()
     pipeline = EmotionalContextPipeline(
-        GradualEIT(QuestionBank.default_bank()), ReinforcementPolicy()
+        GradualEIT(QuestionBank.default_bank()), policy
     )
     mapper = EventUpdateMapper(ITEM_EMOTIONS, config)
     for event in events:
         pipeline.apply_event(sums.get_or_create(event.user_id), event, mapper)
+    for user_id in ticks:
+        apply_ops(sums.get_or_create(user_id), mapper.tick_ops(user_id), policy)
     return sums
 
 
@@ -146,6 +163,17 @@ def test_writer_crash_recovers_exactly_once(tmp_path):
     store = MultiProcSumStore(n_shards=4)
     try:
         updater = MultiProcUpdater(
+            store, ITEM_EMOTIONS, mapper_config=config, chunk=32
+        )
+        with updater:
+            updater.submit_many(events)
+            assert updater.drain()
+        no_crash = updater.stats()
+    finally:
+        store.close()
+    store = MultiProcSumStore(n_shards=4)
+    try:
+        updater = MultiProcUpdater(
             store, ITEM_EMOTIONS, mapper_config=config,
             checkpoint_root=tmp_path, chunk=32,
         )
@@ -164,6 +192,11 @@ def test_writer_crash_recovers_exactly_once(tmp_path):
             updater.checkpoint()
         # no lost updates, no duplicated replays: byte-identical state
         assert store.dumps() == reference.dumps()
+        # and counted once: the recovered worker counts on from the
+        # checkpoint's stats, not from its replayed tail alone
+        stats = updater.stats()
+        assert stats.applied == stats.submitted == len(events)
+        assert stats.ops_applied == no_crash.ops_applied
         generations = [g for g, __ in generation_dirs(tmp_path)]
         assert generations == sorted(set(generations))  # strictly monotonic
         assert read_manifest(tmp_path)["generation"] == max(generations)
@@ -562,5 +595,114 @@ def test_parent_cache_serves_a_rebuilt_shard(tmp_path):
             assert updater.drain()  # sync hits the corpse and recovers
             assert updater.recoveries == 1
             assert_serves(cache, sequential_reference(events + more), users)
+    finally:
+        store.close()
+
+
+# -- one thread per worker; barriers ship what changed ------------------------
+
+
+@pytest.mark.skipif(
+    not os.path.isdir(f"/proc/{os.getpid()}/task"), reason="needs /proc"
+)
+def test_a_worker_process_holds_one_thread():
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        with MultiProcUpdater(store, ITEM_EMOTIONS, chunk=32) as updater:
+            updater.submit_many(dense_stream(n_events=200))
+            assert updater.drain()
+            for worker in updater.workers:
+                tasks = os.listdir(f"/proc/{worker.process.pid}/task")
+                assert len(tasks) == 1
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("control_plane", [
+    None,
+    # a long ttl keeps the deadline check live without a slow host
+    # expiring a tick
+    ControlPlaneConfig(tick_ttl=60.0),
+], ids=["bare", "control_plane"])
+def test_a_chunk_larger_than_the_worker_queue_commits(control_plane):
+    # each chunk of 100 is published in slices of at most 16, each
+    # worked off before the next: a single publish of the chunk into the
+    # one thread's own full queue would block forever
+    events = dense_stream()
+    ticks = [uid % 40 for uid in range(250)]
+    reference = sequential_reference(events, ticks=ticks)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        updater = MultiProcUpdater(
+            store, ITEM_EMOTIONS, queue_capacity=16, chunk=100,
+            control_plane=control_plane, sync_timeout=10.0,
+        )
+        with updater:
+            updater.submit_many(events)
+            assert updater.tick(ticks) == len(ticks)
+            assert updater.drain()
+        assert store.dumps() == reference.dumps()
+        stats = updater.stats()
+        assert stats.applied == stats.submitted == len(events) + len(ticks)
+        assert stats.expired_dropped == stats.dead_lettered == 0
+    finally:
+        store.close()
+
+
+def test_a_barrier_reply_carries_only_what_changed(tmp_path, monkeypatch):
+    replies = []
+    sync = ShardWorkerProcess.sync
+
+    def recording_sync(self, *args, **kwargs):
+        reply = sync(self, *args, **kwargs)
+        replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(ShardWorkerProcess, "sync", recording_sync)
+    events = dense_stream(n_events=300, n_users=20)
+    config = MapperConfig(decay_every=4)
+    mapper = EventUpdateMapper(ITEM_EMOTIONS, config)
+    for event in events:
+        mapper.ops(event)
+    store = MultiProcSumStore(n_shards=2)
+    try:
+        updater = MultiProcUpdater(
+            store, ITEM_EMOTIONS, mapper_config=config,
+            checkpoint_root=tmp_path, chunk=32,
+        )
+        with updater:
+            updater.submit_many(events)
+            assert updater.drain()
+            assert sum(len(r["latencies"]) for r in replies) == len(events)
+            assert not any("mapper_state" in r for r in replies)
+
+            replies.clear()
+            assert updater.drain()  # idle: no samples, no counters
+            assert [r["latencies"] for r in replies] == [[], []]
+            assert not any("mapper_state" in r for r in replies)
+            # metrics and stats stay whole on every reply
+            assert sum(r["stats"]["applied"] for r in replies) == len(events)
+            assert sum(
+                r["metrics"]["streaming.events_applied"]["value"]
+                for r in replies
+            ) == len(events)
+            # the parent keeps the reservoir
+            assert len(updater.latencies()) == len(events)
+
+            replies.clear()
+            path = updater.checkpoint()  # persisted: the counters ride
+            counters = {}
+            for reply in replies:
+                counters.update(reply["mapper_state"])
+            assert counters == mapper._since_decay
+            meta = json.loads((path / PROCPLANE_META).read_text())
+            assert {
+                int(uid): n
+                for shard in meta["shards"].values()
+                for uid, n in shard["mapper_state"].items()
+            } == mapper._since_decay
+            assert sum(
+                shard["stats"]["applied"] for shard in meta["shards"].values()
+            ) == len(events)
     finally:
         store.close()
