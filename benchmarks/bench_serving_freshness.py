@@ -84,17 +84,18 @@ class OnesScorer:
 
 
 def build_population(backend_cls, seed: int = 7):
-    """Identical scalar writes on both backends → bit-equal states."""
+    """One seeded object population, copied into ``backend_cls`` →
+    bit-equal states."""
     rng = np.random.default_rng(seed)
     intensity = rng.uniform(0.0, 1.0, size=(N_USERS, len(EMOTION_NAMES)))
     weight = rng.uniform(0.0, 1.0, size=(N_USERS, len(EMOTION_NAMES)))
-    sums = backend_cls()
+    sums = SumRepository()
     for i in range(N_USERS):
         model = sums.get_or_create(i)
         for j, name in enumerate(EMOTION_NAMES):
             model.emotional.intensities[name] = float(intensity[i, j])
             model.sensibility[name] = float(weight[i, j])
-    return sums
+    return sums if backend_cls is SumRepository else backend_cls.from_repository(sums)
 
 
 def build_service(cache):

@@ -61,8 +61,9 @@ SUBJECTIVE_PREFS = tuple(f"pref[{name}]" for name in
 def build_population(backend_cls, seed: int = 7):
     """Fill one backend with a deterministic synthetic population.
 
-    Both backends run the exact same scalar writes, so their states are
-    bit-identical and every timed path must return bit-equal arrays.
+    The population is written on an object repository and copied into
+    ``backend_cls``, so both backends' states are bit-identical and every
+    timed path must return bit-equal arrays.
     """
     rng = np.random.default_rng(seed)
     intensity = rng.uniform(0.0, 1.0, size=(N_USERS, len(EMOTION_NAMES)))
@@ -71,7 +72,7 @@ def build_population(backend_cls, seed: int = 7):
     prefs = rng.uniform(0.0, 1.0, size=(N_USERS, len(SUBJECTIVE_PREFS)))
     ei = rng.uniform(0.0, 1.0, size=(N_USERS, len(BRANCH_ORDER)))
 
-    sums = backend_cls()
+    sums = SumRepository()
     for i in range(N_USERS):
         model = sums.get_or_create(i)
         for j, name in enumerate(EMOTION_NAMES):
@@ -82,7 +83,7 @@ def build_population(backend_cls, seed: int = 7):
             model.subjective[pref] = float(prefs[i, k])
         for b, branch in enumerate(BRANCH_ORDER):
             model.ei_profile.scores[branch] = float(ei[i, b])
-    return sums
+    return sums if backend_cls is SumRepository else backend_cls.from_repository(sums)
 
 
 def best_of(fn, repeats: int = REPEATS) -> float:

@@ -8,9 +8,10 @@ attributes by automatically assigning weights (relevancies)."
 
 Topics:
 
-* ``attributes.analyze`` — payload ``{"user_ids": [...]}``: run the
-  sensibility analyzer over the given SUMs; replies with per-user dominant
-  attributes.
+* ``attributes.analyze`` — payload ``{"user_ids": [...]}``: commit one
+  :class:`~repro.core.updates.AnalyzeOp` per given SUM (re-weighting its
+  sensibilities) and reply with per-user dominant attributes, read back
+  from the store.
 * ``attributes.fuse`` — payload ``{"sources": {name: {attr: value}}}``:
   fuse attribute estimates from several domains by precision-weighted
   averaging; replies with the fused estimate.
@@ -27,8 +28,10 @@ import numpy as np
 
 from repro.agents.messages import Message
 from repro.agents.runtime import Agent, AgentRuntime
+from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import SumRepository
+from repro.core.updates import AnalyzeOp
 
 
 class AttributesManagerAgent(Agent):
@@ -48,10 +51,14 @@ class AttributesManagerAgent(Agent):
         if message.topic == "attributes.analyze":
             user_ids = message.payload.get("user_ids")
             ids = list(user_ids) if user_ids is not None else self.sums.user_ids()
-            dominant = {}
-            for uid in ids:
-                model = self.sums.get(uid)
-                dominant[uid] = self.analyzer.dominant(model)
+            self.sums.rows_for(ids)  # unknown users raise before any write
+            op = (AnalyzeOp(self.analyzer),)
+            # an analysis reads no reinforcement knob: any policy will do
+            self.sums.batch_apply_ops([(uid, op) for uid in ids], ReinforcementPolicy())
+            threshold = self.analyzer.threshold
+            dominant = {
+                uid: self.sums.get(uid).dominant_attributes(threshold) for uid in ids
+            }
             return [message.reply("attributes.analyzed", {"dominant": dominant})]
         if message.topic == "attributes.fuse":
             sources = message.payload["sources"]

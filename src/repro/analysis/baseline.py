@@ -1,12 +1,12 @@
 """The baseline ratchet: grandfathered findings with justifications.
 
-``analysis-baseline.toml`` holds ``[[waiver]]`` tables::
+``analysis-baseline.toml``, when present, holds ``[[waiver]]`` tables::
 
     [[waiver]]
     rule = "LD001"
-    path = "src/repro/core/sum_store.py"
-    symbol = "ColumnarSumStore.get_or_create"   # optional
-    contains = "_views.setdefault"              # optional substring of the line
+    path = "src/repro/pkg/module.py"
+    symbol = "Store.get_or_create"          # optional
+    contains = "_cache.setdefault"          # optional substring of the line
     justification = "dict.setdefault is GIL-atomic; benign last-wins race"
 
 Every waiver **must** carry a non-empty justification — the point of

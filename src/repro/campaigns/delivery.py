@@ -14,12 +14,17 @@ Campaign sequence semantics (matching Section 5.2's narrative):
    previously observed touches (incremental learning across campaigns);
 3. every touch delivers one message (Messaging Agent), at most one EIT
    question (Gradual EIT), collects the outcome, writes LifeLog events
-   and applies reward/punish updates.
+   and records reward/punish updates.
+
+Each touch decides on a private copy of the user's committed SUM and
+records its writes as ops (:mod:`repro.core.updates`), applying one to
+the copy too where a later read of the same touch depends on it; each
+pass — registration, browsing, revealed preferences, a campaign —
+commits its ops as one batch through the store's ``batch_apply_ops``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import weakref
 from dataclasses import dataclass
 
@@ -34,11 +39,20 @@ from repro.campaigns.propensity import (
 )
 from repro.campaigns.targeting import select_random_targets
 from repro.core.advice import DomainProfile
-from repro.core.gradual_eit import GradualEIT, QuestionBank
+from repro.core.gradual_eit import AnswerRecord, GradualEIT, QuestionBank
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sharded_store import ShardedSumStore
-from repro.core.sum_model import SumRepository
+from repro.core.sum_model import SmartUserModel, SumRepository
+from repro.core.updates import (
+    AnalyzeOp,
+    DecayOp,
+    EitAnswerOp,
+    ProfileOp,
+    PunishOp,
+    RewardOp,
+    SumUpdateOp,
+)
 from repro.datagen.behavior import BehaviorModel
 from repro.datagen.campaigns_plan import CampaignSpec
 from repro.datagen.catalog import AFFINITY_LINKS, emotions_linked_to
@@ -134,13 +148,15 @@ class CampaignEngine:
             include_subjective=self.config.include_subjective,
         )
         self._embeddings: dict[int, np.ndarray] = {}
+        #: the revealed preferences last committed, per user
+        self._revealed: dict[int, tuple[tuple[str, float], ...]] = {}
         #: retargeting evidence from organic browsing (user → course/area → weight)
         self._course_engagement: dict[int, dict[int, float]] = {}
         self._area_engagement: dict[int, dict[str, float]] = {}
         self.model: PropensityModel | None = None
         self._serving: RecommendationService | None = None
         #: versioned SUM caches spawned by streaming_updater(); the
-        #: offline loop invalidates them after writing SUMs directly
+        #: offline loop invalidates them after committing its passes
         self._live_caches: "weakref.WeakSet" = weakref.WeakSet()
         self.history: list[CampaignResult] = []
         #: (user_id, course_id, transacted) per delivered touch
@@ -150,12 +166,18 @@ class CampaignEngine:
 
     # -- bootstrap ---------------------------------------------------------
 
+    def _private_copy(self, user_id: int) -> SmartUserModel:
+        """A mutable copy of ``user_id``'s committed SUM."""
+        if user_id not in self.sums:
+            return SmartUserModel(user_id)
+        return SmartUserModel.from_dict(self.sums.freeze_view(user_id).to_dict())
+
     def register_population(self) -> None:
         """Create SUMs with objective attributes for the whole population."""
-        for user in self.world.population:
-            model = self.sums.get_or_create(user.user_id)
-            for key, value in user.demographics().items():
-                model.set_objective(key, value)
+        self.sums.batch_apply_ops([
+            (user.user_id, (ProfileOp(objective=tuple(user.demographics().items())),))
+            for user in self.world.population
+        ], self.policy)
         self.builder.fit(self.sums)
 
     def ingest_browsing(self, horizon_days: float = 30.0) -> int:
@@ -167,22 +189,27 @@ class CampaignEngine:
         5.2 that runs alongside push/newsletter delivery.
         """
         count = 0
+        answers: list[tuple[int, list[SumUpdateOp]]] = []
         for user in self.world.population:
             events = self.world.generate_browsing_events(
                 user, start_ts=self._clock - 30 * 86_400.0,
                 horizon_days=horizon_days,
             )
             count += self.event_log.extend(events)
-            model = self.sums.get_or_create(user.user_id)
+            model = self._private_copy(user.user_id)
+            ops: list[SumUpdateOp] = []
             n_portal_questions = min(20, (len(events) + 1) // 2)
             rng = self.world._touch_rng("portal-eit", user.user_id)
-            with self._sum_write_guard(user.user_id):
-                for __ in range(n_portal_questions):
-                    question = self.eit.ask(model)
-                    if question is None:
-                        break
-                    option = self.world.choose_eit_option(user, question, rng)
-                    self.eit.record_answer(model, question, option)
+            for __ in range(n_portal_questions):
+                question = self.eit.ask(model)
+                if question is None:
+                    break
+                option = self.world.choose_eit_option(user, question, rng)
+                # on the copy too: the next question reads the answers so far
+                self.eit.record_answer(model, question, option)
+                ops.append(EitAnswerOp(question, option))
+            answers.append((user.user_id, ops))
+        self.sums.batch_apply_ops(answers, self.policy)
         self._refresh_behavior_features()
         for cache in self._live_caches:
             cache.invalidate()
@@ -243,11 +270,20 @@ class CampaignEngine:
             area_engagement[uid][course.area] = (
                 area_engagement[uid].get(course.area, 0.0) + weight
             )
-        for uid, weighted in sums_weighted.items():
-            profile = weighted / totals[uid]
-            model = self.sums.get_or_create(uid)
-            for j, attribute in enumerate(PRODUCT_ATTRIBUTES):
-                model.set_subjective(f"pref[{attribute}]", float(profile[j]))
+        revealed = {
+            uid: tuple(
+                (f"pref[{attribute}]", float(share))
+                for attribute, share in zip(PRODUCT_ATTRIBUTES, weighted / totals[uid])
+            )
+            for uid, weighted in sums_weighted.items()
+        }
+        # only what moved since the previous pass: campaign-caused events
+        # are excluded above, so a campaign's pass commits nothing
+        self.sums.batch_apply_ops([
+            (uid, (ProfileOp(subjective=prefs),))
+            for uid, prefs in revealed.items() if self._revealed.get(uid) != prefs
+        ], self.policy)
+        self._revealed = revealed
         self._course_engagement = course_engagement
         self._area_engagement = area_engagement
 
@@ -383,20 +419,6 @@ class CampaignEngine:
             self._serving = service
         return service
 
-    @contextlib.contextmanager
-    def _sum_write_guard(self, user_id: int):
-        """Hold every live cache's per-user lock around a direct SUM write.
-
-        The offline loop mutates the shared repository without going
-        through the streaming write path; taking the locks (in a stable
-        order) keeps concurrent snapshot builds and streamed applies from
-        observing a half-applied campaign update.
-        """
-        with contextlib.ExitStack() as stack:
-            for cache in sorted(self._live_caches, key=id):
-                stack.enter_context(cache.write_lock(user_id))
-            yield
-
     def streaming_updater(self, n_shards: int = 4, **kwargs) -> "StreamingUpdater":
         """A live update subsystem over this engine's SUMs and event log.
 
@@ -421,8 +443,8 @@ class CampaignEngine:
             n_shards=n_shards,
             **kwargs,
         )
-        # The offline loop also writes these SUMs directly; track the
-        # cache so campaign runs invalidate it for the touched users.
+        # The offline loop also commits to these SUMs; track the cache so
+        # campaign runs invalidate it for the touched users.
         self._live_caches.add(updater.cache)
         return updater
 
@@ -515,11 +537,13 @@ class CampaignEngine:
         click_action = (
             "push_click" if spec.channel == "push" else "newsletter_click"
         )
+        touches: list[tuple[int, list[SumUpdateOp]]] = []
         for uid in targets:
             user = self.world.population.get(uid)
-            model = self.sums.get_or_create(uid)
-            with self._sum_write_guard(uid):
-                self.policy.apply_decay(model)
+            model = self._private_copy(uid)
+            self.policy.apply_decay(model)  # the assignment reads the decayed state
+            ops: list[SumUpdateOp] = [DecayOp()]
+            touches.append((uid, ops))
 
             if personalize:
                 assignment = self.assigner.assign(model, course)
@@ -543,7 +567,9 @@ class CampaignEngine:
             question = None
             budget = self.config.eit_questions_per_user
             if budget is None or len(model.asked_questions) < budget:
-                question = self.eit.ask(model)
+                question = self.eit.next_question(model)
+                if question is not None:
+                    ops.append(EitAnswerOp(question))  # asked, maybe unanswered
 
             outcome = self.world.simulate_touch(
                 user, course, assignment.attribute, spec.campaign_id, question
@@ -586,35 +612,27 @@ class CampaignEngine:
                 ))
 
             # -- SUM updates (Fig. 4) --------------------------------------
-            with self._sum_write_guard(uid):
-                if question is not None and outcome.answered_option is not None:
-                    self.eit.record_answer(
-                        model, question, outcome.answered_option
-                    )
-                backing = emotions_linked_to(assignment.attribute)
-                if not backing and (outcome.transacted or outcome.clicked):
-                    # Standard message but the user still engaged: credit
-                    # the emotions behind the course's own salient
-                    # attributes (Fig. 4's "related attributes and values").
-                    backing = course.linked_emotions()
-                if backing:
-                    if outcome.transacted:
-                        self.policy.reward(
-                            model, backing, self.config.reward_transaction
-                        )
-                    elif outcome.clicked:
-                        self.policy.reward(
-                            model, backing, self.config.reward_click
-                        )
-                    elif outcome.opened:
-                        self.policy.reward(
-                            model, backing, self.config.reward_open
-                        )
-                    elif assignment.attribute is not None:
-                        self.policy.punish(
-                            model, backing, self.config.punish_ignore
-                        )
-                self.analyzer.analyze(model)
+            if question is not None and outcome.answered_option is not None:
+                ops.append(EitAnswerOp(question, outcome.answered_option))
+                self.eit.records.append(
+                    AnswerRecord(uid, question.qid, outcome.answered_option)
+                )
+            backing = emotions_linked_to(assignment.attribute)
+            if not backing and (outcome.transacted or outcome.clicked):
+                # Standard message but the user still engaged: credit
+                # the emotions behind the course's own salient
+                # attributes (Fig. 4's "related attributes and values").
+                backing = course.linked_emotions()
+            if backing:
+                if outcome.transacted:
+                    ops.append(RewardOp(backing, self.config.reward_transaction))
+                elif outcome.clicked:
+                    ops.append(RewardOp(backing, self.config.reward_click))
+                elif outcome.opened:
+                    ops.append(RewardOp(backing, self.config.reward_open))
+                elif assignment.attribute is not None:
+                    ops.append(PunishOp(backing, self.config.punish_ignore))
+            ops.append(AnalyzeOp(self.analyzer))
 
             result.touches.append(TouchRecord(
                 user_id=uid,
@@ -628,6 +646,7 @@ class CampaignEngine:
             ))
             self._training_rows.append((uid, course.course_id, outcome.transacted))
 
+        self.sums.batch_apply_ops(touches, self.policy)
         self._clock += 7 * 86_400.0  # one campaign per week
         self._refresh_behavior_features()
         for cache in self._live_caches:

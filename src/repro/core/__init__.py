@@ -50,7 +50,10 @@ from repro.core.sum_model import (
 from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch, SumRowView
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore
 from repro.core.updates import (
+    AnalyzeOp,
     DecayOp,
+    EitAnswerOp,
+    ProfileOp,
     PunishOp,
     RewardOp,
     SumUpdateOp,
@@ -60,6 +63,7 @@ from repro.core.updates import (
 
 __all__ = [
     "AdviceEngine",
+    "AnalyzeOp",
     "AnswerOption",
     "AttributeKind",
     "AttributeSpec",
@@ -68,6 +72,7 @@ __all__ = [
     "DecayOp",
     "DomainProfile",
     "EITQuestion",
+    "EitAnswerOp",
     "EMOTION_CATALOG",
     "EMOTION_NAMES",
     "EmotionAwareRecommender",
@@ -80,6 +85,7 @@ __all__ = [
     "HumanValuesScale",
     "NEGATIVE_EMOTIONS",
     "POSITIVE_EMOTIONS",
+    "ProfileOp",
     "PunishOp",
     "QuestionBank",
     "RankedItem",

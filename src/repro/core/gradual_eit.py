@@ -181,6 +181,28 @@ class QuestionBank:
         return cls(questions)
 
 
+def answer_question(
+    model: SmartUserModel, question: EITQuestion, option_index: int
+) -> AnswerOption:
+    """Apply one answer to the SUM (Initialization-stage update).
+
+    Emotional activations are applied attribute-wise; the option's
+    ability score updates the question's Four-Branch branch, and the
+    question counts as asked and answered.
+    """
+    if not 0 <= option_index < len(question.options):
+        raise IndexError(
+            f"option {option_index} out of range for {question.qid}"
+        )
+    option = question.options[option_index]
+    for name, delta in option.activations.items():
+        model.activate_emotion(name, delta)
+    model.observe_branch(question.branch, option.ability)
+    model.asked_questions.add(question.qid)
+    model.answered_questions.add(question.qid)
+    return option
+
+
 @dataclass
 class AnswerRecord:
     """One recorded answer: who, which question, which option."""
@@ -226,21 +248,9 @@ class GradualEIT:
     def record_answer(
         self, model: SmartUserModel, question: EITQuestion, option_index: int
     ) -> AnswerOption:
-        """Apply one answer to the SUM (Initialization-stage update).
-
-        Emotional activations are applied attribute-wise; the option's
-        ability score updates the question's Four-Branch branch.
-        """
-        if not 0 <= option_index < len(question.options):
-            raise IndexError(
-                f"option {option_index} out of range for {question.qid}"
-            )
-        option = question.options[option_index]
-        for name, delta in option.activations.items():
-            model.activate_emotion(name, delta)
-        model.observe_branch(question.branch, option.ability)
-        model.asked_questions.add(question.qid)
-        model.answered_questions.add(question.qid)
+        """Apply one answer to the SUM (:func:`answer_question`) and log
+        it in :attr:`records`, the source of :meth:`answer_matrix`."""
+        option = answer_question(model, question, option_index)
         self.records.append(AnswerRecord(model.user_id, question.qid, option_index))
         return option
 

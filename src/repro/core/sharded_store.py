@@ -274,11 +274,12 @@ class ShardedSumStore:
     # -- repository duck-type ------------------------------------------------
 
     def get_or_create(self, user_id: int) -> SumRowView:
-        """Fetch a user's SUM view, creating a row in the owning shard."""
+        """A read-only view of a user's SUM, creating a row in the owning
+        shard on first contact."""
         return self.shard_for(user_id).get_or_create(user_id)
 
     def get(self, user_id: int) -> SumRowView:
-        """Fetch an existing SUM view; raises for unknown users."""
+        """A read-only view of an existing SUM; raises for unknown users."""
         return self.shard_for(user_id).get(user_id)
 
     def freeze_view(self, user_id: int) -> SmartUserModel:
@@ -486,7 +487,8 @@ class ShardedSumStore:
         ops_of = dict(batch) if len(groups) > 1 else None  # cross-shard
         for s, owned in groups.items():
             part = batch if ops_of is None else OpBatch(
-                list(owned), [ops_of[uid] for uid in owned], validated=True
+                list(owned), [ops_of[uid] for uid in owned], validated=True,
+                scalar_users=batch.scalar_users,
             )
             shard = self.shards[s]
             with shard._lock:
@@ -528,18 +530,19 @@ class ShardedSumStore:
 
     @classmethod
     def loads(cls, payload: str, n_shards: int = 4) -> "ShardedSumStore":
-        """Inverse of :meth:`dumps`; accepts any SUM collection's dumps."""
-        store = cls(n_shards=n_shards)
-        for item in json.loads(payload):
-            store.shard_for(item["user_id"])._ingest(item)
-        return store
+        """Inverse of :meth:`dumps`; accepts any SUM collection's dumps
+        (each entry validated and clamped by ``SmartUserModel.from_dict``)."""
+        return cls.from_repository(
+            map(SmartUserModel.from_dict, json.loads(payload)), n_shards
+        )
 
     @classmethod
     def from_repository(cls, repository, n_shards: int = 4) -> "ShardedSumStore":
-        """Partition any SUM collection (object/columnar/sharded)."""
+        """Partition any SUM collection (object/columnar/sharded), or any
+        iterable of models."""
         store = cls(n_shards=n_shards)
         for model in repository:
-            store.shard_for(model.user_id)._ingest(model.to_dict())
+            store.shard_for(model.user_id)._write_models((model,))
         return store
 
     def to_repository(self) -> SumRepository:

@@ -18,7 +18,7 @@ own OS process (:mod:`repro.streaming.procplane` supplies the transport):
   orders) in its barrier reply, and the serving process maps them.
 * :class:`MultiProcSumStore` — a :class:`ShardedSumStore` whose
   partitions are arena-backed.  In-process it behaves exactly like the
-  ``sharded`` backend (scalar views, batch applies, save/load — the
+  ``sharded`` backend (read-only row views, batch applies, save/load — the
   whole tier-1 surface); the process plane is engaged explicitly and
   hands each worker's barrier reply to :meth:`MultiProcSumStore.adopt_shard`.
 
@@ -365,29 +365,11 @@ def copy_shard_into(src: ColumnarSumStore, dst: ColumnarSumStore) -> None:
     The recovery path: a checkpoint loads as a heap-backed
     :class:`ColumnarSumStore`, and the restarted worker needs that state
     on *arena* pages — so the plane allocates an empty arena-backed
-    shard and copies column-wise (no per-user object round trip).
+    shard and writes each of ``src``'s rows into it, in user id order.
     """
     if len(dst):
         raise ValueError("copy_shard_into needs an empty destination shard")
-    ids = [int(uid) for uid in src.user_ids()]
-    if not ids:
-        return
-    with dst._lock:
-        rows = dst.rows_for(ids, create=True)
-        src_rows = src.rows_for(ids)
-        dst._ei[rows] = src._ei[src_rows]
-        for (name, src_family), (__, dst_family) in zip(
-            src._named_families(), dst._named_families()
-        ):
-            for column in src_family.order:
-                sj = src_family.index[column]
-                dj = dst_family.ensure_column(column)
-                dst_family.values[rows, dj] = src_family.values[src_rows, sj]
-                dst_family.mask[rows, dj] = src_family.mask[src_rows, sj]
-        for r, sr in zip(rows, src_rows):
-            dst._objective[r] = dict(src._objective[sr])
-            dst._asked[r] = set(src._asked[sr])
-            dst._answered[r] = set(src._answered[sr])
+    dst._write_models(src)
 
 
 class MultiProcSumStore(ShardedSumStore):
@@ -396,7 +378,7 @@ class MultiProcSumStore(ShardedSumStore):
     Constructing one spawns **no** processes: in-process it is a
     :class:`~repro.core.sharded_store.ShardedSumStore` whose every dense
     block happens to sit on named segments — the full store surface
-    (scalar views, ``batch_apply_ops``, caches, save/load, thread-based
+    (read-only row views, ``batch_apply_ops``, caches, save/load, thread-based
     :class:`~repro.streaming.updater.StreamingUpdater`) works unchanged,
     which is what lets it ride the tier-1 backend matrix.  The process
     plane (:class:`~repro.streaming.procplane.MultiProcUpdater`) engages

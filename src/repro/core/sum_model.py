@@ -209,8 +209,10 @@ class SmartUserModel:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SmartUserModel":
-        """Inverse of :meth:`to_dict`."""
-        model = cls(payload["user_id"])
+        """Inverse of :meth:`to_dict` (every attribute is assigned here,
+        so the defaults ``__init__`` would build are skipped)."""
+        model = cls.__new__(cls)
+        model.user_id = int(payload["user_id"])
         model.objective = dict(payload.get("objective", {}))
         model.subjective = {
             k: clamp01(v) for k, v in payload.get("subjective", {}).items()
@@ -332,7 +334,8 @@ class SumRepository:
         self._models: dict[int, SmartUserModel] = {m.user_id: m for m in models}
         self._population: Population | None = None
         #: held by :meth:`batch_apply_ops` for a whole batch and by
-        #: :meth:`batch` for its copy, so no read sees half a commit
+        #: :meth:`batch` and :meth:`freeze_view` for their copies, so no
+        #: read sees half a commit
         self._lock = make_lock("SumRepository._lock")
 
     #: live state: writable, unversioned (a SumCache over the store
@@ -392,8 +395,11 @@ class SumRepository:
 
     def freeze_view(self, user_id: int) -> SmartUserModel:
         """An immutable copy of one user's SUM: :func:`frozen_model` over
-        one ``to_dict()``, taken under the caller's user write lock."""
-        return frozen_model(self.get(user_id).to_dict())
+        one ``to_dict()``, copied under the store lock, so it never sees
+        half a :meth:`batch_apply_ops` commit."""
+        model = self.get(user_id)
+        with self._lock:
+            return frozen_model(model.to_dict())
 
     def __contains__(self, user_id: object) -> bool:
         return user_id in self._models

@@ -24,13 +24,17 @@ Layout (struct of arrays, row = user):
   touched, arbitrary values).
 
 :class:`SumRowView` subclasses :class:`~repro.core.sum_model.SmartUserModel`
-and re-expresses its attribute families as mapping *views* over one row,
-so the entire existing scalar API — ``model.emotional[e]``,
-``model.sensibility.get``, ``pipeline.apply_event``, the Gradual EIT —
-keeps working unchanged on top of the columns.  Scalar mutations through
-a view and vectorized mutations through :meth:`ColumnarSumStore.
-batch_apply_ops` are bit-equal by construction: both run the same IEEE
-double operations, just batched differently (the property suite in
+and re-expresses its attribute families as read-only mapping *views* over
+one row, so every scalar read — ``model.emotional[e]``,
+``model.sensibility.get``, feature extraction, ``dominant_attributes`` —
+works unchanged on top of the columns, and every mutator raises.  The
+one write path is :meth:`ColumnarSumStore.batch_apply_ops`: a user whose
+ops are all decay, reward and punish is applied in vectorized rounds; a
+user with any other op (:mod:`repro.core.updates`) has their row copied
+once, the ops run on a plain model and the row written back
+(:meth:`ColumnarSumStore._write_row`).  Both are bit-equal to the object
+store's scalar path by construction: the same IEEE double operations,
+just batched differently (the property suite in
 ``tests/properties/test_columnar_batch.py`` pins this down).  A view's
 ``to_dict()`` is one row copy taken inside the row's seqlock windows;
 :meth:`ColumnarSumStore.freeze_view` seals that copy into a plain
@@ -52,7 +56,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections.abc import MutableMapping
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
@@ -78,12 +82,16 @@ from repro.core.interned import Population
 from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError, frozen_model
 from repro.core.updates import (
+    AnalyzeOp,
     BatchItems,
     DecayOp,
+    EitAnswerOp,
     OpBatch,
+    ProfileOp,
     PunishOp,
     RewardOp,
     SumUpdateOp,
+    apply_ops,
 )
 
 _GROWTH_FACTOR = 2
@@ -99,8 +107,8 @@ def _zeros(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
 class _MutationClock:
     """Monotonic per-store write counter (dirty tracking for checkpoints).
 
-    Every mutation path — scalar view writes, batch applies, decay,
-    row creation, column interning, compaction — bumps it, so
+    Every mutation path — batch applies, decay, row creation, column
+    interning, compaction — bumps it, so
     ``ShardedSumStore.save`` can tell an untouched shard (clock equal to
     the value recorded at the previous checkpoint) from a dirty one and
     skip re-serializing its pages.  Bumps happen under the store lock or
@@ -181,13 +189,16 @@ def validate_batch_ops(items: BatchItems) -> OpBatch:
     before it takes a lock or writes a byte — and the batch remembers
     the verdict, so whichever layer sees it first checks it and the
     layers below do not: shard A cannot commit before shard B's
-    validation failure, and no op is checked twice.
+    validation failure, and no op is checked twice.  The same pass
+    records the users holding an op outside the hot three
+    (``batch.scalar_users``).
     """
     batch = OpBatch.of(items)
     if batch.validated:
         return batch
     valid = _VALID_ATTR_TUPLES
-    for ops in batch.ops:
+    scalar_users: list[int] = []
+    for user_id, ops in batch:
         for op in ops:
             if isinstance(op, DecayOp):
                 continue
@@ -205,10 +216,34 @@ def validate_batch_ops(items: BatchItems) -> OpBatch:
                     raise ValueError(
                         f"non-finite op strength {op.strength!r}"
                     )
+            elif isinstance(op, (ProfileOp, EitAnswerOp, AnalyzeOp)):
+                _validate_scalar_op(op)
+                scalar_users.append(user_id)
             else:
                 raise TypeError(f"unknown SUM update op {op!r}")
+    if scalar_users:
+        batch.scalar_users = frozenset(scalar_users)
     batch.validated = True
     return batch
+
+
+def _validate_scalar_op(op: ProfileOp | EitAnswerOp | AnalyzeOp) -> None:
+    """What :func:`validate_batch_ops` checks of an op outside the hot
+    three: finite subjective values, an answer's option index in range
+    and its activations on known emotions."""
+    if isinstance(op, ProfileOp):
+        for name, value in op.subjective:
+            if not math.isfinite(float(value)):
+                raise ValueError(f"non-finite tendency {name!r}: {value!r}")
+    elif isinstance(op, EitAnswerOp) and op.option is not None:
+        options = op.question.options
+        if not (isinstance(op.option, int) and 0 <= op.option < len(options)):
+            raise IndexError(
+                f"option {op.option!r} out of range for {op.question.qid}"
+            )
+        for name in options[op.option].activations:
+            if name not in _EMOTION_INDEX:
+                raise KeyError(f"unknown emotional attribute {name!r}")
 
 
 def _masked_matrix(
@@ -278,7 +313,7 @@ class _ColumnFamily:
     """
 
     __slots__ = ("index", "order", "values", "mask", "frozen", "lock",
-                 "seed", "_dtype", "_alloc", "clock", "row_gen")
+                 "seed", "_dtype", "_alloc", "clock")
 
     def __init__(
         self,
@@ -289,15 +324,10 @@ class _ColumnFamily:
         frozen: bool = False,
         alloc: Callable[[tuple[int, ...], Any], np.ndarray] | None = None,
         clock: _MutationClock | None = None,
-        *,
-        row_gen: Seqlock,
     ) -> None:
         self.lock = lock
         self._alloc = alloc if alloc is not None else _zeros
         self.clock = clock if clock is not None else _MutationClock()
-        #: the owning store's per-row seqlock cells; scalar row writes
-        #: through views bump them so lock-free captures can retry
-        self.row_gen = row_gen
         self._dtype = np.dtype(dtype)
         #: columns the family was constructed with; compaction never drops
         #: them (the emotion seeds pin the shared intensity/sensibility/
@@ -521,8 +551,8 @@ def _gathered(rows: Sequence[Mapping[str, float]], order: Sequence[str]) -> _Fro
     )
 
 
-class _RowMapView(MutableMapping):
-    """Dict-compatible view of one family row (presence-mask aware)."""
+class _RowMapView(Mapping[str, Any]):
+    """Read-only dict view of one family row (presence-mask aware)."""
 
     __slots__ = ("_family", "_row", "_cast")
 
@@ -540,36 +570,6 @@ class _RowMapView(MutableMapping):
             raise KeyError(name)
         return self._cast(self._family.values[self._row, j])
 
-    def __setitem__(self, name: str, value: float) -> None:
-        family = self._family
-        # Under the lock: a concurrent capacity growth replaces the
-        # arrays, and a write to the replaced one would be lost.
-        with family.lock:
-            j = family.ensure_column(name)
-            family.clock.bump()
-            # begin/end spelled out rather than write(): this is the one
-            # per-cell writer, and the context manager doubles its cost
-            family.row_gen.begin(self._row)
-            try:
-                family.values[self._row, j] = value
-                family.mask[self._row, j] = True
-            finally:
-                family.row_gen.end(self._row)
-
-    def __delitem__(self, name: str) -> None:
-        family = self._family
-        with family.lock:
-            j = family.column_of(name)
-            if j is None or not family.mask[self._row, j]:
-                raise KeyError(name)
-            family.clock.bump()
-            family.row_gen.begin(self._row)
-            try:
-                family.values[self._row, j] = 0
-                family.mask[self._row, j] = False
-            finally:
-                family.row_gen.end(self._row)
-
     def __iter__(self) -> Iterator[str]:
         mask = self._family.mask[self._row]
         order = self._family.order
@@ -583,8 +583,8 @@ class _RowMapView(MutableMapping):
         return repr(dict(self))
 
 
-class _BranchScoresView(MutableMapping):
-    """``dict[Branch, float]`` view over one row of the EI block."""
+class _BranchScoresView(Mapping[Branch, float]):
+    """Read-only ``dict[Branch, float]`` view over one row of the EI block."""
 
     __slots__ = ("_store", "_row")
 
@@ -596,14 +596,6 @@ class _BranchScoresView(MutableMapping):
 
     def __getitem__(self, branch: Branch) -> float:
         return float(self._store._ei[self._row, self._COLUMN[branch]])
-
-    def __setitem__(self, branch: Branch, value: float) -> None:
-        with self._store._lock:  # row growth replaces the EI block
-            self._store._clock.bump()
-            self._store._ei[self._row, self._COLUMN[branch]] = value
-
-    def __delitem__(self, branch: Branch) -> None:
-        raise TypeError("Four-Branch scores are always present")
 
     def __iter__(self) -> Iterator[Branch]:
         return iter(BRANCH_ORDER)
@@ -644,62 +636,60 @@ class _FourBranchProfileView(FourBranchProfile):
 
 
 class SumRowView(SmartUserModel):
-    """One user's SUM as a thin view over the columnar store.
+    """One user's SUM as a read-only live view over one row.
 
-    Subclasses :class:`SmartUserModel` so every behaviour — reward,
-    sensibility analysis, the Gradual EIT, feature extraction,
-    ``to_dict`` — runs unchanged; only the storage underneath differs.
+    Subclasses :class:`SmartUserModel` so every read — feature
+    extraction, ``dominant_attributes``, ``to_dict`` — runs unchanged;
+    only the storage underneath differs.  Each family is a read-only
+    mapping over the row (built on first access; families are stable
+    objects whose arrays are looked up on every read, so a view stays
+    valid across array growth), the cold state is read through on every
+    access, and every mutator raises: a stored SUM is written only by
+    :meth:`ColumnarSumStore.batch_apply_ops`.
     """
 
-    # Instance attributes of SmartUserModel are replaced by properties
-    # reading through to the store, so views stay valid across array
-    # growth (families are stable objects; their arrays are looked up on
-    # every access).
-
     def __init__(self, store: "ColumnarSumStore", user_id: int, row: int) -> None:
-        self.user_id = int(user_id)
-        self._store = store
-        self._row = row
-        self.emotional = _EmotionalStateView(store, row)
-        self.ei_profile = _FourBranchProfileView(store, row)
-        self.subjective = _RowMapView(store._subjective, row)
-        self.sensibility = _RowMapView(store._sensibility, row)
-        self.evidence = _RowMapView(store._evidence, row, cast=int)
+        self.__dict__.update(user_id=int(user_id), _store=store, _row=row)
 
-    # -- cold, per-row Python state ----------------------------------------
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise TypeError(
+            f"a stored SUM is read-only; cannot set {name!r} (commit an "
+            "OpBatch through the store's batch_apply_ops)"
+        )
 
-    @property
-    def objective(self) -> dict[str, Any]:
-        return self._store._objective[self._row]
+    @cached_property
+    def emotional(self) -> EmotionalState:
+        return _EmotionalStateView(self._store, self._row)
 
-    @objective.setter
-    def objective(self, value: dict[str, Any]) -> None:
-        # Under the store lock: a concurrent first-contact row creation
-        # appends to these cold-state lists, and a list seen mid-append
-        # could route this write into a stale slot after compaction.
-        with self._store._lock:
-            self._store._clock.bump()
-            self._store._objective[self._row] = dict(value)
+    @cached_property
+    def ei_profile(self) -> FourBranchProfile:
+        return _FourBranchProfileView(self._store, self._row)
 
-    @property
-    def asked_questions(self) -> set[str]:
-        return self._store._asked[self._row]
+    @cached_property
+    def subjective(self) -> Mapping[str, float]:
+        return _RowMapView(self._store._subjective, self._row)
 
-    @asked_questions.setter
-    def asked_questions(self, value: Iterable[str]) -> None:
-        with self._store._lock:
-            self._store._clock.bump()
-            self._store._asked[self._row] = set(value)
+    @cached_property
+    def sensibility(self) -> Mapping[str, float]:
+        return _RowMapView(self._store._sensibility, self._row)
+
+    @cached_property
+    def evidence(self) -> Mapping[str, int]:
+        return _RowMapView(self._store._evidence, self._row, cast=int)
+
+    # -- cold, per-row Python state (replaced whole by _write_row) ----------
 
     @property
-    def answered_questions(self) -> set[str]:
-        return self._store._answered[self._row]
+    def objective(self) -> Mapping[str, Any]:
+        return MappingProxyType(self._store._objective[self._row])
 
-    @answered_questions.setter
-    def answered_questions(self, value: Iterable[str]) -> None:
-        with self._store._lock:
-            self._store._clock.bump()
-            self._store._answered[self._row] = set(value)
+    @property
+    def asked_questions(self) -> frozenset[str]:
+        return frozenset(self._store._asked[self._row])
+
+    @property
+    def answered_questions(self) -> frozenset[str]:
+        return frozenset(self._store._answered[self._row])
 
     def to_dict(self) -> dict[str, Any]:
         """:meth:`SmartUserModel.to_dict` as one consistent row copy
@@ -717,7 +707,6 @@ class SumRowView(SmartUserModel):
     "_objective",
     "_asked",
     "_answered",
-    "_views",
 )
 class ColumnarSumStore:
     """Struct-of-arrays SUM backend for the whole population.
@@ -767,19 +756,19 @@ class ColumnarSumStore:
         self._emotional = _ColumnFamily(
             np.float64, capacity, self._lock,
             seed_names=EMOTION_NAMES, frozen=True,
-            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
+            alloc=self._alloc, clock=self._clock,
         )
         self._sensibility = _ColumnFamily(
             np.float64, capacity, self._lock, seed_names=EMOTION_NAMES,
-            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
+            alloc=self._alloc, clock=self._clock,
         )
         self._subjective = _ColumnFamily(
             np.float64, capacity, self._lock,
-            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
+            alloc=self._alloc, clock=self._clock,
         )
         self._evidence = _ColumnFamily(
             np.int64, capacity, self._lock, seed_names=EMOTION_NAMES,
-            alloc=self._alloc, clock=self._clock, row_gen=self.row_generations,
+            alloc=self._alloc, clock=self._clock,
         )
         ei = self._alloc((capacity, len(BRANCH_ORDER)), np.float64)
         ei[:] = 0.5
@@ -787,7 +776,6 @@ class ColumnarSumStore:
         self._objective: list[dict[str, Any]] = []
         self._asked: list[set[str]] = []
         self._answered: list[set[str]] = []
-        self._views: dict[int, SumRowView] = {}
         #: the last :meth:`population`, replaced when its key moves
         self._population: Population | None = None
         #: set by :meth:`load` with ``mmap=True``: the column pages are
@@ -954,22 +942,21 @@ class ColumnarSumStore:
     # -- repository duck-type ----------------------------------------------
 
     def get_or_create(self, user_id: int) -> SumRowView:
-        """Fetch a user's SUM view, creating an empty row on first contact."""
+        """A read-only view of a user's SUM, creating an empty row on
+        first contact."""
         user_id = int(user_id)
         row = self._row_of.get(user_id)
         if row is None:
             row = self._new_row(user_id)
-        view = self._views.get(user_id)
-        if view is None:
-            view = self._views.setdefault(user_id, SumRowView(self, user_id, row))
-        return view
+        return SumRowView(self, user_id, row)
 
     def get(self, user_id: int) -> SumRowView:
-        """Fetch an existing SUM view; raises for unknown users."""
+        """A read-only view of an existing SUM; raises for unknown users."""
         user_id = int(user_id)
-        if user_id not in self._row_of:
+        row = self._row_of.get(user_id)
+        if row is None:
             raise UnknownUserError([user_id])
-        return self.get_or_create(user_id)
+        return SumRowView(self, user_id, row)
 
     def __contains__(self, user_id: object) -> bool:
         return user_id in self._row_of
@@ -1242,7 +1229,10 @@ class ColumnarSumStore:
         one array multiply over the decaying rows, rewards/punishes are
         scatter-adds through the same
         :class:`~repro.core.reward.ReinforcementPolicy` clamps as the
-        scalar path — bit-equal results, population-at-once speed.
+        scalar path — bit-equal results, population-at-once speed.  A
+        user whose ops include a profile, EIT or analysis op is applied
+        whole on a plain model instead (:meth:`_apply_scalar_users`),
+        inside the same odd window and clock bump.
 
         The batch is validated *before* any mutation unless a layer
         above already did (unknown ops, unknown attributes or non-finite
@@ -1275,7 +1265,64 @@ class ColumnarSumStore:
         # fancy-indexed bump is one increment per row).
         if n_rounds:
             with self.row_generations.write(rows):
-                self._apply_rounds(batch.ops, rows.tolist(), n_rounds, policy)
+                ops, hot_rows = batch.ops, rows.tolist()
+                if batch.scalar_users:
+                    ops, hot_rows = self._apply_scalar_users(batch, hot_rows, policy)
+                    n_rounds = max(map(len, ops), default=0)
+                if n_rounds:
+                    self._apply_rounds(ops, hot_rows, n_rounds, policy)
+
+    def _apply_scalar_users(
+        self, batch: OpBatch, rows: list[int], policy: Any
+    ) -> tuple[list[tuple[SumUpdateOp, ...]], list[int]]:
+        """Apply the sequences of ``batch.scalar_users`` one user at a time
+        — the row copied once, the ops run on a plain model through
+        :func:`~repro.core.updates.apply_ops`, the row written back — and
+        return the other users' ``(ops, rows)`` for the vectorized rounds.
+        Runs inside the commit's odd window, under its (re-entered) lock.
+        """
+        scalar = batch.scalar_users
+        hot_ops: list[tuple[SumUpdateOp, ...]] = []
+        hot_rows: list[int] = []
+        with self._lock:
+            for user_id, ops, row in zip(batch.user_ids, batch.ops, rows):
+                if user_id in scalar:
+                    model = SmartUserModel.from_dict(self._row_payload(row, user_id))
+                    apply_ops(model, ops, policy)
+                    self._write_row(row, model.to_dict())
+                else:
+                    hot_ops.append(ops)
+                    hot_rows.append(row)
+        return hot_ops, hot_rows
+
+    @requires_lock("_lock")
+    def _write_row(self, row: int, payload: Mapping[str, Any]) -> None:
+        """Write one :meth:`SmartUserModel.to_dict` payload into ``row``.
+
+        Every family cell the payload lacks is written absent and 0 (the
+        invariant whole-row decay relies on), and a new name interns a
+        column.  The caller holds the row's odd window, or the only
+        reference to the store.
+        """
+        for family, cells in (
+            (self._emotional, payload["emotional"]),
+            (self._sensibility, payload["sensibility"]),
+            (self._subjective, payload["subjective"]),
+            (self._evidence, payload["evidence"]),
+        ):
+            index = family.index
+            for name in cells:
+                if name not in index:
+                    family.ensure_column(name)
+            # one slice per array, read after interning (column growth
+            # replaces the arrays); columns past the width stay 0
+            order = family.order
+            family.values[row, : len(order)] = [cells.get(name, 0) for name in order]
+            family.mask[row, : len(order)] = [name in cells for name in order]
+        self._ei[row] = [payload["ei_profile"][key] for key in _BRANCH_KEYS]
+        self._objective[row] = dict(payload["objective"])
+        self._asked[row] = set(payload["asked_questions"])
+        self._answered[row] = set(payload["answered_questions"])
 
     @requires_lock("_lock")
     def _apply_rounds(
@@ -1438,39 +1485,24 @@ class ColumnarSumStore:
 
     @classmethod
     def loads(cls, payload: str) -> "ColumnarSumStore":
-        """Inverse of :meth:`dumps`; accepts :class:`SumRepository` dumps."""
-        store = cls()
-        for item in json.loads(payload):
-            store._ingest(item)
-        return store
-
-    def _ingest(self, payload: dict[str, Any]) -> SumRowView:
-        """Load one :meth:`SmartUserModel.to_dict` payload into a row."""
-        view = self.get_or_create(payload["user_id"])
-        view.objective = dict(payload.get("objective", {}))
-        for name, value in payload.get("subjective", {}).items():
-            view.subjective[name] = clamp01(value)
-        # Route through EmotionalState validation (unknown names raise).
-        validated = EmotionalState(dict(payload.get("emotional", {})))
-        for name, value in validated.intensities.items():
-            view.emotional.intensities[name] = value
-        for key, score in payload.get("ei_profile", {}).items():
-            view.ei_profile.scores[Branch(key)] = clamp01(score)
-        for name, weight in payload.get("sensibility", {}).items():
-            view.sensibility[name] = clamp01(weight)
-        for name, count in payload.get("evidence", {}).items():
-            view.evidence[name] = int(count)
-        view.asked_questions = set(payload.get("asked_questions", ()))
-        view.answered_questions = set(payload.get("answered_questions", ()))
-        return view
+        """Inverse of :meth:`dumps`; accepts :class:`SumRepository` dumps
+        (each entry validated and clamped by ``SmartUserModel.from_dict``)."""
+        return cls.from_repository(map(SmartUserModel.from_dict, json.loads(payload)))
 
     @classmethod
-    def from_repository(cls, repository: Any) -> "ColumnarSumStore":
-        """Convert any SUM collection (object or columnar) to a new store."""
+    def from_repository(cls, repository: Iterable[SmartUserModel]) -> "ColumnarSumStore":
+        """Convert any SUM collection (object or columnar), or any
+        iterable of models, to a new store."""
         store = cls()
-        for model in repository:
-            store._ingest(model.to_dict())
+        store._write_models(repository)
         return store
+
+    def _write_models(self, models: Iterable[SmartUserModel]) -> None:
+        """Write each model into its user's row, created on first sight:
+        an import into a store no reader sees yet."""
+        with self._lock:
+            for model in models:
+                self._write_row(self._new_row(model.user_id), model.to_dict())
 
     def to_repository(self) -> SumRepository:
         """Export to an object-backed :class:`SumRepository` (deep copy)."""
@@ -1531,9 +1563,6 @@ class ColumnarSumStore:
                 users_schema,
                 {
                     "user_id": ids,
-                    # dict() unwraps the MappingProxyType rows of a
-                    # read-only replica — save() is a pure read and must
-                    # work there (e.g. re-snapshotting a served state)
                     "objective": [
                         json.dumps(dict(self._objective[row]), sort_keys=True)
                         for row in live
@@ -1651,14 +1680,6 @@ class ColumnarSumStore:
                 # a replica never interns columns, whatever the family
                 family.frozen = True
             store._ei = catalog.array("ei")
-            # The cold per-row state lives in process memory, not pages —
-            # freeze it too, or replica writes there would silently
-            # diverge from the maps ("every write path raises").
-            store._objective = tuple(
-                MappingProxyType(objective) for objective in store._objective
-            )
-            store._asked = tuple(frozenset(s) for s in store._asked)
-            store._answered = tuple(frozenset(s) for s in store._answered)
             store._capacity = max(n, 1)
             store._readonly = True
             return store

@@ -1,25 +1,28 @@
-"""Incremental SUM update primitives.
+"""SUM update ops: every write to a stored SUM, as data.
 
 The Update stage of Fig. 4 boils down to three incremental operations on
 one user's SUM: decay everything a little, reward some attributes, punish
-some attributes.  This module names those operations as small frozen
-dataclasses so every writer of emotional state — the one-touch
-:class:`~repro.core.pipeline.EmotionalContextPipeline`, the campaign
-engine and the streaming consumers of :mod:`repro.streaming` — applies
-the *same* primitives through the same
-:class:`~repro.core.reward.ReinforcementPolicy`, and "replayed online"
-versus "applied offline" can be compared op for op.
+some attributes — the only ops a streaming mapper emits.  The offline
+loop also writes profile facts (:class:`ProfileOp`), Gradual EIT answers
+(:class:`EitAnswerOp`) and sensibility re-weighting (:class:`AnalyzeOp`).
+Each op runs the scalar code of :mod:`repro.core` on a plain model, and
+every writer — the campaign engine, the Attributes Manager Agent and the
+streaming consumers of :mod:`repro.streaming` — commits ops as one
+:class:`OpBatch` through a store's ``batch_apply_ops``, so "replayed
+online" versus "applied offline" can be compared op for op.
 
-Ops are data, not behaviour: applying them requires a policy, so the same
-op sequence can be replayed under different reinforcement knobs.
+Ops are data, not behaviour: applying the hot ones requires a policy, so
+the same op sequence can be replayed under different reinforcement knobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Any, Iterable, Iterator, Tuple, Union
 
+from repro.core.gradual_eit import EITQuestion, answer_question
 from repro.core.reward import ReinforcementPolicy
+from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import SmartUserModel
 
 
@@ -52,8 +55,34 @@ class PunishOp:
             raise ValueError("PunishOp needs at least one attribute")
 
 
-#: Any single incremental SUM update.
-SumUpdateOp = Union[DecayOp, RewardOp, PunishOp]
+@dataclass(frozen=True)
+class ProfileOp:
+    """Set objective facts and subjective tendencies (``(name, value)``
+    pairs, applied in order through ``set_objective``/``set_subjective``)."""
+
+    objective: tuple[tuple[str, Any], ...] = ()
+    subjective: tuple[tuple[str, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class EitAnswerOp:
+    """Mark a Gradual EIT question asked, and answer it when ``option``
+    is an option index (:func:`~repro.core.gradual_eit.answer_question`)."""
+
+    question: EITQuestion
+    option: int | None = None
+
+
+@dataclass(frozen=True)
+class AnalyzeOp:
+    """Re-weight sensibilities (:meth:`SensibilityAnalyzer.analyze
+    <repro.core.sensibility.SensibilityAnalyzer.analyze>`)."""
+
+    analyzer: SensibilityAnalyzer = SensibilityAnalyzer()
+
+
+#: Any single SUM update.
+SumUpdateOp = Union[DecayOp, RewardOp, PunishOp, ProfileOp, EitAnswerOp, AnalyzeOp]
 
 
 def apply_op(
@@ -68,6 +97,18 @@ def apply_op(
         policy.reward(model, op.attributes, op.strength)
     elif isinstance(op, PunishOp):
         policy.punish(model, op.attributes, op.strength)
+    elif isinstance(op, ProfileOp):
+        for name, value in op.objective:
+            model.set_objective(name, value)
+        for name, value in op.subjective:
+            model.set_subjective(name, value)
+    elif isinstance(op, EitAnswerOp):
+        if op.option is None:
+            model.asked_questions.add(op.question.qid)
+        else:
+            answer_question(model, op.question, op.option)
+    elif isinstance(op, AnalyzeOp):
+        op.analyzer.analyze(model)
     else:
         raise TypeError(f"unknown SUM update op {op!r}")
 
@@ -107,10 +148,12 @@ class OpBatch:
     from raw items through :meth:`of` (a user listed twice has two
     entries), per user otherwise.  ``validated`` is set by
     :func:`~repro.core.sum_store.validate_batch_ops`, which therefore
-    checks a batch at most once however many layers it crosses.
+    checks a batch at most once however many layers it crosses, and
+    records in ``scalar_users`` the users whose sequence holds an op
+    other than decay, reward or punish (a split batch shares the set).
     """
 
-    __slots__ = ("user_ids", "ops", "counts", "validated")
+    __slots__ = ("user_ids", "ops", "counts", "validated", "scalar_users")
 
     def __init__(
         self,
@@ -118,11 +161,13 @@ class OpBatch:
         ops: list[tuple[SumUpdateOp, ...]],
         counts: list[int] | None = None,
         validated: bool = False,
+        scalar_users: frozenset[int] = frozenset(),
     ) -> None:
         self.user_ids = user_ids
         self.ops = ops
         self.counts = list(map(len, ops)) if counts is None else counts
         self.validated = validated
+        self.scalar_users = scalar_users
 
     @classmethod
     def of(cls, items: BatchItems) -> "OpBatch":

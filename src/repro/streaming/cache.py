@@ -9,6 +9,11 @@ machinery:
   touched user's lock (:meth:`SumCache.apply_batch_and_publish`, on
   every backend) — dropping the cached snapshots and bumping each
   user's monotonic version counter atomically with the mutation;
+* writers that commit to the repository themselves — the campaign
+  engine's passes, a process plane's barrier — take no cache lock and
+  publish with :meth:`SumCache.invalidate` afterwards; their commit is
+  one ``batch_apply_ops``, whose store lock (object store) or seqlock
+  windows (columnar stores) keep every snapshot copy whole;
 * readers receive **genuinely immutable** snapshots, rebuilt lazily on
   the first read after a publish.  A per-user snapshot is the
   repository's ``freeze_view`` on every backend: a sealed
@@ -75,7 +80,6 @@ declare_lock(
     "SumCache._lock_for()",
     family=True,
     self_order="sorted user id",
-    aliases=("SumCache.write_lock()",),
 )
 # Applying ops under a user's write lock mutates the store, which takes
 # its store lock; hidden from the AST behind the repository, so asserted
@@ -149,15 +153,6 @@ class SumCache:
 
     # -- write path --------------------------------------------------------
 
-    def write_lock(self, user_id: int) -> threading.Lock:
-        """The lock guarding one user's live model.
-
-        Direct repository writers (the offline campaign loop) hold it
-        across their mutation so snapshot builds and streamed applies
-        serialize with them; pair with :meth:`invalidate` afterwards.
-        """
-        return self._lock_for(int(user_id))
-
     @manual_guard(
         "acquires every touched user's lock in sorted-id order via a "
         "loop + try/finally; loop-acquired locks are invisible to the "
@@ -223,9 +218,10 @@ class SumCache:
     def invalidate(self, user_ids: Iterable[int] | None = None) -> dict[int, int]:
         """Invalidate users written *outside* the streaming path.
 
-        For writers that mutate the underlying repository directly —
-        the offline campaign loop rewarding touched users, a bulk
-        import — rather than through :meth:`apply_batch_and_publish`.  Drops
+        For writers that commit to the underlying repository themselves —
+        the offline campaign loop's ``batch_apply_ops``, a process
+        plane's barrier, a bulk import — rather than through
+        :meth:`apply_batch_and_publish`.  Drops
         the snapshots and bumps each user's version (``None`` means
         every user the repository knows); the whole call counts as one
         batch on :attr:`global_version`.

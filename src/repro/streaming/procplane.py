@@ -558,8 +558,8 @@ class MultiProcUpdater:
         published here: committed rows are on the shared pages at once,
         and the parent's ``cache.get`` and ``cache.batch`` copy them
         between barriers too, each row at least as new as its stamp.
-        *Direct* repository writes are not this plane's to publish: pair
-        them with ``cache.invalidate(ids)`` (``SumCache.write_lock``).
+        *Direct* repository commits are not this plane's to publish:
+        pair them with ``cache.invalidate(ids)``.
         """
         return self._barrier(persist=False)
 

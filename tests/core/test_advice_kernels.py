@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 import repro.core.advice as advice_module
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable, evidence_matrix
 from repro.core.emotions import EMOTION_NAMES
-from repro.core.seqlock import Seqlock
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore
-from repro.core.sum_model import SmartUserModel
+from repro.core.sum_model import SmartUserModel, SumRepository
 from repro.core.sum_store import (
     ColumnarSumStore,
     _ColumnFamily,
@@ -122,13 +121,14 @@ class TestLinkKernel:
 
     def test_large_populations_pass_through_in_chunks(self, monkeypatch):
         profile = DomainProfile("p", self.LINKS)
-        store = ColumnarSumStore()
+        seed = SumRepository()
         rng = np.random.default_rng(3)
         for uid in range(50):
-            model = store.get_or_create(uid)
+            model = seed.get_or_create(uid)
             model.activate_emotion("shy", float(rng.random()))
             model.activate_emotion("hopeful", float(rng.random()))
             model.set_sensibility("hopeful", float(rng.random()))
+        store = ColumnarSumStore.from_repository(seed)
         batch = store.batch(list(range(50)))
         engine = AdviceEngine()
         whole = engine.boosts_matrix(batch, profile)
@@ -162,10 +162,7 @@ class TestMaskedMatrix:
     def test_equal_to_the_per_name_loop_live_and_frozen(
         self, interned, asked, rows, default, seed
     ):
-        family = _ColumnFamily(
-            np.float64, 6, threading.RLock(), seed_names=interned,
-            row_gen=Seqlock(np.zeros(6, dtype=np.int64)),
-        )
+        family = _ColumnFamily(np.float64, 6, threading.RLock(), seed_names=interned)
         rng = np.random.default_rng(seed)
         family.values[:] = rng.random(family.values.shape)
         family.mask[:] = rng.random(family.mask.shape) < 0.6
@@ -195,12 +192,13 @@ class TestMaskedMatrix:
     def test_sensibility_matrix_of_a_two_shard_batch_equals_the_loop(
         self, states, asked, default, seed
     ):
-        store = ShardedSumStore(n_shards=2)
+        sums = SumRepository()
         for uid, state in enumerate(states):
-            model = store.get_or_create(uid)
+            model = sums.get_or_create(uid)
             for name, weight in state.items():
                 if weight is not None:
                     model.set_sensibility(name, weight)
+        store = ShardedSumStore.from_repository(sums, n_shards=2)
         order = np.random.default_rng(seed).permutation(len(states)).tolist()
         for batch in (store.batch(order), store.batch()):
             assert isinstance(batch, ShardedBatch)
@@ -237,14 +235,16 @@ def worlds(draw):
     return profile, catalog, universes, states
 
 
-def populate(sums, states):
+def populate(cls, states):
+    """``states`` seeded on an object repository, converted to ``cls``."""
+    sums = SumRepository()
     for uid, state in enumerate(states):
         model = sums.get_or_create(uid)
         for emotion, (intensity, sensibility) in state.items():
             model.activate_emotion(emotion, intensity)
             if sensibility is not None:
                 model.set_sensibility(emotion, sensibility)
-    return sums
+    return sums if cls is SumRepository else cls.from_repository(sums)
 
 
 class TestActiveColumns:
@@ -254,7 +254,7 @@ class TestActiveColumns:
         profile, catalog, universes, states = world
         engine = AdviceEngine(gain_scale=scale)  # 1.0: -1 gains hit the floor
         table = ItemTable(catalog, profile)
-        store = populate(ColumnarSumStore(), states)
+        store = populate(ColumnarSumStore, states)
         populations = (
             [store.get(uid) for uid in range(len(states))],
             store.batch(list(range(len(states)))),

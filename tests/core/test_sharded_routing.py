@@ -10,7 +10,7 @@ import pytest
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore, positions_by_shard
-from repro.core.sum_model import UnknownUserError
+from repro.core.sum_model import SumRepository, UnknownUserError
 from repro.streaming.cache import SumCache
 
 KNOWN = range(0, 60, 3)
@@ -47,12 +47,12 @@ def per_id_grouped(store, ids):
 
 
 def build(n_shards):
-    store = ShardedSumStore(n_shards=n_shards, initial_capacity=8)
+    sums = SumRepository()
     for uid in KNOWN:
-        model = store.get_or_create(uid)
+        model = sums.get_or_create(uid)
         model.activate_emotion(EMOTION_NAMES[uid % len(EMOTION_NAMES)], (uid % 7) / 7)
         model.set_sensibility(EMOTION_NAMES[0], (uid % 5) / 5)
-    return store
+    return ShardedSumStore.from_repository(sums, n_shards=n_shards)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 5])

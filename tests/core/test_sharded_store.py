@@ -24,22 +24,25 @@ from repro.core.sharded_store import (
 from repro.core.shm_store import MultiProcSumStore
 from repro.core.sum_model import SumRepository, UnknownUserError
 from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch
-from repro.core.updates import DecayOp, PunishOp, RewardOp
+from repro.core.updates import DecayOp, ProfileOp, PunishOp, RewardOp
 from repro.streaming.bus import partition_for
 from repro.streaming.cache import SumCache
 
 POLICY = ReinforcementPolicy()
 
 
-def populate(sums, n_users=40):
+def populate(cls=SumRepository, n_users=40, **kwargs):
+    """``n_users`` seeded SUMs on an object repository, converted to
+    ``cls`` (``kwargs`` go to its ``from_repository``)."""
     rng = np.random.default_rng(11)
+    sums = SumRepository()
     for uid in range(n_users):
         model = sums.get_or_create(uid)
         for j, name in enumerate(EMOTION_NAMES[:4]):
             model.activate_emotion(name, float(rng.uniform(0.1, 0.9)))
             model.set_sensibility(name, float(rng.uniform(0.1, 0.9)))
         model.set_subjective(f"pref[p{uid % 3}]", float(rng.uniform(0, 1)))
-    return sums
+    return sums if cls is SumRepository else cls.from_repository(sums, **kwargs)
 
 
 def test_numpy_integer_ids_are_the_same_users(sum_backend_cls):
@@ -63,7 +66,7 @@ def test_numpy_integer_ids_are_the_same_users(sum_backend_cls):
 
 class TestRouting:
     def test_users_land_on_partition_for_shards(self):
-        store = populate(ShardedSumStore(n_shards=4))
+        store = populate(ShardedSumStore, n_shards=4)
         for uid in range(40):
             shard = store.shards[partition_for(uid, 4)]
             assert uid in shard
@@ -72,7 +75,7 @@ class TestRouting:
         assert sum(len(s) for s in store.shards) == 40
 
     def test_single_shard_degenerates_to_one_store(self):
-        store = populate(ShardedSumStore(n_shards=1))
+        store = populate(ShardedSumStore, n_shards=1)
         assert len(store.shards[0]) == 40
         assert isinstance(store.batch([1, 2, 3]), FrozenSumBatch)
 
@@ -83,19 +86,19 @@ class TestRouting:
 
 class TestStoreSurface:
     def test_dumps_bit_equal_to_object_repository(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
-        reference = populate(SumRepository())
+        sharded = populate(ShardedSumStore, n_shards=4)
+        reference = populate()
         assert sharded.dumps() == reference.dumps()
 
     def test_loads_round_trip(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
+        sharded = populate(ShardedSumStore, n_shards=4)
         again = ShardedSumStore.loads(sharded.dumps(), n_shards=3)
         assert again.dumps() == sharded.dumps()
         assert [len(s) for s in again.shards] != []
 
     def test_batch_matrices_match_single_store(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
-        single = populate(ColumnarSumStore())
+        sharded = populate(ShardedSumStore, n_shards=4)
+        single = populate(ColumnarSumStore)
         ids = [7, 0, 13, 2, 21, 38]  # interleaved across shards
         b_sharded = sharded.batch(ids)
         b_single = single.batch(ids)
@@ -111,8 +114,8 @@ class TestStoreSurface:
         assert b_sharded.user_ids == ids
 
     def test_feature_matrix_matches_object_backend(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
-        reference = populate(SumRepository())
+        sharded = populate(ShardedSumStore, n_shards=4)
+        reference = populate()
         prefs = ("pref[p0]", "pref[p1]", "pref[p2]")
         got, got_ids = sharded.feature_matrix(subjective_order=prefs)
         want, want_ids = reference.feature_matrix(subjective_order=prefs)
@@ -120,7 +123,7 @@ class TestStoreSurface:
         assert np.array_equal(got, want)
 
     def test_unknown_users_named_across_shards(self):
-        store = populate(ShardedSumStore(n_shards=4))
+        store = populate(ShardedSumStore, n_shards=4)
         with pytest.raises(UnknownUserError) as excinfo:
             store.batch([1, 901, 2, 902, 903])
         assert excinfo.value.user_ids == (901, 902, 903)
@@ -131,7 +134,7 @@ class TestStoreSurface:
         assert batch.user_ids == [901]
 
     def test_freeze_view_delegates_to_owning_shard(self):
-        store = populate(ShardedSumStore(n_shards=4))
+        store = populate(ShardedSumStore, n_shards=4)
         frozen = store.freeze_view(7)
         assert frozen.user_id == 7
         with pytest.raises((TypeError, ValueError, KeyError)):
@@ -140,8 +143,8 @@ class TestStoreSurface:
 
 class TestBatchApply:
     def test_batch_apply_matches_single_store_bit_for_bit(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
-        single = populate(ColumnarSumStore())
+        sharded = populate(ShardedSumStore, n_shards=4)
+        single = populate(ColumnarSumStore)
         items = [
             (uid, (RewardOp(("shy", "enthusiastic"), 0.7), DecayOp(),
                    PunishOp(("frightened",), 0.2)))
@@ -153,7 +156,7 @@ class TestBatchApply:
         assert sharded.dumps() == single.dumps()
 
     def test_validation_failure_leaves_every_shard_untouched(self):
-        store = populate(ShardedSumStore(n_shards=4))
+        store = populate(ShardedSumStore, n_shards=4)
         before = store.dumps()
         # users on different shards; the poison op is on the *last* item,
         # so an unvalidated router would already have mutated shard 0
@@ -167,8 +170,8 @@ class TestBatchApply:
         assert store.dumps() == before
 
     def test_decay_tick_matches_object_backend(self):
-        sharded = populate(ShardedSumStore(n_shards=4))
-        reference = populate(SumRepository())
+        sharded = populate(ShardedSumStore, n_shards=4)
+        reference = populate()
         assert sharded.decay_tick(POLICY) == 40
         for model in reference:
             POLICY.apply_decay(model)
@@ -182,7 +185,7 @@ class TestBatchApply:
         # it used to multiply the rows without opening their seqlock
         # window or moving the mutation clock: lock-free captures could
         # tear on it and delta checkpoints could skip the dirty shard
-        sharded = populate(ShardedSumStore(n_shards=4))
+        sharded = populate(ShardedSumStore, n_shards=4)
         shard = sharded.shard_for(1)
         row = shard.row_index(1)
         generation = int(shard.row_generations.cells[row])
@@ -232,7 +235,7 @@ class TestBatchApply:
 
 class TestPersistence:
     def test_generations_are_monotonic_and_atomic(self, tmp_path):
-        store = populate(ShardedSumStore(n_shards=3))
+        store = populate(ShardedSumStore, n_shards=3)
         root = tmp_path / "state"
         first = store.save(root)
         second = store.save(root)
@@ -245,7 +248,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_load_round_trip_bit_equal(self, tmp_path, mmap):
-        store = populate(ShardedSumStore(n_shards=3))
+        store = populate(ShardedSumStore, n_shards=3)
         store.save(tmp_path / "state", versions={uid: 5 for uid in range(40)},
                    global_version=17)
         loaded = ShardedSumStore.load(tmp_path / "state", mmap=mmap)
@@ -256,7 +259,7 @@ class TestPersistence:
         assert loaded.readonly is mmap
 
     def test_mmap_replica_rejects_writes(self, tmp_path):
-        store = populate(ShardedSumStore(n_shards=2))
+        store = populate(ShardedSumStore, n_shards=2)
         store.save(tmp_path / "state")
         replica = ShardedSumStore.load(tmp_path / "state", mmap=True)
         with pytest.raises(TypeError, match="read-only"):
@@ -268,7 +271,7 @@ class TestPersistence:
 
     def test_version_floor_falls_back_to_generation(self, tmp_path):
         # the ISSUE satellite: replicas never serve sum_version=None
-        store = populate(ShardedSumStore(n_shards=2))
+        store = populate(ShardedSumStore, n_shards=2)
         store.save(tmp_path / "state")  # no cache versions supplied
         replica = ShardedSumStore.load(tmp_path / "state", mmap=True)
         assert replica.version(3) == 1
@@ -280,12 +283,11 @@ class TestPersistence:
 
 class TestCompaction:
     def test_compact_drops_only_all_absent_interned_columns(self):
-        store = populate(ShardedSumStore(n_shards=4))
-        # retire an attribute on every user that has it
-        for uid in range(40):
-            model = store.get(uid)
-            for name in list(model.subjective):
-                del model.subjective[name]
+        store = populate(ShardedSumStore, n_shards=4)
+        # a retired attribute: interned on every shard, held by nobody
+        # (no op deletes a name, so an all-absent column is seeded here)
+        for shard in store.shards:
+            shard._subjective.ensure_column("pref[retired]")
         before = store.dumps()
         dropped = store.compact_vocab()
         assert dropped > 0  # the retired pref columns went away
@@ -304,11 +306,9 @@ class TestCompaction:
 
     def test_compact_save_load_round_trip(self, tmp_path):
         # the ISSUE satellite: compact → save → load → dumps bit-equal
-        store = populate(ShardedSumStore(n_shards=3))
-        for uid in range(40):
-            model = store.get(uid)
-            for name in list(model.subjective):
-                del model.subjective[name]
+        store = populate(ShardedSumStore, n_shards=3)
+        for shard in store.shards:
+            shard._subjective.ensure_column("pref[retired]")
         reference = store.dumps()
         assert store.compact_vocab() > 0
         store.save(tmp_path / "state")
@@ -317,14 +317,16 @@ class TestCompaction:
             assert loaded.dumps() == reference
 
     def test_compact_noop_when_everything_present(self):
-        store = populate(ColumnarSumStore())
+        store = populate(ColumnarSumStore)
         assert store.compact_vocab() == 0
 
     def test_compact_preserves_present_interned_columns(self):
         store = ColumnarSumStore()
-        store.get_or_create(1).set_subjective("pref[keep]", 0.9)
-        store.get_or_create(2).set_subjective("pref[drop]", 0.5)
-        del store.get(2).subjective["pref[drop]"]
+        store.batch_apply_ops([
+            (1, (ProfileOp(subjective=(("pref[keep]", 0.9),)),)),
+            (2, ()),
+        ], POLICY)
+        store._subjective.ensure_column("pref[drop]")  # held by nobody
         assert store.compact_vocab() == 1
         assert store.get(1).subjective["pref[keep]"] == pytest.approx(0.9)
         assert "pref[drop]" not in store.get(2).subjective

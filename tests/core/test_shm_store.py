@@ -23,7 +23,13 @@ from repro.core.shm_store import (
     live_segment_names,
     shard_layout,
 )
+from repro.core.gradual_eit import QuestionBank
+from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_store import ColumnarSumStore
+from repro.core.updates import EitAnswerOp, ProfileOp, RewardOp
+
+POLICY = ReinforcementPolicy()
+QUESTIONS = list(QuestionBank.default_bank())
 
 
 def adopt_unchanged(store, i, wrote):
@@ -35,12 +41,16 @@ def adopt_unchanged(store, i, wrote):
 
 
 def populate(store, users=(1, 2, 7, 12)):
-    for uid in users:
-        view = store.get_or_create(uid)
-        view.activate_emotion("enthusiastic", 0.25 + (uid % 5) / 10)
-        view.sensibility[f"area-{uid % 3}"] = 0.5
-        view.objective = {"age": uid}
-        view.asked_questions = {f"q{uid}"}
+    """Every family, cold state and an interned column, through the one
+    write path."""
+    store.batch_apply_ops([
+        (uid, (
+            RewardOp(("enthusiastic",), 0.25 + (uid % 5) / 10),
+            ProfileOp(objective=(("age", uid),), subjective=((f"area-{uid % 3}", 0.5),)),
+            EitAnswerOp(QUESTIONS[uid % len(QUESTIONS)]),
+        ))
+        for uid in users
+    ], POLICY)
     return store
 
 
@@ -151,8 +161,9 @@ class TestCopyShardInto:
         src = populate(ColumnarSumStore())
         dst = ColumnarSumStore()
         copy_shard_into(src, dst)
-        dst.get(1).activate_emotion("shy", 0.9)
-        dst.get(1).objective = {"mutated": True}
+        dst.batch_apply_ops(
+            [(1, (RewardOp(("shy",)), ProfileOp(objective=(("age", -1),))))], POLICY
+        )
         assert src.get(1).emotional["shy"] == 0.0
         assert src.get(1).objective == {"age": 1}
 
@@ -253,7 +264,7 @@ class TestMultiProcSumStore:
             store.save(tmp_path)
             rebuilt = store.fresh_shard(0, capacity=1024)
             copy_shard_into(store.shards[0], rebuilt)
-            rebuilt.get_or_create(1).activate_emotion("shy", 0.4)
+            rebuilt.batch_apply_ops([(1, (RewardOp(("shy",)),))], POLICY)
             store.replace_shard(0, rebuilt)
             gen2 = store.save(tmp_path)
             from repro.core.sharded_store import ShardedSumStore

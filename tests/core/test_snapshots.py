@@ -20,9 +20,9 @@ import repro.core.seqlock as seqlock_module
 from repro.core.four_branch import Branch
 from repro.core.reward import ReinforcementPolicy
 from repro.core.shm_store import MultiProcSumStore
-from repro.core.sum_model import SmartUserModel, UnknownUserError
+from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import ColumnarSumStore, SumRowView
-from repro.core.updates import RewardOp, apply_ops
+from repro.core.updates import ProfileOp, RewardOp, apply_ops
 from repro.streaming.cache import SumCache
 
 POLICY = ReinforcementPolicy()
@@ -35,15 +35,18 @@ SNAPSHOTS = {
 
 @pytest.fixture
 def store(sum_backend_cls):
-    store = sum_backend_cls()
+    seed = SumRepository()
     for uid in (3, 5):
-        model = store.get_or_create(uid)
+        model = seed.get_or_create(uid)
         model.set_objective("age", 31)
         model.activate_emotion("shy", 0.2)
         model.set_subjective("pref[a]", 0.7)
         model.set_sensibility("shy", 0.4)
         model.observe_branch(Branch.MANAGING, 0.8)
         model.asked_questions.add("q-1")
+    # a raw out-of-range value, as a store may hold it (no op writes one)
+    seed.get_or_create(4).emotional.intensities["shy"] = 1.5
+    store = seed if sum_backend_cls is SumRepository else sum_backend_cls.from_repository(seed)
     yield store
     if isinstance(store, MultiProcSumStore):
         store.close()
@@ -69,8 +72,9 @@ class TestSnapshotContract:
     def test_stable_across_later_live_writes(self, store, snapshot_of):
         snapshot = snapshot_of(3)
         before = snapshot.to_dict()
-        store.get(3).activate_emotion("shy", 0.4)
-        store.get(3).set_subjective("pref[new]", 0.9)
+        store.batch_apply_ops(
+            [(3, (RewardOp(("shy",)), ProfileOp(subjective=(("pref[new]", 0.9),))))], POLICY
+        )
         assert snapshot.to_dict() == before
         assert snapshot.emotional["shy"] == pytest.approx(0.2)
 
@@ -117,14 +121,15 @@ class TestSnapshotContract:
         self, store, snapshot_of
     ):
         # the snapshot copies live state; it does not re-validate it
-        store.get(3).emotional.intensities["shy"] = 1.5
-        assert snapshot_of(3).emotional["shy"] == 1.5
-        assert snapshot_of(3).to_dict() == store.get(3).to_dict()
+        assert snapshot_of(4).emotional["shy"] == 1.5
+        assert snapshot_of(4).to_dict() == store.get(4).to_dict()
 
     def test_the_cache_serves_one_object_until_a_publish(self, store):
         cache = SumCache(store)
         snapshot = cache.get(5)
-        store.get(5).activate_emotion("shy", 0.3)
+        store.batch_apply_ops(
+            [(5, (RewardOp(("shy",)),))], ReinforcementPolicy(learning_rate=0.3)
+        )
         assert cache.get(5) is snapshot  # cached until the next publish
         cache.invalidate([5])
         fresh = cache.get(5)
@@ -229,9 +234,9 @@ def test_no_read_sees_half_a_row_commit(monkeypatch, columnar, reader):
 @pytest.mark.parametrize("reader", list(READERS))
 def test_no_read_sees_half_a_column_relocation(monkeypatch, columnar, reader):
     store = columnar
-    model = store.get_or_create(1)
-    model.set_subjective("a", 0.1)
-    model.set_subjective("b", 0.2)
+    store.batch_apply_ops(
+        [(1, (ProfileOp(subjective=(("a", 0.1), ("b", 0.2))),))], POLICY
+    )
     cache = SumCache(store)
     cache.get(1)
     family = store._subjective

@@ -1,10 +1,10 @@
 """The columnar SUM store: views, batch reads, persistence.
 
 The contract under test everywhere here is *bit-equality* with the
-object backend — not approximate closeness.  Scalar mutations through a
-:class:`SumRowView` run the very same Python-float arithmetic as
-:class:`SmartUserModel`, so states (and their JSON serializations) must
-compare equal with ``==``.
+object backend — not approximate closeness.  Ops committed through
+``batch_apply_ops`` run the very same Python-float arithmetic on both
+backends, so states (and their JSON serializations) must compare equal
+with ``==``; a :class:`SumRowView` only reads.
 """
 
 import json
@@ -14,43 +14,43 @@ import pytest
 
 from repro.core.advice import AdviceEngine, DomainProfile
 from repro.core.four_branch import BRANCH_ORDER, Branch
+from repro.core.gradual_eit import QuestionBank
 from repro.core.reward import ReinforcementPolicy
-from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import ColumnarSumStore, FrozenSumBatch, SumRowView
-from repro.core.updates import DecayOp, PunishOp, RewardOp, apply_ops
+from repro.core.updates import (
+    AnalyzeOp,
+    DecayOp,
+    EitAnswerOp,
+    ProfileOp,
+    PunishOp,
+    RewardOp,
+)
 
 POLICY = ReinforcementPolicy()
 
+#: a managing-branch question: answering it observes that branch
+QUESTION = QuestionBank.default_bank().by_branch(Branch.MANAGING)[0]
 
-def drive(model):
-    """One representative mutation mix touching every attribute family."""
-    model.set_objective("age", 31)
-    model.set_objective("region", "madrid")
-    model.set_subjective("pref[online]", 0.7)
-    model.nudge_subjective("pref[online]", 0.15)
-    model.nudge_subjective("pref[evening]", -0.2)
-    apply_ops(
-        model,
-        (
-            RewardOp(("enthusiastic", "lively"), 0.6),
-            DecayOp(),
-            PunishOp(("shy", "shy"), 0.9),  # duplicate: clamp between
-            RewardOp(("hopeful",), 1.3),    # strength clamps to 1.0
-        ),
-        POLICY,
-    )
-    SensibilityAnalyzer().analyze(model)
-    model.observe_branch(Branch.MANAGING, 0.8)
-    model.asked_questions.add("q-1")
-    model.answered_questions.add("q-1")
+#: one representative op mix touching every attribute family
+DRIVE = (
+    ProfileOp(
+        objective=(("age", 31), ("region", "madrid")),
+        subjective=(("pref[online]", 0.7), ("pref[online]", 0.85), ("pref[evening]", 0.3)),
+    ),
+    RewardOp(("enthusiastic", "lively"), 0.6),
+    DecayOp(),
+    PunishOp(("shy", "shy"), 0.9),  # duplicate: clamp between
+    RewardOp(("hopeful",), 1.3),    # strength clamps to 1.0
+    AnalyzeOp(),
+    EitAnswerOp(QUESTION, 1),
+)
 
 
 def paired_backends(user_ids=(3, 1, 7)):
     repo, store = SumRepository(), ColumnarSumStore()
-    for uid in user_ids:
-        drive(repo.get_or_create(uid))
-        drive(store.get_or_create(uid))
+    for sums in (repo, store):
+        sums.batch_apply_ops([(uid, DRIVE) for uid in user_ids], POLICY)
     return repo, store
 
 
@@ -65,23 +65,26 @@ class TestRowViews:
         view = store.get_or_create(9)
         assert isinstance(view, SmartUserModel)
         assert isinstance(view, SumRowView)
-        # repeated lookups return the same live view
-        assert store.get(9) is view
+        # every lookup is a fresh read-only view of the same row
+        assert store.get(9).to_dict() == view.to_dict()
 
     def test_views_survive_row_growth(self):
         store = ColumnarSumStore(initial_capacity=2)
+        policy = ReinforcementPolicy(learning_rate=0.5)
         early = store.get_or_create(0)
-        early.activate_emotion("shy", 0.5)
+        store.batch_apply_ops([(0, (RewardOp(("shy",)),))], policy)
         for uid in range(1, 64):  # forces several capacity doublings
             store.get_or_create(uid)
         assert early.emotional["shy"] == pytest.approx(0.5)
-        early.activate_emotion("shy", 0.1)
+        store.batch_apply_ops([(0, (RewardOp(("shy",), 0.2),))], policy)
         assert store.get(0).emotional["shy"] == early.emotional["shy"]
 
     def test_dynamic_vocabulary_interned_per_population(self):
         store = ColumnarSumStore()
-        store.get_or_create(1).set_subjective("pref[a]", 0.9)
-        store.get_or_create(2).set_subjective("pref[b]", 0.2)
+        store.batch_apply_ops([
+            (1, (ProfileOp(subjective=(("pref[a]", 0.9),)),)),
+            (2, (ProfileOp(subjective=(("pref[b]", 0.2),)),)),
+        ], POLICY)
         # presence is per user even though columns are shared
         assert "pref[b]" not in store.get(1).subjective
         assert dict(store.get(2).subjective) == {"pref[b]": 0.2}
@@ -92,7 +95,7 @@ class TestRowViews:
         view = store.get_or_create(1)
         assert view.sensibility.get("shy", 0.0) == 0.0
         assert view.sensibility.get("shy", 1.0) == 1.0
-        POLICY.reward(view, ("shy",), 1.0)
+        store.batch_apply_ops([(1, (RewardOp(("shy",), 1.0),))], POLICY)
         assert view.sensibility["shy"] == pytest.approx(0.1)
 
     def test_unknown_emotion_rejected(self):
@@ -108,10 +111,8 @@ class TestRowViews:
             store.get(4)
 
     def test_objective_assignment_roundtrip(self):
-        # cross-domain transfer assigns model.objective wholesale
         store = ColumnarSumStore()
-        view = store.get_or_create(1)
-        view.objective = {"age": 40}
+        store.batch_apply_ops([(1, (ProfileOp(objective=(("age", 40),)),))], POLICY)
         assert store.get(1).objective == {"age": 40}
 
 
@@ -301,7 +302,7 @@ class TestMmapReplicas:
 
     def test_replica_can_be_resnapshotted(self, tmp_path):
         # save() is a pure read, so re-snapshotting a served (frozen)
-        # state must work — the proxied cold rows unwrap cleanly
+        # state must work
         store, directory = self.saved(tmp_path)
         replica = ColumnarSumStore.load(directory, mmap=True)
         resaved = replica.save(tmp_path / "resaved")

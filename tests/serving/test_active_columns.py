@@ -13,7 +13,7 @@ import pytest
 import repro.serving.service as service_module
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
 from repro.core.interned import InternedIds
-from repro.core.sum_model import UnknownUserError
+from repro.core.sum_model import SumRepository, UnknownUserError
 from repro.core.sum_store import ColumnarSumStore
 from repro.obs.metrics import MetricsRegistry, labelled
 from repro.serving import (
@@ -44,7 +44,9 @@ STRANGER = "course-unlisted"  # not in the table: the shared all-zero row
 CARRYING = "course-innovative"
 
 
-def populate(sums):
+def populate(cls):
+    """Three users seeded on an object repository, converted to ``cls``."""
+    sums = SumRepository()
     keen = sums.get_or_create(1)
     keen.activate_emotion("enthusiastic", 1.0)
     keen.set_sensibility("enthusiastic", 1.0)
@@ -53,7 +55,7 @@ def populate(sums):
     timid.activate_emotion("shy", 0.4)
     timid.set_sensibility("frightened", 0.9)
     sums.get_or_create(3)
-    return sums
+    return sums if cls is SumRepository else cls.from_repository(sums)
 
 
 def build_service(sums, **kwargs):
@@ -84,7 +86,7 @@ class Counted:
 
     def __init__(self, monkeypatch):
         self.registry = MetricsRegistry()
-        cache = SumCache(populate(ColumnarSumStore()))
+        cache = SumCache(populate(ColumnarSumStore))
         self.service = build_service(cache, telemetry=self.registry)
         self.batches = self.boosts = 0
         batch, boosts_matrix = cache.batch, AdviceEngine.boosts_matrix
@@ -211,7 +213,7 @@ class TestContractParityOnEveryBackend:
     UNKNOWN = [41, 2, 40, 43]  # 41, 40, 43 unknown, spread over shards
 
     def service(self, sum_backend_cls, resolver, **kwargs):
-        sums = populate(sum_backend_cls())
+        sums = populate(sum_backend_cls)
         return build_service(SumCache(sums) if resolver == "cache" else sums, **kwargs)
 
     @pytest.mark.parametrize("adjust", [True, False])
@@ -296,7 +298,7 @@ class TestUserIdsAreInternedOncePerSelection:
             return np.asarray(user_ids, dtype=np.int64)[:, None] * np.ones(len(items))
 
     def test_the_scorer_and_the_ranking_share_one_translation(self):
-        service = build_service(populate(ColumnarSumStore()))
+        service = build_service(populate(ColumnarSumStore))
         scorer = self.Recording()
         service.register("rec", scorer, default=True)
         requests = (

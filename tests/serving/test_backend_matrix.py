@@ -43,7 +43,9 @@ ITEMS = sorted(ITEM_ATTRIBUTES)
 USER_IDS = (1, 2, 3)
 
 
-def populate(sums):
+def populate(cls):
+    """Three users seeded on an object repository, converted to ``cls``."""
+    sums = SumRepository()
     keen = sums.get_or_create(1)
     keen.activate_emotion("enthusiastic", 1.0)
     keen.set_sensibility("enthusiastic", 1.0)
@@ -52,7 +54,7 @@ def populate(sums):
     timid.activate_emotion("shy", 0.4)
     timid.set_sensibility("frightened", 0.9)
     sums.get_or_create(3)
-    return sums
+    return sums if cls is SumRepository else cls.from_repository(sums)
 
 
 def build_service(sums):
@@ -69,14 +71,14 @@ def build_service(sums):
 
 @pytest.fixture
 def reference_service():
-    return build_service(populate(SumRepository()))
+    return build_service(populate(SumRepository))
 
 
 @pytest.mark.parametrize("resolver", ["repository", "cache"])
 def test_responses_identical_across_matrix(
     sum_backend_cls, resolver, reference_service
 ):
-    sums = populate(sum_backend_cls())
+    sums = populate(sum_backend_cls)
     service = build_service(SumCache(sums) if resolver == "cache" else sums)
     for uid in USER_IDS:
         expected = reference_service.recommend(
@@ -101,7 +103,7 @@ def test_responses_identical_across_matrix(
 def test_no_adjust_responses_identical_across_matrix(
     sum_backend_cls, resolver, reference_service
 ):
-    sums = populate(sum_backend_cls())
+    sums = populate(sum_backend_cls)
     service = build_service(SumCache(sums) if resolver == "cache" else sums)
     expected = reference_service.select_users(
         SelectionRequest(item=ITEMS[0], adjust=False)
@@ -172,7 +174,7 @@ def test_serving_over_live_cache_does_no_object_rebuilds(monkeypatch):
     from repro.core.sum_model import SmartUserModel
     from repro.core.sum_store import FrozenSumBatch
 
-    store = populate(ColumnarSumStore())
+    store = populate(ColumnarSumStore)
     cache = SumCache(store)
     service = RecommendationService(
         sums=cache,
@@ -211,7 +213,7 @@ def test_serving_over_live_cache_does_no_object_rebuilds(monkeypatch):
 def test_versions_monotonic_under_concurrent_batch_publishes():
     """sum_version and batch version stamps never go backwards while a
     writer streams ``apply_batch_and_publish`` batches concurrently."""
-    store = populate(ColumnarSumStore())
+    store = populate(ColumnarSumStore)
     cache = SumCache(store)
     service = build_service(cache)
     policy = ReinforcementPolicy()

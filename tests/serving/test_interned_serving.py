@@ -13,6 +13,7 @@ import numpy as np
 import repro.core.interned as interned_module
 from repro.core.advice import DomainProfile
 from repro.core.interned import InternedIds
+from repro.core.sum_model import SumRepository
 from repro.core.sum_store import ColumnarSumStore
 from repro.serving import RecommendationRequest, RecommendationService
 from repro.serving.scorer import ScorerBase
@@ -50,11 +51,12 @@ class Batch(ScorerBase):
 
 
 def scan_service(n_users=6):
-    store = ColumnarSumStore()
+    sums = SumRepository()
     for uid in range(n_users):
-        model = store.get_or_create(uid)
+        model = sums.get_or_create(uid)
         model.activate_emotion("enthusiastic", 0.2 + 0.1 * uid)
         model.activate_emotion("frightened", 0.9 - 0.1 * uid)
+    store = ColumnarSumStore.from_repository(sums)
     attributes = {
         i: {"innovative": (i % 7) / 6.0, "challenging": (i % 5) / 4.0}
         for i in range(0, N_ITEMS, 3)  # most items carry no attributes

@@ -19,7 +19,10 @@ import pytest
 
 from repro.core.advice import DomainProfile
 from repro.core.interned import InternedIds, Population
+from repro.core.reward import ReinforcementPolicy
 from repro.core.shm_store import MultiProcSumStore
+from repro.core.sum_model import SumRepository
+from repro.core.updates import RewardOp
 from repro.lifelog.events import ActionCategory, Event
 from repro.serving import RecommendationService, SelectionRequest
 from repro.streaming import StreamingUpdater
@@ -77,14 +80,19 @@ def world(request, sum_backend_cls):
     """``(store, resolver)``: ``N_USERS`` users created in shuffled id
     order (rows are not id order), most of them with emotional state;
     the resolver is the store or a ``SumCache`` over it."""
-    store = sum_backend_cls()
+    seed = SumRepository()
     rng = np.random.default_rng(5)
-    for uid in rng.choice(10_000, size=N_USERS, replace=False).tolist():
-        model = store.get_or_create(uid)
+    order = rng.choice(10_000, size=N_USERS, replace=False).tolist()
+    for uid in order:
+        model = seed.get_or_create(uid)
         if rng.random() < 0.8:
             model.activate_emotion("enthusiastic", float(rng.random()))
             model.activate_emotion("frightened", float(rng.random()))
             model.set_sensibility("shy", float(rng.random()))
+    store = (
+        seed if sum_backend_cls is SumRepository
+        else sum_backend_cls.from_repository(map(seed.get, order))
+    )
     try:
         yield store, (store if request.param == "bare" else SumCache(store))
     finally:
@@ -130,8 +138,9 @@ def test_requests_share_one_population_until_the_row_set_moves(world):
     assert all(seen is first for seen in scorer.seen)
     assert list(first) == sorted(first) and len(first) == N_USERS
     # writes to existing users leave the row set, and the object, alone
-    for uid in first[:5]:
-        store.get_or_create(uid).activate_emotion("shy", 0.5)
+    store.batch_apply_ops(
+        [(uid, (RewardOp(("shy",)),)) for uid in first[:5]], ReinforcementPolicy()
+    )
     assert resolver.population() is first
     assert resolver.user_ids() == list(first)
 

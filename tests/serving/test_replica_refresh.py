@@ -40,9 +40,11 @@ def build_service(sums):
 
 
 def set_generation_state(store, g):
-    """Make generation ``g`` distinguishable: intensity = g/10 exactly."""
-    view = store.get_or_create(1)
-    view.emotional.intensities["enthusiastic"] = 0.1 * g
+    """Make generation ``g`` distinguishable: user 1 holds exactly ``g``
+    rewards (its evidence counts them), whatever it held before."""
+    held = store.get_or_create(1).evidence.get("enthusiastic", 0)
+    reward = RewardOp(("enthusiastic",), 0.25)
+    store.batch_apply_ops([(1, (reward,) * (g - held))], POLICY)
 
 
 def expected_multiplier(g):

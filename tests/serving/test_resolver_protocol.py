@@ -59,7 +59,7 @@ def test_every_backend_is_a_resolver(sum_backend_cls, cached):
 
 
 def test_an_mmap_replica_is_a_resolver(tmp_path):
-    primary = populate(ShardedSumStore(n_shards=2), n_users=8)
+    primary = ShardedSumStore.from_repository(populate(SumRepository(), n_users=8), n_shards=2)
     primary.save(tmp_path / "state")
     replica = ShardedSumStore.load(tmp_path / "state", mmap=True)
     assert replica.readonly

@@ -475,8 +475,9 @@ class TestFirstContactSemantics:
         from repro.core.sum_store import ColumnarSumStore
         from repro.serving import UnknownUserError
 
-        store = ColumnarSumStore()
-        store.get_or_create(1).activate_emotion("enthusiastic", 1.0)
+        seed = SumRepository()
+        seed.get_or_create(1).activate_emotion("enthusiastic", 1.0)
+        store = ColumnarSumStore.from_repository(seed)
         service = self._service(store)
         with pytest.raises(UnknownUserError) as excinfo:
             service.select_users(
@@ -536,9 +537,10 @@ class TestFirstContactSemantics:
         from repro.obs.metrics import MetricsRegistry
         from repro.streaming.cache import SumCache
 
-        store = ColumnarSumStore()
+        seed = SumRepository()
         for uid in (1, 2):
-            store.get_or_create(uid).activate_emotion("enthusiastic", 0.5)
+            seed.get_or_create(uid).activate_emotion("enthusiastic", 0.5)
+        store = ColumnarSumStore.from_repository(seed)
         telemetry = MetricsRegistry()
         cache = SumCache(store, telemetry=telemetry)
         service = RecommendationService(

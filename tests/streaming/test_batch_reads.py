@@ -31,11 +31,12 @@ EMOTION = "hopeful"
 BEFORE = (0.2, 0.3)
 AFTER = (0.8, 0.9)
 
+#: each backend as a copy of a seeded object repository
 STORES = {
-    "object": SumRepository,
-    "columnar": ColumnarSumStore,
-    "sharded": lambda: ShardedSumStore(n_shards=3),
-    "multiproc": lambda: MultiProcSumStore(n_shards=3),
+    "object": lambda sums: sums,
+    "columnar": ColumnarSumStore.from_repository,
+    "sharded": lambda sums: ShardedSumStore.from_repository(sums, n_shards=3),
+    "multiproc": lambda sums: MultiProcSumStore.from_repository(sums, n_shards=3),
 }
 
 
@@ -78,12 +79,13 @@ def write_one_pair_slowly(store, opened):
 @pytest.mark.parametrize("cached", [False, True], ids=["bare", "cached"])
 @pytest.mark.parametrize("backend", list(STORES))
 def test_no_batch_read_sees_half_a_commit(backend, cached, request_ids):
-    store = STORES[backend]()
+    seed = SumRepository()
+    for uid in USERS:
+        model = seed.get_or_create(uid)
+        model.activate_emotion(EMOTION, BEFORE[0])
+        model.set_sensibility(EMOTION, BEFORE[1])
+    store = STORES[backend](seed)
     try:
-        for uid in USERS:
-            model = store.get_or_create(uid)
-            model.activate_emotion(EMOTION, BEFORE[0])
-            model.set_sensibility(EMOTION, BEFORE[1])
         reader = SumCache(store) if cached else store
         ids = [TORN] if request_ids == "one" else USERS
         opened = threading.Event()

@@ -22,7 +22,7 @@ from repro.core.emotions import EMOTION_NAMES
 from repro.core.reward import ReinforcementPolicy
 from repro.core.seqlock import Seqlock
 from repro.core.sum_store import ColumnarSumStore, _ColumnFamily
-from repro.core.updates import DecayOp, PunishOp, RewardOp
+from repro.core.updates import DecayOp, ProfileOp, PunishOp, RewardOp
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming.cache import SumCache
 
@@ -31,10 +31,31 @@ SHY = EMOTION_NAMES.index("shy")
 
 
 def stocked_cache(n_users, telemetry=None, **store_kwargs):
+    """User ``uid`` holds shy ~ ``0.001 * (uid + 1)``."""
     store = ColumnarSumStore(**store_kwargs)
-    for uid in range(n_users):
-        store.get_or_create(uid).activate_emotion("shy", 0.001 * (uid + 1))
+    store.batch_apply_ops(
+        [(uid, (RewardOp(("shy",), 0.005 * (uid + 1)),)) for uid in range(n_users)], POLICY
+    )
     return store, SumCache(store, telemetry=telemetry)
+
+
+def nudge_shy(store, uid):
+    """One commit of shy ~ +0.001 on ``uid``."""
+    store.batch_apply_ops([(uid, (RewardOp(("shy",), 0.005),))], POLICY)
+
+
+def rewrite_sensibility(store, uid, name, weight=None):
+    """Set (``None``: drop) a sensibility no op writes — a name outside
+    the emotion catalog — through the store's own row writer, inside the
+    row's odd window as a batch commit is."""
+    row = store.row_index(uid)
+    payload = store.get(uid).to_dict()
+    if weight is None:
+        del payload["sensibility"][name]
+    else:
+        payload["sensibility"][name] = weight
+    with store.writer_lock, store.row_generations.write(row):
+        store._write_row(row, payload)
 
 
 @pytest.fixture
@@ -76,10 +97,12 @@ def test_one_stale_row_keeps_the_scalar_read(payloads, monkeypatch):
 def test_block_staging_survives_store_growth_between_reads(payloads):
     store, cache = stocked_cache(2, initial_capacity=2)
     cache.batch([0, 1])  # read at the tiny initial capacity
-    for uid in range(10, 90):  # several row-capacity doublings
-        store.get_or_create(uid).set_subjective(f"pref[{uid}]", 0.5)
-    store.get(0).activate_emotion("shy", 0.5)
-    store.get(1).sensibility["zest"] = 0.7  # and one column interned
+    store.batch_apply_ops(  # several row-capacity doublings
+        [(uid, (ProfileOp(subjective=((f"pref[{uid}]", 0.5),)),)) for uid in range(10, 90)]
+        + [(0, (RewardOp(("shy",)),))],
+        ReinforcementPolicy(learning_rate=0.5),
+    )
+    rewrite_sensibility(store, 1, "zest", 0.7)  # and one column interned
     payloads.calls.clear()
     batch = cache.batch(list(range(10, 90)) + [0, 1])
     assert len(payloads.calls) == 1  # one block copy, however many rows
@@ -113,10 +136,10 @@ def test_growth_during_the_block_copy_is_followed(monkeypatch):
 
 def test_compact_vocab_mid_capture_restages_through_the_block(payloads):
     store, cache = stocked_cache(6)
-    store.get(2).sensibility["zest"] = 0.4   # intern a column ...
-    store.get(3).sensibility["verve"] = 0.9
+    rewrite_sensibility(store, 2, "zest", 0.4)   # intern a column ...
+    rewrite_sensibility(store, 3, "verve", 0.9)
     cache.batch(list(range(6)))
-    del store.get(2).sensibility["zest"]     # ... and orphan it
+    rewrite_sensibility(store, 2, "zest")        # ... and orphan it
     payloads.calls.clear()
 
     def compact_during_the_first_copy(count):
@@ -149,7 +172,7 @@ def test_a_row_rewritten_during_every_copy_starves_alone(payloads):
 
     def commit_on_5(count):
         if count <= spin_limit:  # the next call is the fallback
-            store.get(5).activate_emotion("shy", 0.001)
+            nudge_shy(store, 5)
 
     payloads.then = commit_on_5
     ids = list(range(8))
@@ -175,7 +198,7 @@ def test_one_starved_row_is_counted_on_the_scalar_path_too(payloads):
 
     def commit_on_5(count):
         if count <= spin_limit:  # the next call is the fallback
-            store.get(5).activate_emotion("shy", 0.001)
+            nudge_shy(store, 5)
 
     payloads.then = commit_on_5
     batch = cache.batch([5])

@@ -193,8 +193,9 @@ def test_bus_stats_aggregate_shed_counts_per_class():
 
 
 def _shard_worker(control, registry=None):
-    store = ColumnarSumStore()
-    store.get_or_create(1).sensibility["enthusiastic"] = 0.8
+    seed = SumRepository()
+    seed.get_or_create(1).sensibility["enthusiastic"] = 0.8
+    store = ColumnarSumStore.from_repository(seed)
     cache = SumCache(store)
     bus = EventBus(telemetry=registry)
     topic = bus.create_topic("t", partitions=1, capacity=64)
@@ -290,8 +291,9 @@ def test_streamed_replay_with_control_plane_is_bit_equal_when_nothing_sheds():
 
 
 def test_updater_stats_surface_shed_and_expiry_counters():
-    live = ColumnarSumStore()
-    live.get_or_create(1).sensibility["enthusiastic"] = 0.5
+    seed = SumRepository()
+    seed.get_or_create(1).sensibility["enthusiastic"] = 0.5
+    live = ColumnarSumStore.from_repository(seed)
     updater = StreamingUpdater(
         live, {}, n_shards=1,
         control_plane=ControlPlaneConfig(tick_ttl=1e-9),
@@ -311,9 +313,10 @@ USER_IDS = (1, 2, 3)
 
 
 def _columnar_cache():
-    store = ColumnarSumStore()
+    seed = SumRepository()
     for uid in USER_IDS:
-        store.get_or_create(uid).sensibility["enthusiastic"] = 0.1
+        seed.get_or_create(uid).sensibility["enthusiastic"] = 0.1
+    store = ColumnarSumStore.from_repository(seed)
     return store, SumCache(store)
 
 

@@ -123,21 +123,17 @@ def test_columnar_streamed_state_is_bit_equal_to_object_sequential():
 
 
 def test_columnar_sequential_fig4_pipeline_is_bit_equal():
-    # Same Fig. 4 one-event-at-a-time loop, run over row views instead
-    # of SmartUserModel objects: identical JSON state.
+    # Same Fig. 4 one-event-at-a-time loop, each event's ops committed
+    # to the columns as their own batch: identical JSON state.
     catalog, events = browsing_stream(n_users=60, days=8.0)
     item_emotions = catalog.emotion_links()
     reference = sequential_reference(events, item_emotions)
 
     store = ColumnarSumStore()
-    pipeline = EmotionalContextPipeline(
-        GradualEIT(QuestionBank.default_bank()), ReinforcementPolicy()
-    )
+    policy = ReinforcementPolicy()
     mapper = EventUpdateMapper(item_emotions)
     for event in events:
-        pipeline.apply_event(
-            store.get_or_create(event.user_id), event, mapper
-        )
+        store.batch_apply_ops([(event.user_id, mapper.ops(event))], policy)
     assert store.dumps() == reference.dumps()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sum_model import SumRepository
-from repro.core.updates import DecayOp, PunishOp, RewardOp
+from repro.core.updates import DecayOp, ProfileOp, PunishOp, RewardOp
 from repro.lifelog.events import ActionCategory, Event
 from repro.streaming.cache import SumCache
 from repro.streaming.mapper import EventUpdateMapper, MapperConfig
@@ -123,9 +123,10 @@ class TestSumCache:
         cache = SumCache(sums)
         assert cache.get(1).emotional["shy"] == pytest.approx(0.4)
 
-        # a direct repository writer holds the user's write lock ...
-        with cache.write_lock(1):
-            sums.get(1).activate_emotion("shy", 0.3)
+        # a direct repository writer commits through the store ...
+        sums.batch_apply_ops(
+            [(1, (RewardOp(("shy",)),))], ReinforcementPolicy(learning_rate=0.3)
+        )
         # ... so the live model moved, but nothing is visible yet
         assert sums.get(1).emotional["shy"] == pytest.approx(0.7)
         assert cache.get(1).emotional["shy"] == pytest.approx(0.4)
@@ -209,11 +210,12 @@ class TestColumnarBatchReads:
         from repro.core.reward import ReinforcementPolicy
         from repro.core.sum_store import ColumnarSumStore
 
-        store = ColumnarSumStore()
+        seed = SumRepository()
         for uid in (1, 2, 3):
-            view = store.get_or_create(uid)
-            view.activate_emotion("shy", 0.1 * uid)
-            view.set_sensibility("shy", 0.2)
+            model = seed.get_or_create(uid)
+            model.activate_emotion("shy", 0.1 * uid)
+            model.set_sensibility("shy", 0.2)
+        store = ColumnarSumStore.from_repository(seed)
         return store, SumCache(store), ReinforcementPolicy()
 
     def test_batch_exposed_on_every_repository(self):
@@ -293,12 +295,16 @@ class TestColumnarBatchReads:
         from repro.core.sum_store import ColumnarSumStore
 
         store = ColumnarSumStore(initial_capacity=2)
-        for uid in (1, 2):
-            store.get_or_create(uid).activate_emotion("shy", 0.1 * uid)
+        policy = ReinforcementPolicy()
+        store.batch_apply_ops(  # shy ~ 0.1 * uid
+            [(uid, (RewardOp(("shy",), 0.5 * uid),)) for uid in (1, 2)], policy
+        )
         cache = SumCache(store)
         cache.batch([1, 2])  # read at the tiny initial capacity
-        for uid in range(10, 90):  # several row-capacity doublings
-            store.get_or_create(uid).set_subjective(f"pref[{uid}]", 0.5)
+        store.batch_apply_ops(  # several row-capacity doublings
+            [(uid, (ProfileOp(subjective=((f"pref[{uid}]", 0.5),)),)) for uid in range(10, 90)],
+            policy,
+        )
         cache.invalidate([1])
         batch = cache.batch(list(range(10, 90)) + [1, 2])
         assert batch.intensity_matrix(EMOTION_NAMES).shape == (82, 10)

@@ -30,7 +30,7 @@ from repro.core.reward import ReinforcementPolicy
 from repro.core.shm_store import MultiProcSumStore
 from repro.core.sharded_store import generation_dirs, read_manifest
 from repro.core.sum_model import SumRepository
-from repro.core.updates import apply_ops
+from repro.core.updates import ProfileOp, apply_ops
 from repro.lifelog.events import ActionCategory, Event
 from repro.streaming import EventUpdateMapper, MapperConfig
 from repro.streaming.bus import partition_for
@@ -352,9 +352,9 @@ def test_a_layout_of_any_size_rides_the_barrier_reply():
     names = [f"subjective-{j:05d}-" + "x" * 150 for j in range(2_000)]
     store = MultiProcSumStore(n_shards=1)
     try:
-        view = store.get_or_create(0)
-        for j, name in enumerate(names):
-            view.subjective[name] = j / len(names)
+        store.batch_apply_ops([(0, (ProfileOp(subjective=tuple(
+            (name, j / len(names)) for j, name in enumerate(names)
+        )),))], ReinforcementPolicy())
         with MultiProcUpdater(store, ITEM_EMOTIONS) as updater:
             updater.submit_many(
                 make_events((uid, 2, 0, 5) for uid in range(1, 3_000))
