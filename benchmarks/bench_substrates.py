@@ -1,4 +1,4 @@
-"""S1 — substrate throughput: the db engine and the LifeLog pipeline.
+"""Substrate throughput: the db engine and the LifeLog pipeline.
 
 Not a paper artifact, but the paper claims "high performance pre-processing
 proactively LifeLogs of millions of customers" — this bench keeps the
@@ -97,7 +97,7 @@ def test_lifelog_weblog_ingest(benchmark):
     count = benchmark.pedantic(ingest, rounds=1, iterations=1)
     assert count == 20_000
     record_artifact(
-        "S1_substrate_scale",
+        "substrate_scale",
         f"db table: {N_ROWS} rows; weblog ingest: {count} lines parsed "
         "(see benchmark table for timings)",
     )

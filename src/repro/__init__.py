@@ -55,7 +55,6 @@ from repro.campaigns.delivery import EngineConfig
 from repro.core import (
     ColumnarSumStore,
     EmotionalState,
-    EmotionAwareRecommender,
     FourBranchProfile,
     GradualEIT,
     QuestionBank,
@@ -79,7 +78,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "ColumnarSumStore",
-    "EmotionAwareRecommender",
     "EmotionalState",
     "EngineConfig",
     "FourBranchProfile",

@@ -13,10 +13,11 @@ This package implements Sections 2–3 of the paper:
   :mod:`repro.core.gradual_eit`, :mod:`repro.core.advice` and
   :mod:`repro.core.reward`,
 * sensibility weighting (:mod:`repro.core.sensibility`),
-* the emotion-aware recommendation and selection functions
-  (:mod:`repro.core.recommender`),
 * the Fig. 4 iterative loop (:mod:`repro.core.pipeline`), and
 * the Human Values Scale of SPA component 5 (:mod:`repro.core.human_values`).
+
+The emotion-aware recommendation and selection functions (Section 5.4)
+are served by :class:`repro.serving.RecommendationService`.
 """
 
 from repro.core.advice import AdviceEngine, DomainProfile
@@ -37,7 +38,6 @@ from repro.core.gradual_eit import (
 )
 from repro.core.human_values import HumanValuesScale
 from repro.core.pipeline import EmotionalContextPipeline, TouchResult
-from repro.core.recommender import EmotionAwareRecommender, RankedItem
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import (
@@ -75,7 +75,6 @@ __all__ = [
     "EitAnswerOp",
     "EMOTION_CATALOG",
     "EMOTION_NAMES",
-    "EmotionAwareRecommender",
     "EmotionalAttribute",
     "EmotionalContextPipeline",
     "EmotionalState",
@@ -88,7 +87,6 @@ __all__ = [
     "ProfileOp",
     "PunishOp",
     "QuestionBank",
-    "RankedItem",
     "ReinforcementPolicy",
     "RewardOp",
     "SensibilityAnalyzer",

@@ -1,12 +1,12 @@
-"""Render committed telemetry snapshots: ``python -m repro.obs``.
+"""Render telemetry snapshots: ``python -m repro.obs``.
 
 Reads JSONL snapshot files (the :class:`~repro.obs.export.
-SnapshotWriter` / latency-bench artifact format) and renders one record
+SnapshotWriter` / :func:`~repro.obs.export.write_jsonl` format) and renders one record
 — or, with ``--merge``, the fold of *every* record across *every* file
 (counters/histograms add, gauges last-wins) — as Prometheus text
 exposition or pretty JSON::
 
-    python -m repro.obs benchmarks/results/S7_latency_slo.jsonl
+    python -m repro.obs snapshots.jsonl
     python -m repro.obs snapshots.jsonl --line 0 --format json
     python -m repro.obs snapshots.jsonl --quantile streaming.update_visible_seconds=0.99
     python -m repro.obs worker-snapshots.jsonl --merge

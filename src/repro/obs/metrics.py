@@ -9,7 +9,7 @@ Design constraints, in order:
   formatting, no dict churn.  Disabled telemetry pays even less: the
   :data:`NULL_REGISTRY` hands out singleton instruments whose methods
   are empty (one C-level method call per touch — see the overhead guard
-  in ``benchmarks/bench_latency_slo.py``);
+  in ``tests/obs/test_metrics.py``);
 * **lock per instrument** — writers on different instruments never
   contend, and no instrument method ever acquires anything *while*
   holding its lock, so instrument locks are strict leaves of the

@@ -10,7 +10,7 @@ matrix operations.
   :class:`ScorerBase` convenience base and the shared ``k`` validation;
 * :mod:`repro.serving.adapters` — adapters wrapping every existing
   scorer family (FunkSVD, kNN, popularity, content, campaign propensity,
-  legacy ``BaseScorer`` callables, precomputed matrices);
+  ``(model, item) -> float`` callables, precomputed matrices);
 * :mod:`repro.serving.requests` — typed request/response envelopes with
   per-item score breakdowns;
 * :mod:`repro.serving.service` — the :class:`RecommendationService`

@@ -4,8 +4,9 @@ Each adapter wraps one seed scorer family and exposes
 :meth:`~repro.serving.scorer.ScorerBase.score_batch`.  Families with
 linear-algebra structure (FunkSVD, popularity, content centroids, a
 precomputed matrix) get genuinely vectorized paths; inherently pairwise
-models (kNN aggregation, legacy ``BaseScorer`` callables) are wrapped in a
-single tight loop so callers still program against one contract.
+models (kNN aggregation, ``(model, item) -> float`` callables) are
+wrapped in a single tight loop so callers still program against one
+contract.
 
 The adapters deliberately duck-type their wrapped models (``.predict``,
 ``.user_factors_`` …) instead of importing the concrete classes, so the
@@ -227,7 +228,7 @@ class ContentScorer(ScorerBase):
 
 
 class LegacyScorerAdapter(ScorerBase):
-    """Adapter for legacy ``BaseScorer`` callables ``(model, item) -> float``.
+    """Adapter for per-pair callables ``(model, item) -> float``.
 
     ``resolver`` maps user ids to :class:`SmartUserModel` instances: any
     :class:`~repro.core.sum_model.SumResolver`.
@@ -354,8 +355,8 @@ def as_scorer(candidate: object, resolver: SumResolver | None = None) -> ScorerB
     """Coerce anything scorer-shaped to the batch contract.
 
     Accepts an object already implementing ``score_batch``, a pairwise
-    rating model with ``.predict``, or (given ``resolver``) a legacy
-    ``BaseScorer`` callable.
+    rating model with ``.predict``, or (given ``resolver``) a per-pair
+    ``(model, item) -> float`` callable.
     """
     if isinstance(candidate, ScorerBase):
         return candidate

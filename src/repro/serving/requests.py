@@ -193,5 +193,5 @@ class SelectionResponse:
     degraded: bool = False
 
     def pairs(self) -> list[tuple[int, float]]:
-        """Legacy ``(user_id, adjusted_score)`` view, best first."""
+        """``(user_id, adjusted_score)`` pairs, best first."""
         return list(zip(self.ranked.ids, self.ranked.adjusted.tolist()))

@@ -1,10 +1,18 @@
-"""The batch-first recommendation service facade.
+"""The batch-first recommendation service facade: the paper's two
+campaign functions (Section 5.4).
+
+"SPA delivered more empathic recommendations through two well differenced
+functions:
+
+1. The recommendation function: to send in an individualized manner the
+   action with most probabilities of execution by the user.
+2. The selection function: to choose the user with greater propensity to
+   follow a course in the recommender system."
 
 :class:`RecommendationService` holds a named registry of
 :class:`~repro.serving.scorer.Scorer` implementations plus the emotional
 configuration of the Advice stage (SUM repository, domain profile, item
-attributes), and serves the paper's two delivery functions on the batch
-path:
+attributes), and serves both functions on the batch path:
 
 * :meth:`RecommendationService.recommend` — the *recommendation
   function* (top-k items for one user);
@@ -210,7 +218,7 @@ class RecommendationService:
 
         ``scorer`` may be anything :func:`~repro.serving.adapters.as_scorer`
         can coerce: a batch scorer, a pairwise ``.predict`` model, or a
-        legacy ``BaseScorer`` callable (resolved against ``sums``).
+        ``(model, item) -> float`` callable (resolved against ``sums``).
         """
         if not name or not isinstance(name, str):
             raise ValueError(f"scorer name must be a non-empty str, got {name!r}")

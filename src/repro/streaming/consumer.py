@@ -328,8 +328,8 @@ class ShardWorker(threading.Thread):
             # update-to-visible is the *user-facing* SLO: background
             # decay rides the lower queue class and is deliberately
             # allowed to wait (burst-enqueued ticks queue behind each
-            # other), so its latencies stay out of the histogram the
-            # p99 gate watches
+            # other), so its latencies stay out of the user-facing
+            # histogram
             observe = self._m_visible.observe
             for delivery in applied:
                 if not delivery.background:

@@ -1,4 +1,4 @@
-"""Advice stage, emotion-aware recommender, Fig. 4 pipeline, Human Values."""
+"""Advice stage, the served paper functions, Fig. 4 pipeline, Human Values."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,12 @@ from repro.core.advice import AdviceEngine, DomainProfile
 from repro.core.gradual_eit import GradualEIT, QuestionBank
 from repro.core.human_values import HumanValuesScale
 from repro.core.pipeline import EmotionalContextPipeline
-from repro.core.recommender import EmotionAwareRecommender
 from repro.core.sum_model import SmartUserModel, SumRepository
+from repro.serving import (
+    RecommendationRequest,
+    RecommendationService,
+    SelectionRequest,
+)
 
 
 def make_profile():
@@ -98,74 +102,67 @@ class TestAdviceEngine:
             AdviceEngine(gain_scale=0.0)
 
 
-class TestEmotionAwareRecommender:
-    def make_recommender(self):
-        items = {
-            "course-innovative": {"innovative": 1.0},
-            "course-challenging": {"challenging": 1.0},
-            "course-plain": {},
-        }
-        return EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
+class TestServedFunctions:
+    """The paper's two functions (Section 5.4), served by the service."""
+
+    ITEMS = {
+        "course-innovative": {"innovative": 1.0},
+        "course-challenging": {"challenging": 1.0},
+        "course-plain": {},
+    }
+
+    def make_service(self, repo):
+        service = RecommendationService(
+            sums=repo,
             domain_profile=make_profile(),
-            item_attributes=items,
+            item_attributes=self.ITEMS,
         )
+        service.register("base", lambda model, item: 0.5)
+        return service
+
+    @staticmethod
+    def one_user(emotion):
+        repo = SumRepository()
+        model = repo.get_or_create(1)
+        model.activate_emotion(emotion, 1.0)
+        model.set_sensibility(emotion, 1.0)
+        return repo
 
     def test_enthusiastic_user_gets_innovative_first(self):
-        rec = self.make_recommender()
-        model = SmartUserModel(1)
-        model.activate_emotion("enthusiastic", 1.0)
-        model.set_sensibility("enthusiastic", 1.0)
-        ranked = rec.recommend(
-            model, ["course-plain", "course-innovative", "course-challenging"]
-        )
-        assert ranked[0].item == "course-innovative"
+        service = self.make_service(self.one_user("enthusiastic"))
+        response = service.recommend(RecommendationRequest(
+            user_id=1,
+            items=["course-plain", "course-innovative", "course-challenging"],
+            k=5,
+        ))
+        assert response.items[0] == "course-innovative"
 
     def test_frightened_user_avoids_challenging(self):
-        rec = self.make_recommender()
-        model = SmartUserModel(1)
-        model.activate_emotion("frightened", 1.0)
-        model.set_sensibility("frightened", 1.0)
-        ranked = rec.recommend(
-            model, ["course-challenging", "course-plain"], k=2
-        )
-        assert ranked[-1].item == "course-challenging"
-
-    def test_best_action_is_top1(self):
-        rec = self.make_recommender()
-        model = SmartUserModel(1)
-        best = rec.best_action(model, ["course-plain", "course-innovative"])
-        assert best.item == rec.recommend(
-            model, ["course-plain", "course-innovative"], k=1
-        )[0].item
-
-    def test_best_action_empty_items(self):
-        with pytest.raises(ValueError):
-            self.make_recommender().best_action(SmartUserModel(1), [])
+        service = self.make_service(self.one_user("frightened"))
+        response = service.recommend(RecommendationRequest(
+            user_id=1, items=["course-challenging", "course-plain"], k=2
+        ))
+        assert response.items[-1] == "course-challenging"
 
     def test_select_users_ranks_by_adjusted_score(self):
-        rec = self.make_recommender()
-        repo = SumRepository()
-        keen = repo.get_or_create(1)
-        keen.activate_emotion("enthusiastic", 1.0)
-        keen.set_sensibility("enthusiastic", 1.0)
+        repo = self.one_user("enthusiastic")
         repo.get_or_create(2)
-        ranked = rec.select_users(repo, "course-innovative")
+        ranked = self.make_service(repo).select_users(
+            SelectionRequest(item="course-innovative")
+        ).pairs()
         assert ranked[0][0] == 1
         assert ranked[0][1] > ranked[1][1]
 
     def test_score_matrix_shape(self):
-        rec = self.make_recommender()
         repo = SumRepository()
         repo.get_or_create(1)
         repo.get_or_create(2)
-        matrix, ids = rec.score_matrix(repo, ["course-plain", "course-innovative"])
+        ids = repo.user_ids()
+        matrix = self.make_service(repo).score_matrix(
+            ids, ["course-plain", "course-innovative"]
+        )
         assert matrix.shape == (2, 2)
         assert ids == [1, 2]
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            self.make_recommender().recommend(SmartUserModel(1), ["a"], k=0)
 
 
 class TestPipeline:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.advice import AdviceEngine, DomainProfile, ItemTable
-from repro.core.recommender import EmotionAwareRecommender
 from repro.core.sum_model import SmartUserModel
 
 PROFILE = DomainProfile(
@@ -128,23 +127,3 @@ class TestStalePresencesAreImpossible:
             ENGINE.presence_matrix(items, catalog, PROFILE),
         )
         assert not first.flags.writeable
-
-
-class TestLegacyShimKeepsMutationSemantics:
-    def test_mutating_the_public_dict_shows_on_the_next_call(self):
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 1.0,
-            domain_profile=PROFILE,
-            item_attributes={"plain": {}, "novel": {}},
-        )
-        model = keen_model()
-        before = recommender.recommend(model, ["plain", "novel"], k=2)
-        assert [r.item for r in before] == ["novel", "plain"]  # tie: by id
-        assert before[0].adjusted_score == before[1].adjusted_score == 1.0
-        recommender.item_attributes["plain"] = {"innovative": 1.0}
-        after = recommender.recommend(model, ["plain", "novel"], k=2)
-        assert [r.item for r in after] == ["plain", "novel"]
-        assert after[0].adjusted_score > 1.0
-        recommender.item_attributes["plain"]["innovative"] = 0.0  # inner dict
-        again = recommender.recommend(model, ["plain", "novel"], k=2)
-        assert [r.adjusted_score for r in again] == [1.0, 1.0]

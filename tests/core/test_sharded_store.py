@@ -233,6 +233,69 @@ class TestBatchApply:
         assert store.dumps() == expected.dumps()
 
 
+@pytest.mark.parametrize(
+    "make_store",
+    [
+        lambda n: ColumnarSumStore(initial_capacity=n),
+        lambda n: ShardedSumStore(n_shards=4, initial_capacity=n),
+    ],
+    ids=["single-lock", "sharded"],
+)
+def test_writers_commit_beside_a_flat_out_decay_loop(make_store):
+    """Four writer threads commit their partitions' batches while one
+    maintenance thread runs population decay ticks back to back: nothing
+    raises, nothing hangs, and every reward lands exactly once and stays
+    landed.  Both hold in any interleaving: decay never touches evidence,
+    and it only scales a rewarded intensity, so a zero means a decay
+    wrote back a copy read before the reward committed."""
+    n_users, batch_users = 5_000, 256
+    store = make_store(n_users)
+    for uid in range(n_users):
+        store.get_or_create(uid)
+    ops = (RewardOp(("enthusiastic", "stimulated"), 0.6), DecayOp())
+    per_thread = []
+    for t in range(4):
+        users = [uid for uid in range(n_users) if partition_for(uid, 4) == t]
+        per_thread.append([
+            [(uid, ops) for uid in users[i:i + batch_users]]
+            for i in range(0, len(users), batch_users)
+        ])
+    barrier = threading.Barrier(5)
+    writers_done = threading.Event()
+    errors = []
+
+    def writer(batches):
+        try:
+            barrier.wait()
+            for batch in batches:
+                store.batch_apply_ops(batch, POLICY)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    def maintenance():
+        try:
+            barrier.wait()
+            while not writers_done.is_set():
+                store.decay_tick(POLICY)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    writers = [threading.Thread(target=writer, args=(b,)) for b in per_thread]
+    cadence = threading.Thread(target=maintenance)
+    for thread in (*writers, cadence):
+        thread.start()
+    for thread in writers:
+        thread.join(timeout=60.0)
+    writers_done.set()
+    cadence.join(timeout=60.0)
+    assert not any(t.is_alive() for t in (*writers, cadence))
+    assert errors == []
+    for model in store:
+        assert model.evidence == {"enthusiastic": 1, "stimulated": 1}
+        assert model.emotional["enthusiastic"] > 0.0
+        assert model.emotional["stimulated"] > 0.0
+
+
 class TestPersistence:
     def test_generations_are_monotonic_and_atomic(self, tmp_path):
         store = populate(ShardedSumStore, n_shards=3)

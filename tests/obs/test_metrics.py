@@ -261,10 +261,10 @@ class TestNullFacade:
     def test_null_instrument_call_overhead_is_negligible(self):
         """One null observe() must cost well under a microsecond.
 
-        The streaming worker touches a handful of instruments per event;
-        the bench asserts the aggregate stays <2% of per-event processing
-        — this unit guard catches a regression (e.g. the null methods
-        growing logic) without needing the full bench.
+        The streaming worker touches a handful of instruments per event,
+        and every untraced ledger run pays them; this unit guard catches
+        a regression (e.g. the null methods growing logic) without
+        needing a ledger run.
         """
         from time import perf_counter
 

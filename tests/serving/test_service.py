@@ -9,7 +9,6 @@ from repro.cf.neighborhood import ItemKNN, UserKNN
 from repro.cf.popularity import PopularityRecommender
 from repro.cf.ratings import RatingMatrix
 from repro.core.advice import AdviceEngine, DomainProfile
-from repro.core.recommender import EmotionAwareRecommender
 from repro.core.sum_model import SumRepository
 from repro.serving import (
     FunkSVDScorer,
@@ -217,22 +216,13 @@ class TestUniformKValidation:
         with pytest.raises(TypeError):
             validate_k(np.float64(2.0))
 
-    def test_legacy_select_users_now_rejects_bad_k(self, repo):
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
-            domain_profile=make_profile(),
-            item_attributes=ITEM_ATTRIBUTES,
-        )
-        with pytest.raises(ValueError):
-            recommender.select_users(repo, "course-innovative", k=-3)
-
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
             RecommendationRequest(user_id=1, items=[], k=1)
 
 
 class TestLegacyEquivalence:
-    """The shimmed legacy API and the service rank identically."""
+    """The seed's per-pair algorithm and its callable scorers, served."""
 
     def seed_reference(self, advice, profile, base_scorer, model, items, k):
         """The seed's per-pair algorithm, reimplemented verbatim."""
@@ -255,63 +245,17 @@ class TestLegacyEquivalence:
             )
             assert response.items == expected
 
-    def test_legacy_shim_matches_service(self, service, repo):
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
-            domain_profile=make_profile(),
-            item_attributes=ITEM_ATTRIBUTES,
-        )
-        for uid in repo.user_ids():
-            legacy = recommender.recommend(repo.get(uid), ITEMS, k=4)
-            response = service.recommend(
-                RecommendationRequest(user_id=uid, items=ITEMS, k=4)
-            )
-            assert [r.item for r in legacy] == response.items
-            for old, new in zip(legacy, response.ranked):
-                assert old.adjusted_score == pytest.approx(new.adjusted_score)
-
-    def test_shim_retargets_across_calls(self, repo):
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
-            domain_profile=make_profile(),
-            item_attributes=ITEM_ATTRIBUTES,
-        )
-        model = repo.get(1)
-        recommender.recommend(model, ITEMS, k=2)
-        # moving between a repository and a bare model stays correct
-        other = SumRepository()
-        lonely = other.get_or_create(9)
-        ranked = recommender.recommend(lonely, ITEMS, k=1)
-        assert len(ranked) == 1
-        selection = recommender.select_users(repo, "course-innovative", k=1)
-        assert selection[0][0] == 1
-
     @pytest.mark.parametrize("item", ["course-plain", "course-innovative"])
-    def test_legacy_shim_names_every_unknown_user(self, repo, item):
-        # attribute-free or not, the shim's select reads through one
-        # resolver call that names every unknown id at once
+    def test_callable_scorer_select_names_every_unknown_user(self, service, item):
+        # attribute-free or not, a select over a callable scorer reads
+        # through one resolver call that names every unknown id at once
         from repro.serving import UnknownUserError
 
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
-            domain_profile=make_profile(),
-            item_attributes=ITEM_ATTRIBUTES,
-        )
         with pytest.raises(UnknownUserError) as excinfo:
-            recommender.select_users(repo, item, user_ids=[1, 404, 405])
+            service.select_users(
+                SelectionRequest(item=item, user_ids=[1, 404, 405])
+            )
         assert excinfo.value.user_ids == (404, 405)
-
-    def test_legacy_select_matches_service(self, service, repo):
-        recommender = EmotionAwareRecommender(
-            base_scorer=lambda model, item: 0.5,
-            domain_profile=make_profile(),
-            item_attributes=ITEM_ATTRIBUTES,
-        )
-        legacy = recommender.select_users(repo, "course-innovative")
-        response = service.select_users(
-            SelectionRequest(item="course-innovative")
-        )
-        assert legacy == response.pairs()
 
 
 class TestFiveScorerFamilies:

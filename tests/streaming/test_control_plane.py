@@ -13,13 +13,17 @@ The contracts ISSUE 9 ships on:
 * lock-free mirror captures survive a writer saturating the seqlock
   (bounded spin, writer-lock fallback) and vocabulary compaction under
   live captures.
+* under healthy mixed traffic nothing user-facing is shed, aborted or
+  degraded, and every event and tick is accounted for.
 """
 
 import threading
 from time import monotonic, sleep
 
+import numpy as np
 import pytest
 
+from repro.core.advice import DomainProfile
 from repro.core.gradual_eit import GradualEIT, QuestionBank
 from repro.core.pipeline import EmotionalContextPipeline
 from repro.core.reward import ReinforcementPolicy
@@ -27,14 +31,18 @@ from repro.core.sum_model import SumRepository
 from repro.core.sum_store import ColumnarSumStore
 from repro.core.updates import RewardOp
 from repro.datagen.behavior import BehaviorModel
-from repro.datagen.catalog import CourseCatalog
+from repro.datagen.catalog import AFFINITY_LINKS, CourseCatalog
 from repro.datagen.population import Population
-from repro.obs.metrics import MetricsRegistry
+from repro.lifelog.events import ActionCategory, Event
+from repro.obs.metrics import MetricsRegistry, labelled
+from repro.obs.tracing import Tracer
+from repro.serving import RecommendationRequest, RecommendationService
 from repro.streaming.bus import EventBus, PartitionQueue
 from repro.streaming.cache import SumCache
 from repro.streaming.consumer import DecayTick, ShardWorker
 from repro.streaming.control import AdaptiveBatcher, ControlPlaneConfig
 from repro.streaming.mapper import EventUpdateMapper
+from repro.streaming.replay import ReplayDriver
 from repro.streaming.updater import StreamingUpdater
 
 
@@ -388,3 +396,123 @@ def test_compact_vocab_during_live_captures_restages_cleanly():
         reader.join(timeout=10.0)
     assert not reader.is_alive()
     assert failures == []
+
+
+# -- mixed traffic: paced writes, decay ticks, budgeted reads -----------------
+
+#: (action, category, weight) mix of the synthetic LifeLog firehose
+ACTION_MIX = [
+    ("course_view", ActionCategory.NAVIGATION, 0.55),
+    ("catalog_search", ActionCategory.NAVIGATION, 0.13),
+    ("course_info", ActionCategory.INFO_REQUEST, 0.12),
+    ("course_enroll", ActionCategory.ENROLLMENT, 0.05),
+    ("course_rate", ActionCategory.RATING, 0.08),
+    ("push_open", ActionCategory.CAMPAIGN, 0.04),
+    ("push_click", ActionCategory.CAMPAIGN, 0.03),
+]
+
+
+def firehose(n_events, n_users, catalog, seed=7):
+    """A deterministic LifeLog stream with a realistic action mix."""
+    rng = np.random.default_rng(seed)
+    weights = np.asarray([w for __, __, w in ACTION_MIX])
+    kinds = rng.choice(len(ACTION_MIX), size=n_events, p=weights / weights.sum())
+    users = rng.integers(0, n_users, size=n_events)
+    courses = rng.choice(catalog.course_ids(), size=n_events)
+    ratings = rng.integers(1, 6, size=n_events)
+    events = []
+    for i in range(n_events):
+        action, category, __ = ACTION_MIX[int(kinds[i])]
+        payload = {"target": str(int(courses[i]))}
+        if action == "catalog_search":
+            payload = {"q": catalog.get(int(courses[i])).area}
+        elif action == "course_rate":
+            payload["value"] = str(int(ratings[i]))
+        events.append(Event(
+            timestamp=1_141_000_000.0 + float(i),
+            user_id=int(users[i]),
+            action=action,
+            category=category,
+            payload=payload,
+        ))
+    return events
+
+
+def test_mixed_traffic_sheds_nothing_unexpected():
+    """Healthy pacing with the control plane on: no user-class shed, no
+    deadline abort, no degraded response, and every event and tick
+    accounted for.
+
+    2,000 events paced at 1,000 events/s over 200 users and 4 shards,
+    150 recommend requests with 0.25 s budgets interleaved with them,
+    and a 5-user decay tick burst before every tenth request.
+    """
+    n_events, n_users, n_requests = 2_000, 200, 150
+    tick_every, tick_users, deadline_s = 10, 5, 0.25
+    catalog = CourseCatalog.generate(120, seed=7)
+    sums = SumRepository()
+    for uid in range(n_users):
+        sums.get_or_create(uid)
+    registry, tracer = MetricsRegistry(), Tracer(max_traces=4_096)
+    updater = StreamingUpdater(
+        sums, catalog.emotion_links(), n_shards=4,
+        queue_capacity=4_096, batch_max=256,
+        telemetry=registry, tracer=tracer,
+        # a tick outlives any slow host: only overload may shed one
+        control_plane=ControlPlaneConfig(tick_ttl=60.0),
+    )
+    service = RecommendationService(
+        sums=updater.cache,
+        domain_profile=DomainProfile("courses", AFFINITY_LINKS),
+        item_attributes={
+            cid: dict(catalog.get(cid).attributes)
+            for cid in catalog.course_ids()
+        },
+        telemetry=registry, tracer=tracer,
+    )
+    service.register("flat", lambda model, item: 1.0)
+    events = firehose(n_events, n_users, catalog)
+    course_ids = catalog.course_ids()
+    rng = np.random.default_rng(11)
+    request_users = rng.integers(0, n_users, size=n_requests)
+
+    n_ticks = 0
+    with updater:
+        writer = threading.Thread(
+            target=ReplayDriver(updater, rate=1_000.0, chunk=64).replay,
+            args=(events,),
+        )
+        writer.start()
+        for i, uid in enumerate(request_users):
+            if i % tick_every == 0:
+                n_ticks += updater.tick(
+                    rng.integers(0, n_users, size=tick_users)
+                )
+            service.recommend(RecommendationRequest(
+                user_id=int(uid), items=course_ids, k=10,
+                deadline_s=deadline_s,
+            ))
+        writer.join()
+        assert updater.drain(timeout=60.0)
+
+    stats = updater.stats()
+    assert stats.dead_lettered == 0
+    # every tick either applied or counted at whichever layer shed it
+    shed_ticks = (
+        stats.shed_background + stats.shed_expired + stats.expired_dropped
+    )
+    assert stats.applied == n_events + n_ticks - shed_ticks
+    assert updater.topic.shed_user == 0
+
+    snap = registry.snapshot()
+    deadline_aborts = sum(
+        snap.value(labelled("serving.deadline_exceeded", stage=stage)) or 0
+        for stage in ("resolve", "score")
+    )
+    assert deadline_aborts == 0
+    assert (snap.value("serving.degraded") or 0) == 0
+    assert snap.histogram("serving.request_seconds").count == n_requests
+    # only user-class deliveries are sampled: the ticks stay out
+    visible = snap.histogram("streaming.update_visible_seconds")
+    assert visible.count == n_events
+    assert visible.quantile(0.99) < 1.0

@@ -3,19 +3,23 @@
 The ISSUE's observability contract, exercised against the real stack:
 trace ids minted at the bus stamp every delivery and come out the other
 side as four-stage traces; the metrics registry ends a drain with the
-exact event counts; the bus exposes dead-letter/retry state as public
-properties; and a stack built without telemetry keeps every envelope
-untouched (``trace_id is None``) and retains nothing.
+exact event counts; every instrument the plane promises for a mixed
+read/write run is present and live; the bus exposes dead-letter/retry
+state as public properties; and a stack built without telemetry keeps
+every envelope untouched (``trace_id is None``) and retains nothing.
 """
 
 import pytest
 
+from repro.core.advice import DomainProfile
 from repro.core.sum_model import SumRepository
 from repro.lifelog.events import ActionCategory, Event
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, labelled
 from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.serving import RecommendationRequest, RecommendationService
 from repro.streaming import StreamingUpdater
 from repro.streaming.bus import EventBus, Topic
+from repro.streaming.control import ControlPlaneConfig
 from repro.streaming.updater import LIFELOG_TOPIC
 
 ITEM_EMOTIONS = {
@@ -134,6 +138,85 @@ class TestInstrumentedDrain:
             for s in range(2)
         ]
         assert sum(shard_counts) > 0
+
+
+#: every instrument the telemetry plane promises for a mixed read/write
+#: run: ``histogram`` entries must have observations, ``value`` entries a
+#: non-zero reading
+REQUIRED_HISTOGRAMS = (
+    "streaming.update_visible_seconds",
+    "streaming.batch_size",
+    "serving.request_seconds",
+    "serving.batch_width",
+    labelled("serving.stage_seconds", stage="resolve"),
+    labelled("serving.stage_seconds", stage="score"),
+    labelled("serving.stage_seconds", stage="advice"),
+    labelled("serving.stage_seconds", stage="respond"),
+)
+REQUIRED_VALUES = (
+    labelled("bus.published", topic=LIFELOG_TOPIC),
+    labelled("bus.acked", topic=LIFELOG_TOPIC),
+    "streaming.events_applied",
+    "streaming.submitted",
+    labelled("serving.requests", kind="recommend"),
+    "cache.publishes",
+    "cache.global_version",
+)
+
+
+def instrument_gaps(snap) -> list[str]:
+    """Missing or zeroed instruments in a snapshot."""
+    problems: list[str] = []
+    for name in REQUIRED_HISTOGRAMS:
+        try:
+            if snap.histogram(name).count == 0:
+                problems.append(f"histogram {name} has no observations")
+        except KeyError:
+            problems.append(f"histogram {name} missing")
+    for name in REQUIRED_VALUES:
+        value = snap.value(name)
+        if not value > 0:  # NaN (missing) fails this too
+            problems.append(f"{name} is {value}, expected > 0")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "control_plane", [None, ControlPlaneConfig(tick_ttl=60.0)], ids=["plain", "control-plane"]
+)
+def test_a_mixed_run_leaves_no_instrument_missing_or_zero(control_plane):
+    """Writes and recommend requests interleaved on one registry: a
+    refactor that drops or renames a promised instrument fails here."""
+    registry = MetricsRegistry()
+    sums = SumRepository()
+    for uid in range(10):
+        sums.get_or_create(uid)
+    updater = StreamingUpdater(
+        sums, ITEM_EMOTIONS, n_shards=2, batch_max=16, telemetry=registry,
+        control_plane=control_plane,
+    )
+    service = RecommendationService(
+        sums=updater.cache,
+        domain_profile=DomainProfile(
+            "courses", {"enthusiastic": {"innovative": 0.8}}
+        ),
+        item_attributes={"7": {"innovative": 1.0}, "9": {}},
+        telemetry=registry,
+    )
+    service.register("flat", lambda model, item: 1.0)
+    events = lifelog_events(40)
+    with updater:
+        for start in range(0, len(events), 10):
+            updater.submit_many(events[start:start + 10])
+            service.recommend(
+                RecommendationRequest(user_id=start // 10, items=["7", "9"], k=1)
+            )
+        assert updater.drain(timeout=30.0)
+    stats = updater.stats()
+    assert (stats.applied, stats.dead_lettered) == (40, 0)
+    snap = registry.snapshot()
+    assert instrument_gaps(snap) == []
+    assert snap.histogram("streaming.update_visible_seconds").count == 40
+    assert snap.histogram("serving.request_seconds").count == 4
 
 
 class TestBusObservability:
