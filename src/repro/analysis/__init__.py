@@ -8,8 +8,12 @@ This package has two faces:
   :class:`ContractLock` witness.  Imported by the production modules,
   so only those light, stdlib-only names are re-exported here.
 * **the analyzer** (:mod:`repro.analysis.cli` and friends) — the
-  AST-based checker behind ``python -m repro.analysis``.  Never
-  imported by production code; import it explicitly.
+  AST-based checker behind ``python -m repro.analysis``: rules LD001,
+  LD002 (:mod:`~repro.analysis.lock_discipline`), SQ001
+  (:mod:`~repro.analysis.seqlock`) and HY003
+  (:mod:`~repro.analysis.hygiene`), each kept by a row of README's
+  mutation table that ``tests/analysis/test_mutations.py`` replays.
+  Never imported by production code; import it explicitly.
 """
 
 from repro.analysis.contracts import (

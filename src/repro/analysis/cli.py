@@ -1,7 +1,6 @@
 """``python -m repro.analysis`` — run every concurrency-contract check.
 
-Exit codes: 0 clean (after baseline), 1 findings or stale waivers,
-2 invalid invocation/baseline.
+Exit codes: 0 clean, 1 findings, 2 invalid invocation.
 """
 
 from __future__ import annotations
@@ -9,33 +8,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    BaselineError,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-)
 from repro.analysis.core import Finding, Project
 from repro.analysis.hygiene import check_hygiene
 from repro.analysis.lock_discipline import check_lock_discipline
 from repro.analysis.lock_order import build_lock_graph
-
-DEFAULT_BASELINE = "analysis-baseline.toml"
+from repro.analysis.seqlock import check_seqlock
 
 
 def run_checks(project: Project) -> tuple[list[Finding], dict]:
     """All findings plus the lock graph (for the report/witness)."""
-    from repro.analysis.seqlock import check_seqlock
-    from repro.analysis.snapshots import check_snapshots
-
     graph = build_lock_graph(project)
     findings = [
         *check_lock_discipline(project),
-        *graph.findings,
-        *check_snapshots(project),
         *check_seqlock(project),
         *check_hygiene(project),
     ]
@@ -46,47 +34,21 @@ def run_checks(project: Project) -> tuple[list[Finding], dict]:
             {"outer": u, "inner": v, "source": f"{src[0]}:{src[1]}"}
             for (u, v), src in sorted(graph.edges.items())
         ],
-        # lock-free protocols declared alongside the lock graph: seqlock
-        # generation counters and multi-class shedding queues (what the
-        # SQ rules and the obs shed-accounting views key off)
+        # the lock-free protocol declared alongside the lock graph: the
+        # seqlock generation counters the SQ rules key off
         "seqlocks": [
             {"node": node, **spec}
             for node, spec in sorted(registry.seqlocks.items())
-        ],
-        "queue_classes": [
-            {"node": node, **spec}
-            for node, spec in sorted(registry.queue_classes.items())
         ],
     }
     return findings, graph_dump
 
 
-def _report_payload(
-    findings: list[Finding],
-    result: BaselineResult,
-    graph_dump: dict,
-) -> dict:
-    def enc(finding: Finding, waived: bool) -> dict:
-        return {
-            "rule": finding.rule,
-            "path": finding.path,
-            "line": finding.line,
-            "symbol": finding.symbol,
-            "message": finding.message,
-            "waived": waived,
-        }
-
-    waived_set = {id(f) for f, _ in result.waived}
+def _report_payload(findings: list[Finding], graph_dump: dict) -> dict:
     return {
-        "findings": [enc(f, id(f) in waived_set) for f in findings],
-        "stale_waivers": [w.describe() for w in result.stale],
+        "findings": [asdict(f) for f in findings],
         "lock_graph": graph_dump,
-        "summary": {
-            "total": len(findings),
-            "unwaived": len(result.unwaived),
-            "waived": len(result.waived),
-            "stale_waivers": len(result.stale),
-        },
+        "summary": {"total": len(findings)},
     }
 
 
@@ -98,14 +60,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help=f"waiver file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report every finding)",
     )
     parser.add_argument(
         "--report", default=None, metavar="PATH",
@@ -125,45 +79,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     project = Project.load(args.paths)
     findings, graph_dump = run_checks(project)
 
-    waivers = []
-    if not args.no_baseline:
-        baseline_path = args.baseline or (
-            DEFAULT_BASELINE if Path(DEFAULT_BASELINE).exists() else None
-        )
-        if baseline_path is not None:
-            try:
-                waivers = load_baseline(baseline_path)
-            except BaselineError as exc:
-                print(f"baseline error: {exc}", file=sys.stderr)
-                return 2
-    result = apply_baseline(findings, waivers)
-
     if args.graph:
         for entry in graph_dump["edges"]:
             print(f"{entry['outer']} -> {entry['inner']}  [{entry['source']}]")
 
-    for finding in result.unwaived:
+    for finding in findings:
         print(finding.render())
-    if result.waived:
-        print(f"({len(result.waived)} finding(s) waived by baseline)")
-    for waiver in result.stale:
-        print(
-            f"stale waiver (matches nothing; remove it): {waiver.describe()}"
-        )
 
     if args.report:
-        payload = _report_payload(findings, result, graph_dump)
+        payload = _report_payload(findings, graph_dump)
         Path(args.report).write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
 
-    if result.unwaived or result.stale:
-        total = len(result.unwaived)
-        print(
-            f"FAIL: {total} unwaived finding(s), "
-            f"{len(result.stale)} stale waiver(s)"
-        )
+    if findings:
+        print(f"FAIL: {len(findings)} finding(s)")
         return 1
-    checked = len(project.modules)
-    print(f"OK: {checked} modules, 0 unwaived findings")
+    print(f"OK: {len(project.modules)} modules, 0 findings")
     return 0

@@ -18,7 +18,7 @@ Three decorator families:
 * :func:`manual_guard` — an auditable escape hatch for methods that
   manage lock acquisition imperatively (e.g. the sorted multi-user lock
   hold in ``SumCache.apply_batch_and_publish``).  A non-empty
-  justification is required (``LD003``).
+  justification is required: an empty one raises at import.
 
 Module-level declaration calls:
 
@@ -29,13 +29,13 @@ Module-level declaration calls:
   sharing their owning store's RLock).
 * :func:`declare_order` — asserts a permitted "outer acquires inner"
   edge that the lexical analysis cannot see (acquisitions hidden behind
-  untyped indirection).  Declared edges join the extracted graph before
-  the cycle check, and bound what the runtime witness may observe.
+  untyped indirection).  Declared edges join the extracted graph, which
+  bounds what the runtime witness may observe.
 * :func:`declare_seqlock` — names a generation source (a
   :class:`repro.core.seqlock.Seqlock`: writers bump odd/even under
   their lock, readers copy between two equal even observations) and the
   copy primitives it protects, so lock-free captures are machine-checked
-  too (``SQ001``/``SQ002``: a primitive runs only through the
+  too (``SQ001``: a primitive runs only through the
   ``Seqlock.read`` of every seqlock declaring it, nested, or under the
   declared writer lock).
 
@@ -137,8 +137,8 @@ def manual_guard(reason: str) -> Callable[[_F], _F]:
 
     For imperative acquisition patterns a ``with`` scope cannot express
     (loop-acquired sorted lock sets).  ``reason`` must say why — it is
-    what a reviewer greps for, and an empty one is itself a finding
-    (``LD003``).
+    what a reviewer greps for, so an empty one raises
+    :class:`ContractError` when the decorated module is imported.
     """
     if not reason or not reason.strip():
         raise ContractError("manual_guard needs a non-empty justification")
@@ -180,54 +180,6 @@ class LockDecl:
         self.aliases = aliases
 
 
-class SeqlockDecl:
-    """One declared seqlock generation source (lock-free reader protocol).
-
-    ``node`` names the generation counters (``"Class.attr"``, ``attr``
-    being what readers call ``.read`` on), ``protects`` the copy
-    primitives whose lock-free call sites must go through that
-    ``Seqlock.read``, and ``writer_lock`` the lock under which
-    writers bump the generations (call sites holding it need no retry —
-    they exclude every writer; ``None`` for a single-writer-by-protocol
-    seqlock no lock can exclude, e.g. one shared across processes).
-    """
-
-    __slots__ = ("node", "protects", "writer_lock")
-
-    def __init__(
-        self,
-        node: str,
-        protects: tuple[str, ...] = (),
-        writer_lock: str | None = None,
-    ) -> None:
-        self.node = node
-        self.protects = protects
-        self.writer_lock = writer_lock
-
-
-class QueueClassDecl:
-    """One declared multi-class queue (priority-aware shedding).
-
-    ``node`` names the queue type (``"Class"``), ``classes`` the service
-    classes it distinguishes (first entry is the protected, never-shed
-    class), and ``shed_counters`` the exact-count attributes that account
-    for every dropped message — shedding that is not counted is a
-    correctness bug, not a tuning knob.
-    """
-
-    __slots__ = ("node", "classes", "shed_counters")
-
-    def __init__(
-        self,
-        node: str,
-        classes: tuple[str, ...] = (),
-        shed_counters: tuple[str, ...] = (),
-    ) -> None:
-        self.node = node
-        self.classes = classes
-        self.shed_counters = shed_counters
-
-
 class ContractRegistry:
     """Process-wide registry of declared locks and permitted orderings."""
 
@@ -237,10 +189,6 @@ class ContractRegistry:
         self.alias_of: dict[str, str] = {}
         #: declared permitted (outer, inner) edges
         self.orders: set[tuple[str, str]] = set()
-        #: declared seqlock generation sources
-        self.seqlocks: dict[str, SeqlockDecl] = {}
-        #: declared multi-class shedding queues
-        self.queue_classes: dict[str, QueueClassDecl] = {}
 
     def declare_lock(
         self,
@@ -265,43 +213,6 @@ class ContractRegistry:
         if not outer or not inner:
             raise ContractError("declare_order needs two node names")
         self.orders.add((self.canonical(outer), self.canonical(inner)))
-
-    def declare_seqlock(
-        self,
-        node: str,
-        *,
-        protects: Iterable[str] = (),
-        writer_lock: str | None = None,
-    ) -> SeqlockDecl:
-        if not node:
-            raise ContractError("declare_seqlock needs a node name")
-        decl = SeqlockDecl(
-            str(node),
-            tuple(str(p) for p in protects),
-            str(writer_lock) if writer_lock else None,
-        )
-        self.seqlocks[decl.node] = decl
-        return decl
-
-    def declare_queue_classes(
-        self,
-        node: str,
-        *,
-        classes: Iterable[str] = (),
-        shed_counters: Iterable[str] = (),
-    ) -> QueueClassDecl:
-        if not node:
-            raise ContractError("declare_queue_classes needs a node name")
-        class_tuple = tuple(str(c) for c in classes)
-        if len(class_tuple) < 2:
-            raise ContractError(
-                "declare_queue_classes needs at least two service classes"
-            )
-        decl = QueueClassDecl(
-            str(node), class_tuple, tuple(str(c) for c in shed_counters)
-        )
-        self.queue_classes[decl.node] = decl
-        return decl
 
     def canonical(self, node: str) -> str:
         return self.alias_of.get(node, node)
@@ -346,32 +257,22 @@ def declare_seqlock(
     *,
     protects: Iterable[str] = (),
     writer_lock: str | None = None,
-) -> SeqlockDecl:
-    """Module-level seqlock declaration (see :class:`SeqlockDecl`).
+) -> None:
+    """Declare a seqlock generation source for the SQ001 rule.
 
-    Keep every argument a literal: the static analyzer reads these calls
-    from the AST, without importing the module.
+    ``node`` names the generation counters (``"Class.attr"``, ``attr``
+    being what readers call ``.read`` on), ``protects`` the copy
+    primitives whose lock-free call sites must go through that
+    ``Seqlock.read``, and ``writer_lock`` the lock under which writers
+    bump the generations (call sites holding it need no retry — they
+    exclude every writer; ``None`` for a single-writer-by-protocol
+    seqlock no lock can exclude, e.g. one shared across processes).
+
+    Only the static analyzer reads it, from the AST, without importing
+    the module: keep every argument a literal.
     """
-    return REGISTRY.declare_seqlock(
-        node, protects=protects, writer_lock=writer_lock
-    )
-
-
-def declare_queue_classes(
-    node: str,
-    *,
-    classes: Iterable[str] = (),
-    shed_counters: Iterable[str] = (),
-) -> QueueClassDecl:
-    """Module-level multi-class queue declaration (see
-    :class:`QueueClassDecl`).
-
-    Keep every argument a literal: the static analyzer reads these calls
-    from the AST, without importing the module.
-    """
-    return REGISTRY.declare_queue_classes(
-        node, classes=classes, shed_counters=shed_counters
-    )
+    if not node:
+        raise ContractError("declare_seqlock needs a node name")
 
 
 # ---------------------------------------------------------------------------

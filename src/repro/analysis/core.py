@@ -1,15 +1,15 @@
 """Analyzer core: AST loading, contract extraction, best-effort types.
 
-The rule modules (:mod:`repro.analysis.lock_discipline`,
-:mod:`repro.analysis.lock_order`, :mod:`repro.analysis.snapshots`,
-:mod:`repro.analysis.seqlock`, :mod:`repro.analysis.hygiene`) share
-this infrastructure:
+Every rule module reads :class:`Project`; the lock-discipline rule
+(:mod:`repro.analysis.lock_discipline`) and the lock graph the runtime
+witness checks against (:mod:`repro.analysis.lock_order`) also walk
+functions with :class:`TypeEnv` and :class:`LockScopeWalker`:
 
 * :class:`Project` — every parsed module, a cross-module class index,
   and the *static* contract registry (``guarded_by`` decorators plus
-  ``declare_lock``/``declare_order``/``declare_seqlock``/
-  ``declare_queue_classes`` calls read from the AST, never by
-  importing — so deliberately-broken fixture files are analyzable);
+  ``declare_lock``/``declare_order``/``declare_seqlock`` calls read
+  from the AST, never by importing — so deliberately-broken fixture
+  files are analyzable);
 * :class:`TypeEnv` — best-effort local type resolution (parameter
   annotations, ``self`` attributes assigned from annotated parameters,
   method return annotations, container element types).  Unresolvable
@@ -41,58 +41,6 @@ MUTATOR_METHODS = frozenset({
 #: substrings that make an attribute name "look like a lock"
 _LOCKISH = ("lock", "mutex")
 
-#: sync-primitive factories on the threading/multiprocessing modules and
-#: on multiprocessing *context* objects — ``mp.RLock()``, ``ctx.Lock()``.
-#: Without typing these, an mp lock stored under a non-lock-ish name is
-#: invisible to LD/LO: acquisitions don't resolve to a node and the lock
-#: graph silently drops the edges.
-_SYNC_LOCK_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-)
-#: cross-process channel factories — typed so alias tracking works, but
-#: never treated as locks (queues serialize data, not critical sections)
-_SYNC_CHANNEL_FACTORIES = frozenset({"Queue", "JoinableQueue", "SimpleQueue"})
-#: module aliases whose factory calls we accept (``import
-#: multiprocessing as mp`` is the idiomatic spelling)
-_SYNC_MODULE_NAMES = frozenset({"threading", "multiprocessing", "mp"})
-#: conventional names for multiprocessing context objects
-#: (``ctx = multiprocessing.get_context("fork")``)
-_SYNC_CONTEXT_NAMES = frozenset({"ctx", "_ctx", "mp_context", "_mp_context"})
-
-#: attribute types that mean "this attribute IS a lock object"
-_SYNC_LOCK_TYPES = frozenset(
-    f"{module}.{factory}"
-    for module in ("threading", "multiprocessing")
-    for factory in _SYNC_LOCK_FACTORIES
-)
-
-
-def sync_primitive_type(value: ast.expr) -> str | None:
-    """``"multiprocessing.Lock"``-style type for sync-factory calls.
-
-    Recognizes ``threading.X()`` / ``multiprocessing.X()`` / ``mp.X()``
-    and multiprocessing-context receivers (``ctx.X()``,
-    ``self._ctx.X()``) for the lock and channel factory sets; anything
-    else is ``None``.
-    """
-    if not (
-        isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
-    ):
-        return None
-    attr = value.func.attr
-    if attr not in _SYNC_LOCK_FACTORIES and attr not in _SYNC_CHANNEL_FACTORIES:
-        return None
-    recv = value.func.value
-    if isinstance(recv, ast.Name):
-        if recv.id == "threading":
-            return f"threading.{attr}"
-        if recv.id in _SYNC_MODULE_NAMES or recv.id in _SYNC_CONTEXT_NAMES:
-            return f"multiprocessing.{attr}"
-    if isinstance(recv, ast.Attribute) and recv.attr in _SYNC_CONTEXT_NAMES:
-        return f"multiprocessing.{attr}"
-    return None
-
-
 @dataclass(frozen=True)
 class Finding:
     """One analyzer finding, pointing at a rule violation."""
@@ -102,8 +50,6 @@ class Finding:
     line: int
     message: str
     symbol: str = ""
-    #: stripped source text of the offending line (baseline matching)
-    snippet: str = ""
 
     def render(self) -> str:
         where = f"{self.path}:{self.line}"
@@ -134,11 +80,6 @@ class MethodInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     requires: str | None = None
     manual: str | None = None
-    #: whether @manual_guard was present but with a non-literal or empty
-    #: reason (surfaced as LD003)
-    manual_invalid: bool = False
-    is_classmethod: bool = False
-    is_staticmethod: bool = False
 
     @property
     def returns(self) -> str | None:
@@ -268,18 +209,16 @@ def _decorator_call(dec: ast.expr, name: str) -> ast.Call | None:
 
 
 class StaticRegistry:
-    """Lock declarations read from the AST (mirrors the runtime registry)."""
+    """The lock names, aliases, orders and seqlocks declared in the AST."""
 
     def __init__(self) -> None:
-        self.locks: dict[str, dict[str, object]] = {}
+        #: declared lock nodes (canonical names)
+        self.locks: set[str] = set()
         self.alias_of: dict[str, str] = {}
-        self.orders: set[tuple[str, str]] = set()
-        #: (outer, inner) -> (path, line) provenance for declared edges
-        self.order_sources: dict[tuple[str, str], tuple[str, int]] = {}
+        #: declared (outer, inner) edges -> (path, line) of the declaration
+        self.orders: dict[tuple[str, str], tuple[str, int]] = {}
         #: seqlock node -> {"protects": (...), "writer_lock": str | None}
         self.seqlocks: dict[str, dict[str, object]] = {}
-        #: queue node -> {"classes": (...), "shed_counters": (...)}
-        self.queue_classes: dict[str, dict[str, object]] = {}
 
     def ingest_call(self, call: ast.Call, path: str) -> None:
         func = call.func
@@ -290,22 +229,11 @@ class StaticRegistry:
             node = _literal_str(call.args[0])
             if node is None:
                 return
-            spec: dict[str, object] = {
-                "reentrant": False, "family": False, "self_order": None,
-            }
-            aliases: tuple[str, ...] = ()
+            self.locks.add(node)
             for kw in call.keywords:
                 if kw.arg == "aliases":
-                    aliases = _literal_str_tuple(kw.value)
-                elif kw.arg in ("reentrant", "family") and isinstance(
-                    kw.value, ast.Constant
-                ):
-                    spec[kw.arg] = bool(kw.value.value)
-                elif kw.arg == "self_order":
-                    spec["self_order"] = _literal_str(kw.value)
-            self.locks[node] = spec
-            for alias in aliases:
-                self.alias_of[alias] = node
+                    for alias in _literal_str_tuple(kw.value):
+                        self.alias_of[alias] = node
         elif name == "declare_seqlock" and call.args:
             node = _literal_str(call.args[0])
             if node is None:
@@ -320,60 +248,25 @@ class StaticRegistry:
             self.seqlocks[node] = {
                 "protects": protects, "writer_lock": writer_lock,
             }
-        elif name == "declare_queue_classes" and call.args:
-            node = _literal_str(call.args[0])
-            if node is None:
-                return
-            classes: tuple[str, ...] = ()
-            shed_counters: tuple[str, ...] = ()
-            for kw in call.keywords:
-                if kw.arg == "classes":
-                    classes = _literal_str_tuple(kw.value)
-                elif kw.arg == "shed_counters":
-                    shed_counters = _literal_str_tuple(kw.value)
-            self.queue_classes[node] = {
-                "classes": classes, "shed_counters": shed_counters,
-            }
         elif name == "declare_order" and len(call.args) >= 2:
             outer = _literal_str(call.args[0])
             inner = _literal_str(call.args[1])
             if outer is not None and inner is not None:
                 edge = (self.canonical(outer), self.canonical(inner))
-                self.orders.add(edge)
-                self.order_sources.setdefault(edge, (path, call.lineno))
+                self.orders.setdefault(edge, (path, call.lineno))
 
     def canonical(self, node: str) -> str:
         return self.alias_of.get(node, node)
-
-    def is_reentrant(self, node: str) -> bool:
-        decl = self.locks.get(self.canonical(node))
-        return bool(decl and decl.get("reentrant"))
-
-    def allows_self_nesting(self, node: str) -> bool:
-        decl = self.locks.get(self.canonical(node))
-        if decl is None:
-            return False
-        return bool(
-            decl.get("reentrant")
-            or (decl.get("family") and decl.get("self_order"))
-        )
 
 
 class Module:
     """One parsed source file."""
 
     def __init__(self, path: Path, display_path: str) -> None:
-        self.path = path
         self.display_path = display_path
         source = path.read_text(encoding="utf-8")
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
         self.classes: dict[str, ClassInfo] = {}
-
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
 
 class Project:
@@ -453,20 +346,12 @@ class Project:
     ) -> MethodInfo:
         method = MethodInfo(name=node.name, node=node)
         for dec in node.decorator_list:
-            if isinstance(dec, ast.Name) and dec.id == "classmethod":
-                method.is_classmethod = True
-            if isinstance(dec, ast.Name) and dec.id == "staticmethod":
-                method.is_staticmethod = True
             call = _decorator_call(dec, "requires_lock")
             if call is not None and call.args:
                 method.requires = _literal_str(call.args[0])
             call = _decorator_call(dec, "manual_guard")
-            if call is not None:
-                reason = _literal_str(call.args[0]) if call.args else None
-                if reason and reason.strip():
-                    method.manual = reason
-                else:
-                    method.manual_invalid = True
+            if call is not None and call.args:
+                method.manual = _literal_str(call.args[0])
         return method
 
     def _infer_init_attr_types(
@@ -534,7 +419,7 @@ def _shallow_value_type(
     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
         if value.func.id in project.classes:
             return value.func.id
-    return sync_primitive_type(value)
+    return None
 
 
 def _display_path(path: Path) -> str:
@@ -558,16 +443,12 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 # ---------------------------------------------------------------------------
 
 
-#: marker origin for locals bound to a freshly constructed (thread-private)
-#: object — guarded-attribute writes through them are exempt
-FRESH = "<fresh>"
-
-
 class TypeEnv:
     """Best-effort types for one function's names.
 
-    ``types[name]`` is a class/annotation string (or :data:`FRESH` for
-    objects constructed locally — thread-private until published).
+    ``types[name]`` is a class/annotation string; ``fresh`` holds the
+    names bound to objects constructed locally (thread-private until
+    published, so guarded writes through them are exempt).
     ``origins[name]`` tracks aliases of guarded attributes:
     ``versions = self._versions`` records ``("SumCache", "_versions")``
     so a later ``versions.pop(...)`` is still checked against the guard.
@@ -626,10 +507,6 @@ class TypeEnv:
                     self.types.setdefault(name, func.id)
                     self.fresh.add(name)
                     return
-            sync = sync_primitive_type(value)
-            if sync:
-                self.types.setdefault(name, sync)
-                return
             inferred = self._call_return_type(value)
             if inferred:
                 self.types.setdefault(name, inferred)
@@ -703,7 +580,7 @@ class TypeEnv:
                     return self.cls.name
                 if func.id in self.project.classes:
                     return func.id
-            return sync_primitive_type(expr) or self._call_return_type(expr)
+            return self._call_return_type(expr)
         return None
 
     def is_fresh(self, expr: ast.expr) -> bool:
@@ -750,11 +627,7 @@ def lock_node_of(
         if guard is not None:
             return registry.canonical(guard.node_for(info.name))
         node = f"{info.name}.{name}{suffix}"
-        if (
-            looks_like_lock(name)
-            or registry.canonical(node) in registry.locks
-            or info.attr_types.get(name) in _SYNC_LOCK_TYPES
-        ):
+        if looks_like_lock(name) or registry.canonical(node) in registry.locks:
             return registry.canonical(node)
         return None
     if looks_like_lock(name):
@@ -869,22 +742,14 @@ class LockScopeWalker(ast.NodeVisitor):
         self.held = saved
 
 
-def iter_methods(
-    project: Project,
-) -> Iterator[tuple[Module, ClassInfo, MethodInfo]]:
-    """Every (module, class, method) triple across the project."""
-    for module in project.modules:
-        for info in module.classes.values():
-            for method in info.methods.values():
-                yield module, info, method
-
-
 def iter_functions(
     project: Project,
 ) -> Iterator[tuple[Module, ClassInfo | None, MethodInfo]]:
     """Methods plus module-level functions (wrapped in MethodInfo)."""
-    for module, info, method in iter_methods(project):
-        yield module, info, method
+    for module in project.modules:
+        for info in module.classes.values():
+            for method in info.methods.values():
+                yield module, info, method
     for module in project.modules:
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):

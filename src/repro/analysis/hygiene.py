@@ -1,50 +1,22 @@
-"""Rule HY — serving-path hygiene.
+"""Rule HY — hygiene.
 
-* **HY001** — direct mutation of a sharded store's ``shards`` plane
-  (``store.shards = ...``, ``store.shards[i] = ...``, mutator calls on
-  the tuple) outside the shard router itself and the shard workers.
-  Everything else must route through the partitioning API or rebuild
-  via the documented refresh protocol.
-* **HY002** — bare ``except:`` — swallows ``KeyboardInterrupt`` and
-  ``SystemExit`` and hides real faults from the dead-letter accounting.
-* **HY003** — mutable default argument values; shared across calls,
-  a classic aliasing bug.
+* **HY003** — mutable default argument values (``[]``, ``{}``, set
+  displays, and ``list()``/``dict()``/``set()``/``bytearray()`` calls);
+  evaluated once and shared across calls, a classic aliasing bug.
+
+CI's ruff selection has ``B006`` for most of these.  HY003 stays for the
+two shapes ``B006`` lets through: a ``bytearray()`` default, and a
+mutable default on a parameter annotated with an immutable type
+(``payload: Mapping[str, Any] = {}``), which ``B006`` exempts.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import (
-    MUTATOR_METHODS,
-    Finding,
-    Module,
-    Project,
-)
-
-#: modules allowed to (re)build the shard plane
-_SHARD_OWNERS = (
-    "core/sharded_store.py",
-    "streaming/consumer.py",
-    # the multi-process plane swaps crashed shards for checkpoint-rebuilt
-    # replacements — that IS the documented refresh protocol
-    "core/shm_store.py",
-    "streaming/procplane.py",
-)
+from repro.analysis.core import Finding, Project
 
 _MUTABLE_FACTORY_NAMES = frozenset({"list", "dict", "set", "bytearray"})
-
-
-def _shard_owner(module: Module) -> bool:
-    path = module.display_path.replace("\\", "/")
-    return any(path.endswith(suffix) for suffix in _SHARD_OWNERS)
-
-
-def _is_shards_access(expr: ast.expr) -> bool:
-    """``<anything>.shards`` or ``<anything>.shards[...]``."""
-    if isinstance(expr, ast.Subscript):
-        expr = expr.value
-    return isinstance(expr, ast.Attribute) and expr.attr == "shards"
 
 
 def _mutable_default(value: ast.expr) -> bool:
@@ -55,117 +27,25 @@ def _mutable_default(value: ast.expr) -> bool:
     return False
 
 
-class _HygieneWalker(ast.NodeVisitor):
-    def __init__(self, module: Module, findings: list[Finding]) -> None:
-        self.module = module
-        self.findings = findings
-        self.shard_owner = _shard_owner(module)
-        self.symbols: list[str] = []
-
-    def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.module.display_path,
-                line=line,
-                message=message,
-                symbol=".".join(self.symbols),
-                snippet=self.module.snippet(line),
-            )
-        )
-
-    # -- scoping (for finding symbols only) --------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.symbols.append(node.name)
-        self.generic_visit(node)
-        self.symbols.pop()
-
-    def _visit_func(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        defaults = [*node.args.defaults, *node.args.kw_defaults]
-        for default in defaults:
-            if default is not None and _mutable_default(default):
-                self._report(
-                    "HY003",
-                    default,
-                    f"mutable default argument in {node.name}(); defaults "
-                    f"are evaluated once and shared across calls",
-                )
-        self.symbols.append(node.name)
-        self.generic_visit(node)
-        self.symbols.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_func(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_func(node)
-
-    # -- rules -------------------------------------------------------------
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._report(
-                "HY002",
-                node,
-                "bare except: catches KeyboardInterrupt/SystemExit; "
-                "catch Exception (or narrower) instead",
-            )
-        self.generic_visit(node)
-
-    def _check_shards_write(self, target: ast.expr, node: ast.AST) -> None:
-        if self.shard_owner:
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_shards_write(elt, node)
-            return
-        if _is_shards_access(target):
-            self._report(
-                "HY001",
-                node,
-                "direct mutation of the shard plane outside "
-                "sharded_store/ShardWorker; route through the "
-                "partitioning API",
-            )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_shards_write(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_shards_write(node.target, node)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_shards_write(target, node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            not self.shard_owner
-            and isinstance(func, ast.Attribute)
-            and func.attr in MUTATOR_METHODS
-            and _is_shards_access(func.value)
-        ):
-            self._report(
-                "HY001",
-                node,
-                f".{func.attr}() mutates the shard plane outside "
-                f"sharded_store/ShardWorker",
-            )
-        self.generic_visit(node)
-
-
 def check_hygiene(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for module in project.modules:
-        walker = _HygieneWalker(module, findings)
-        walker.visit(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for default in (*node.args.defaults, *node.args.kw_defaults):
+                if default is not None and _mutable_default(default):
+                    findings.append(
+                        Finding(
+                            rule="HY003",
+                            path=module.display_path,
+                            line=default.lineno,
+                            message=(
+                                f"mutable default argument in {node.name}(); "
+                                f"defaults are evaluated once and shared "
+                                f"across calls"
+                            ),
+                            symbol=node.name,
+                        )
+                    )
     return findings

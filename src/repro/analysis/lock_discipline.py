@@ -7,8 +7,6 @@
   versions.pop(x)`` is still a write to ``SumCache._versions``.
 * **LD002** — a call to a ``@requires_lock`` method without its lock
   held at the call site.
-* **LD003** — a ``@manual_guard`` escape hatch with a missing or empty
-  justification.
 
 Constructor writes are exempt (``self.x = ...`` in the owning class's
 ``__init__``: no concurrent reader can hold a reference yet), as are
@@ -130,7 +128,6 @@ class _DisciplineWalker(LockScopeWalker):
                 line=line,
                 message=message,
                 symbol=qualname(self.cls, self.method),
-                snippet=self.module.snippet(line),
             )
         )
 
@@ -248,20 +245,6 @@ def _write_leaves(target: ast.expr) -> Iterator[ast.expr]:
 def check_lock_discipline(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for module, cls, method in iter_functions(project):
-        if method.manual_invalid:
-            findings.append(
-                Finding(
-                    rule="LD003",
-                    path=module.display_path,
-                    line=method.node.lineno,
-                    message=(
-                        "@manual_guard requires a non-empty justification "
-                        "string"
-                    ),
-                    symbol=qualname(cls, method),
-                    snippet=module.snippet(method.node.lineno),
-                )
-            )
         walker = _DisciplineWalker(project, module, cls, method, findings)
         walker.walk()
     return findings

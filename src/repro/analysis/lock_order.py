@@ -1,4 +1,4 @@
-"""Rule LO — the static lock-acquisition graph.
+"""The static lock-acquisition graph the runtime witness checks against.
 
 Builds the cross-module graph of "lock *u* held while acquiring lock
 *v*" edges from three sources:
@@ -11,14 +11,9 @@ Builds the cross-module graph of "lock *u* held while acquiring lock
    for orderings the AST cannot see (e.g. a sorted multi-lock hold via
    a loop, or an ordering hidden behind duck-typed indirection).
 
-* **LO001** — the graph has a cycle: two code paths can acquire the
-  same pair of locks in opposite orders, a latent deadlock.
-* **LO002** — a lock is re-acquired while already held and its
-  declaration permits neither reentrancy nor ordered self-nesting.
-
-:func:`build_lock_graph` is also the source of truth for the runtime
-witness: every ordering :class:`~repro.analysis.contracts.LockWitness`
-observes must be an edge of this graph.
+No rule reads it: every ordering
+:class:`~repro.analysis.contracts.LockWitness` observes at runtime must
+be an edge of this graph, and ``--graph``/``--report`` print it.
 """
 
 from __future__ import annotations
@@ -28,13 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.core import (
     ClassInfo,
-    Finding,
     LockScopeWalker,
     MethodInfo,
     Module,
     Project,
     iter_functions,
-    qualname,
 )
 
 _FuncKey = tuple[str, str]
@@ -53,18 +46,13 @@ class _OrderWalker(LockScopeWalker):
         super().__init__(project, module, cls, method)
         self.acquired: set[str] = set()
         self.edges: dict[tuple[str, str], tuple[str, int]] = {}
-        self.self_acquires: list[tuple[str, int]] = []
         #: (held snapshot, callee key, line) for call propagation
         self.calls: list[tuple[tuple[str, ...], _FuncKey, int]] = []
 
     def on_acquire(self, node: str, stmt: ast.With, item: ast.expr) -> None:
         self.acquired.add(node)
         for held in self.held:
-            if held == "*":
-                continue
-            if held == node:
-                if not self.registry.allows_self_nesting(node):
-                    self.self_acquires.append((node, stmt.lineno))
+            if held in ("*", node):
                 continue
             self.edges.setdefault(
                 (held, node), (self.module.display_path, stmt.lineno)
@@ -87,10 +75,10 @@ class _OrderWalker(LockScopeWalker):
 
 @dataclass
 class LockGraph:
-    """The static acquisition-order graph plus any LO findings."""
+    """The static acquisition-order graph: ``(outer, inner)`` edges, each
+    with the ``(path, line)`` it was first seen at."""
 
     edges: dict[tuple[str, str], tuple[str, int]] = field(default_factory=dict)
-    findings: list[Finding] = field(default_factory=list)
 
     def allowed_edges(self) -> set[tuple[str, str]]:
         return set(self.edges)
@@ -98,8 +86,6 @@ class LockGraph:
 
 def build_lock_graph(project: Project) -> LockGraph:
     graph = LockGraph()
-    registry = project.registry
-
     walkers: dict[_FuncKey, _OrderWalker] = {}
     for module, cls, method in iter_functions(project):
         walker = _OrderWalker(project, module, cls, method)
@@ -108,21 +94,6 @@ def build_lock_graph(project: Project) -> LockGraph:
         walkers[key] = walker
         for edge, src in walker.edges.items():
             graph.edges.setdefault(edge, src)
-        for node, line in walker.self_acquires:
-            graph.findings.append(
-                Finding(
-                    rule="LO002",
-                    path=module.display_path,
-                    line=line,
-                    message=(
-                        f"{node} re-acquired while already held; declare it "
-                        f"reentrant (declare_lock(..., reentrant=True)) or "
-                        f"give the family an ordered self-nesting rule"
-                    ),
-                    symbol=qualname(cls, method),
-                    snippet=module.snippet(line),
-                )
-            )
 
     # call-propagated acquisitions, to a fixed point
     acquires: dict[_FuncKey, set[str]] = {
@@ -139,123 +110,15 @@ def build_lock_graph(project: Project) -> LockGraph:
                     mine |= extra
                     changed = True
 
-    for key, walker in walkers.items():
+    for walker in walkers.values():
         for held, callee, line in walker.calls:
-            if not held:
-                continue
-            inner = acquires.get(callee)
-            if not inner:
-                continue
-            src = (walker.module.display_path, line)
             for h in held:
-                for node in inner:
-                    if h == node:
-                        # benign only if reentrancy/self-order covers it
-                        if not registry.allows_self_nesting(node):
-                            graph.findings.append(
-                                Finding(
-                                    rule="LO002",
-                                    path=src[0],
-                                    line=line,
-                                    message=(
-                                        f"call into {callee[0]}.{callee[1]}()"
-                                        f" may re-acquire held lock {node}"
-                                    ),
-                                    symbol=f"{key[0]}.{key[1]}",
-                                    snippet=walker.module.snippet(line),
-                                )
-                            )
-                        continue
-                    graph.edges.setdefault((h, node), src)
+                for node in acquires.get(callee, ()):
+                    if h != node:
+                        graph.edges.setdefault(
+                            (h, node), (walker.module.display_path, line)
+                        )
 
-    for edge in registry.orders:
-        src = registry.order_sources.get(edge, ("<declared>", 0))
+    for edge, src in project.registry.orders.items():
         graph.edges.setdefault(edge, src)
-
-    _check_cycles(graph)
     return graph
-
-
-def _check_cycles(graph: LockGraph) -> None:
-    """Tarjan SCC over the edge set; any non-trivial SCC is a deadlock."""
-    adjacency: dict[str, list[str]] = {}
-    for (u, v) in graph.edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, [])
-
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    sccs: list[list[str]] = []
-
-    def strongconnect(root: str) -> None:
-        # iterative Tarjan: (node, iterator state) frames
-        work = [(root, iter(adjacency[root]))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adjacency[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    for node in adjacency:
-        if node not in index_of:
-            strongconnect(node)
-
-    for component in sccs:
-        if len(component) < 2:
-            continue
-        members = sorted(component)
-        involved = sorted(
-            (edge, src)
-            for edge, src in graph.edges.items()
-            if edge[0] in component and edge[1] in component
-        )
-        path, line = involved[0][1] if involved else ("<graph>", 0)
-        detail = ", ".join(f"{u}->{v}" for (u, v), _ in involved)
-        graph.findings.append(
-            Finding(
-                rule="LO001",
-                path=path,
-                line=line,
-                message=(
-                    "lock-order cycle between "
-                    + ", ".join(members)
-                    + f" (edges: {detail})"
-                ),
-                symbol="lock-graph",
-            )
-        )
-
-
-def check_lock_order(project: Project) -> list[Finding]:
-    return build_lock_graph(project).findings

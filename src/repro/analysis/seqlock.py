@@ -26,10 +26,11 @@ that no test reliably reproduces, which is exactly why it is checked
 statically.
 
 * **SQ001** — a protected primitive *called* outside both shapes.
-* **SQ002** — a protected primitive *taken as a value* (assigned, passed
-  to an executor, stored in a table, or handed to some other seqlock's
-  read) outside both shapes: the reference escapes to a call site the
-  analyzer cannot see.
+
+A primitive only taken as a value is not followed: the realistic shape
+of that mistake, a primitive handed to the wrong seqlock's ``read``,
+tears a read in tier-1's forced-window tests (``tests/core/
+test_snapshots.py``).
 
 A primitive's own body starts with its own seqlocks discharged — whoever
 runs it already holds those windows — so it may call the primitives
@@ -139,7 +140,7 @@ class _SeqlockWalker:
             return
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
-            self._check("SQ001", func, held=held, reads=reads)
+            self._check(func, held=held, reads=reads)
             self._walk(func.value, held=held, reads=reads)
             handed = reads
             if func.attr in _READ_METHODS:
@@ -149,14 +150,11 @@ class _SeqlockWalker:
             for arg in (*node.args, *(kw.value for kw in node.keywords)):
                 self._walk(arg, held=held, reads=handed)
             return
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            self._check("SQ002", node, held=held, reads=reads)
         for child in ast.iter_child_nodes(node):
             self._walk(child, held=held, reads=reads)
 
     def _check(
         self,
-        rule: str,
         node: ast.Attribute,
         *,
         held: frozenset[str],
@@ -175,22 +173,17 @@ class _SeqlockWalker:
             " (no writer lock is declared)" if lockless else
             " or under the declared writer lock"
         )
-        what = (
-            f".{node.attr}() is called" if rule == "SQ001"
-            else f".{node.attr} escapes as a value"
-        )
         line = getattr(node, "lineno", self.method.node.lineno)
         self.findings.append(
             Finding(
-                rule=rule,
+                rule="SQ001",
                 path=self.module.display_path,
                 line=line,
                 message=(
-                    f"{what} but is protected by {seqlocks}; it may only "
-                    f"run {shapes}"
+                    f".{node.attr}() is called but is protected by "
+                    f"{seqlocks}; it may only run {shapes}"
                 ),
                 symbol=qualname(self.cls, self.method),
-                snippet=self.module.snippet(line),
             )
         )
 

@@ -12,7 +12,7 @@ object pair:
   inside the page epoch's odd window;
 * **readers** (:meth:`current`, on the request hot path) run lock-free:
   one :meth:`~repro.core.seqlock.Seqlock.read` of the pair,
-  machine-checked by the analyzer's ``SQ001``/``SQ002`` rules via the
+  machine-checked by the analyzer's ``SQ001`` rule via the
   declarations below.  A starved read falls back to taking the writer
   lock, so a reader can never starve.
 
@@ -190,7 +190,7 @@ class CandidateRetriever:
         """The seqlock-protected primitive: one raw read of the pair.
 
         Callers must either hold ``_swap_lock`` or go through the page
-        epoch's ``read`` — enforced statically (``SQ001``/``SQ002``).
+        epoch's ``read`` — enforced statically (``SQ001``).
         """
         return self._index, self._generation
 

@@ -42,7 +42,6 @@ from typing import Any, Iterator
 
 from repro.analysis.contracts import (
     declare_lock,
-    declare_queue_classes,
     guarded_by,
     make_lock,
     requires_lock,
@@ -176,11 +175,6 @@ declare_lock(
     ),
 )
 declare_lock("EventBus._lock")
-declare_queue_classes(
-    "PartitionQueue",
-    classes=("user", "background"),
-    shed_counters=("shed_user", "shed_background", "shed_expired"),
-)
 
 
 @guarded_by(

@@ -1,19 +1,6 @@
-"""Clean twin of ``hy_violations``: reads, narrow excepts, safe defaults."""
+"""Clean twin of ``hy_violations``: immutable and ``None`` defaults."""
 
-
-class ShardReader:
-    def __init__(self, store) -> None:
-        self.store = store
-
-    def peek(self, index):
-        # Reading the shard plane is fine; only mutation is fenced.
-        return self.store.shards[index]
-
-    def shard_count(self) -> int:
-        try:
-            return len(self.store.shards)
-        except Exception:
-            return 0
+from typing import Mapping
 
 
 def collect(values, into=None):
@@ -21,3 +8,11 @@ def collect(values, into=None):
         into = []
     into.extend(values)
     return into
+
+
+def frame(payload: bytes, buffer: bytes = b""):
+    return buffer + payload
+
+
+def annotate(tags: Mapping[str, str] | None = None) -> Mapping[str, str]:
+    return tags or {}

@@ -1,23 +1,18 @@
-"""Seeded serving-path hygiene violations: HY001, HY002, HY003."""
+"""Seeded mutable-default violations: HY003, in the shapes ruff's B006
+also flags and in the two it lets through."""
 
-
-class ShardPoker:
-    def __init__(self, store) -> None:
-        self.store = store
-
-    def hot_swap(self, replacement) -> None:
-        self.store.shards[0] = replacement  # [HY001]
-
-    def grow(self, extra) -> None:
-        self.store.shards.append(extra)  # [HY001]
-
-    def shard_count(self) -> int:
-        try:
-            return len(self.store.shards)
-        except:  # [HY002]
-            return 0
+from typing import Mapping
 
 
 def collect(values, into=[]):  # [HY003]
     into.extend(values)
     return into
+
+
+def frame(payload: bytes, buffer=bytearray()):  # [HY003]
+    buffer.extend(payload)
+    return buffer
+
+
+def annotate(tags: Mapping[str, str] = {}) -> Mapping[str, str]:  # [HY003]
+    return tags

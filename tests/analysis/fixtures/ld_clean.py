@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.analysis.contracts import guarded_by, manual_guard, requires_lock
+from repro.analysis.contracts import guarded_by, requires_lock
 
 
 @guarded_by("_lock", "_counts", "_total")
@@ -28,10 +28,6 @@ class TidyCounter:
     def rebalance(self) -> None:
         with self._lock:
             self._rebalance()
-
-    @manual_guard("acquires per-key locks in sorted order inside a loop")
-    def sneak(self) -> int:
-        return -1
 
     def snapshot(self) -> dict[str, int]:
         # Reads of guarded state are not writes; no lock required by LD001.

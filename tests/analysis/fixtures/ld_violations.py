@@ -1,4 +1,4 @@
-"""Seeded lock-discipline violations: LD001, LD002, LD003.
+"""Seeded lock-discipline violations: LD001, LD002.
 
 Each offending line carries a ``# [RULE]`` marker; the analyzer tests
 assert the finding set equals the marker set exactly.
@@ -6,7 +6,7 @@ assert the finding set equals the marker set exactly.
 
 import threading
 
-from repro.analysis.contracts import guarded_by, manual_guard, requires_lock
+from repro.analysis.contracts import guarded_by, requires_lock
 
 
 @guarded_by("_lock", "_counts", "_total")
@@ -31,7 +31,3 @@ class LeakyCounter:
 
     def rebalance(self) -> None:
         self._rebalance()  # [LD002]
-
-    @manual_guard("   ")
-    def sneak(self) -> int:  # [LD003]
-        return -1

@@ -1,4 +1,4 @@
-"""Seeded seqlock-discipline violations: SQ001, SQ002.
+"""Seeded seqlock-discipline violations: SQ001.
 
 Each offending line carries a ``# [RULE]`` marker; the analyzer tests
 assert the finding set equals the marker set exactly.
@@ -65,21 +65,6 @@ class TornCapture:
         self.table.mirror.refresh_rows(rows)  # [SQ001]
 
 
-class EscapingCopier:
-    """Hands the primitive to call sites the analyzer cannot follow."""
-
-    def __init__(self, table: MirrorTable, pool) -> None:
-        self.table = table
-        self.pool = pool
-
-    def snapshot(self, row: int) -> None:
-        copy = self.table.mirror.copy_row  # [SQ002]
-        copy(row)
-
-    def snapshot_async(self, row: int) -> None:
-        self.pool.submit(self.table.mirror.refresh_row, row)  # [SQ002]
-
-
 class ControlBlock:
     def __init__(self, layout_seq, slots) -> None:
         self._lock = threading.Lock()
@@ -108,12 +93,5 @@ class PagedTable:
     def _row_copy(self, row: int):
         return bytes(self.pages[row])
 
-    def read_row_outside_the_layout(self, row: int):
-        return self.row_generations.read(row, self._row_copy, row)  # [SQ002]
-
     def read_row_outside_its_generation(self, row: int):
         return self.layout_epoch.read(0, lambda: self._row_copy(row))  # [SQ001]
-
-    def read_row_through_another_read(self, row: int):
-        # a file-like ``read`` is no seqlock at all
-        return self.pages.read(row, self._row_copy, row)  # [SQ002]

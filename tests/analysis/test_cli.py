@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` exit codes, report artifact, baselines."""
+"""``python -m repro.analysis`` exit codes and report artifact."""
 
 import json
 from pathlib import Path
@@ -6,6 +6,10 @@ from pathlib import Path
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+#: the write-behind writer flushes into the event log under its own lock:
+#: one call-propagated edge of the lock graph
+WRITE_BEHIND = (SRC / "streaming" / "writebehind.py", SRC / "lifelog" / "store.py")
 
 
 def test_violation_corpus_fails(tmp_path, monkeypatch, capsys):
@@ -17,13 +21,13 @@ def test_violation_corpus_fails(tmp_path, monkeypatch, capsys):
 
 def test_whole_fixture_directory_fails(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main([str(FIXTURES), "--no-baseline"]) == 1
+    assert main([str(FIXTURES)]) == 1
 
 
 def test_clean_fixture_passes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main([str(FIXTURES / "ld_clean.py")]) == 0
-    assert "OK: 1 modules, 0 unwaived findings" in capsys.readouterr().out
+    assert "OK: 1 modules, 0 findings" in capsys.readouterr().out
 
 
 def test_missing_path_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -32,63 +36,23 @@ def test_missing_path_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_invalid_baseline_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    bad = tmp_path / "base.toml"
-    bad.write_text('[[waiver]]\nrule = "LD001"\npath = "a.py"\n')
-    code = main([str(FIXTURES / "ld_clean.py"), "--baseline", str(bad)])
-    assert code == 2
-    assert "baseline error" in capsys.readouterr().err
-
-
-def test_waivers_silence_matched_findings(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    target = FIXTURES / "hy_violations.py"
-    baseline = tmp_path / "base.toml"
-    rules = ("HY001", "HY002", "HY003")
-    baseline.write_text(
-        "".join(
-            f'[[waiver]]\nrule = "{rule}"\npath = "{target}"\n'
-            f'justification = "seeded fixture"\n'
-            for rule in rules
-        )
-    )
-    assert main([str(target), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "waived by baseline" in out
-
-
-def test_stale_waiver_fails_even_on_a_clean_tree(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    baseline = tmp_path / "base.toml"
-    baseline.write_text(
-        '[[waiver]]\nrule = "LD001"\npath = "gone.py"\n'
-        'justification = "left behind after a fix"\n'
-    )
-    code = main([str(FIXTURES / "ld_clean.py"), "--baseline", str(baseline)])
-    assert code == 1
-    assert "stale waiver" in capsys.readouterr().out
-
-
 def test_report_artifact_carries_findings_and_graph(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "report.json"
     code = main(
-        [str(FIXTURES / "lo_violations.py"), "--report", str(report)]
+        [str(FIXTURES / "ld_violations.py"), *map(str, WRITE_BEHIND), "--report", str(report)]
     )
     assert code == 1
     payload = json.loads(report.read_text())
-    assert payload["summary"]["unwaived"] == payload["summary"]["total"] == 3
-    rules = {f["rule"] for f in payload["findings"]}
-    assert rules == {"LO001", "LO002"}
+    assert payload["summary"]["total"] == len(payload["findings"]) == 4
+    assert {f["rule"] for f in payload["findings"]} == {"LD001", "LD002"}
     edges = {
         (e["outer"], e["inner"]) for e in payload["lock_graph"]["edges"]
     }
-    assert ("Left._lock", "Right._lock") in edges
-    assert ("Right._lock", "Left._lock") in edges
+    assert edges == {("WriteBehindWriter._lock", "EventLog._write_lock")}
 
 
 def test_graph_flag_prints_edges(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    main([str(FIXTURES / "lo_clean.py"), "--graph"])
-    assert "CleanLeft._lock -> CleanRight._lock" in capsys.readouterr().out
+    assert main([*map(str, WRITE_BEHIND), "--graph"]) == 0
+    assert "WriteBehindWriter._lock -> EventLog._write_lock" in capsys.readouterr().out

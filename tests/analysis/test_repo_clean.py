@@ -1,9 +1,8 @@
 """The gate itself: the repo's own tree must analyze clean.
 
-This is the test CI leans on — ``src/repro`` has zero unwaived
-findings (no baseline file is committed), and the static lock-order
-graph is acyclic.  Anyone adding an unguarded write or a conflicting
-lock nesting turns this red locally before CI does.
+This is the test CI leans on — ``src/repro`` has zero findings, and
+the static lock graph the runtime witness checks against holds the
+stack's load-bearing orderings.
 """
 
 from functools import cache
@@ -15,10 +14,10 @@ from repro.analysis.core import Project
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_src_repro_is_clean_under_the_committed_baseline(monkeypatch, capsys):
+def test_src_repro_analyzes_clean(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     assert main(["src/repro"]) == 0
-    assert "0 unwaived findings" in capsys.readouterr().out
+    assert "0 findings" in capsys.readouterr().out
 
 
 @cache
@@ -27,10 +26,8 @@ def checked_tree():
     return run_checks(Project.load([REPO_ROOT / "src" / "repro"]))
 
 
-def test_lock_graph_is_acyclic_and_nonempty():
-    findings, graph_dump = checked_tree()
-    assert not any(f.rule == "LO001" for f in findings)
-    # The stack's load-bearing orderings must be in the graph.
+def test_lock_graph_holds_the_load_bearing_orderings():
+    _, graph_dump = checked_tree()
     edges = {(e["outer"], e["inner"]) for e in graph_dump["edges"]}
     assert ("SumCache._lock_for()", "ColumnarSumStore._lock") in edges
     assert ("SumCache._lock_for()", "SumRepository._lock") in edges
