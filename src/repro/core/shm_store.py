@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.analysis.contracts import (
     declare_lock,
+    declare_order,
     guarded_by,
     make_lock,
     requires_lock,
@@ -55,6 +56,10 @@ from repro.core.sharded_store import ShardedSumStore
 from repro.core.sum_store import ColumnarSumStore
 
 declare_lock("ShmArena._lock")
+# A shard on arena pages allocates them under its own store lock when
+# it grows its rows or a column family, through the untyped ``alloc``
+# callable the AST cannot follow, so the edge is declared.
+declare_order("ColumnarSumStore._lock", "ShmArena._lock")
 
 #: module-wide ledger of segment names this process created or attached
 #: and has not yet released — the test-suite leak check reads it

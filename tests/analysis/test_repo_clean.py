@@ -32,6 +32,7 @@ def test_lock_graph_holds_the_load_bearing_orderings():
     assert ("SumCache._lock_for()", "ColumnarSumStore._lock") in edges
     assert ("SumCache._lock_for()", "SumRepository._lock") in edges
     assert ("WriteBehindWriter._lock", "EventLog._write_lock") in edges
+    assert ("ColumnarSumStore._lock", "ShmArena._lock") in edges
 
 
 def test_all_three_seqlocks_are_declared_for_the_sq_rules():

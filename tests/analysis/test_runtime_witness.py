@@ -27,18 +27,36 @@ def witnessed(monkeypatch):
     WITNESS.reset()
 
 
-def test_threaded_cache_workload_stays_inside_the_static_graph(witnessed):
-    # Imports inside the test: lock wrapping happens at *construction*,
+@pytest.fixture(params=["columnar", "shm"])
+def store(request, witnessed):
+    """A plain columnar store, or one shard on shared-memory pages that
+    start too small for the workload: its commits grow them, taking the
+    arena lock under the store lock."""
+    # Imports inside the fixture: lock wrapping happens at *construction*,
     # and construction must happen with the env gate already set.
+    if request.param == "columnar":
+        from repro.core.sum_store import ColumnarSumStore
+
+        yield ColumnarSumStore()
+        return
+    from repro.core.shm_store import MultiProcSumStore
+
+    shm_store = MultiProcSumStore(n_shards=1, initial_capacity=2)
+    try:
+        yield shm_store
+    finally:
+        shm_store.close()
+
+
+def test_threaded_cache_workload_stays_inside_the_static_graph(witnessed, store):
     from repro.core.reward import ReinforcementPolicy
-    from repro.core.sum_store import ColumnarSumStore
     from repro.core.updates import RewardOp
     from repro.streaming.cache import SumCache
 
-    store = ColumnarSumStore()
     for uid in range(8):
         store.get_or_create(uid)
-    assert isinstance(store._lock, ContractLock)
+    shards = getattr(store, "shards", (store,))
+    assert all(isinstance(shard._lock, ContractLock) for shard in shards)
 
     cache = SumCache(store)
     policy = ReinforcementPolicy()

@@ -1,11 +1,14 @@
 """The candidate retriever: fallbacks, budgets, and the swap protocol."""
 
 import threading
+import time
 from time import monotonic
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.core.seqlock as seqlock_module
 from repro.obs.metrics import MetricsRegistry, labelled
 from repro.retrieval.embeddings import StaticEmbeddingProvider
 from repro.retrieval.index import ClusteredANNIndex
@@ -239,6 +242,49 @@ class TestSwapProtocol:
             thread.join()
         assert errors == []
         assert retriever.generation == n_swaps
+
+    def test_a_read_inside_a_swap_window_never_tears(self, monkeypatch):
+        """A read forced into a swap's odd window, the way
+        ``tests/core/test_snapshots.py``'s ``read_mid_write`` forces one:
+        the writer opens the epoch window, stores the new index and waits;
+        it stores the new generation only once the reader has returned or
+        has yielded to retry (observed through the seqlock's
+        ``time.sleep``).  So the reader always starts mid-swap, and the
+        verdict never depends on scheduling."""
+        provider = make_provider(n_items=60)
+        retriever = make_retriever(provider)
+        ids, vectors = provider.item_vectors()
+        old = ClusteredANNIndex.build(ids, vectors, n_clusters=4)
+        new = ClusteredANNIndex.build(ids, vectors, n_clusters=4)
+        retriever.swap(old, generation=1)
+        progress, opened = threading.Event(), threading.Event()
+
+        def spin(seconds):
+            progress.set()
+            time.sleep(seconds)
+
+        monkeypatch.setattr(seqlock_module, "time", SimpleNamespace(sleep=spin))
+
+        def writer():  # swap()'s window, held open after its first store
+            with retriever._swap_lock, retriever._epoch.write(0):
+                retriever._index = new
+                opened.set()
+                progress.wait(timeout=30)
+                retriever._generation = 2
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert opened.wait(timeout=30)
+            index, generation = retriever.current()
+        finally:
+            progress.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        which = "new" if index is new else "old"
+        assert (index is old and generation == 1) or (
+            index is new and generation == 2
+        ), f"torn pair: the {which} index served with stamp {generation}"
 
 
 class TestIndexRefresher:
