@@ -111,6 +111,14 @@ class InternedIds(Sequence[Any]):
         return f"InternedIds({self._ids!r})"
 
 
+def int_ids(items: Iterable[Any]) -> Sequence[int]:
+    """``items`` as Python ints: interned ints as they are (no walk),
+    anything else one ``int()`` per id."""
+    if isinstance(items, InternedIds) and items.vector is not None:
+        return items
+    return list(map(int, items))
+
+
 class Population(InternedIds):
     """A SUM store's users: sorted ids, interned once per row set.
 

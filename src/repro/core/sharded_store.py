@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.interned import Population
+from repro.core.interned import Population, int_ids
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import (
     BatchRead,
@@ -377,7 +377,7 @@ class ShardedSumStore:
         # One pass: route the whole vector, then one C-speed dict walk
         # per shard; unknown ids are collected by position so the error
         # names them in request order whatever shard they fell in.
-        ids = np.asarray(user_ids, dtype=np.int64)
+        ids = np.asarray(user_ids, dtype=np.int64)  # interned: its vector
         groups: list[_Group] = []
         unknown: list[int] = []
         for s, positions in positions_by_shard(ids % n, n).items():
@@ -423,7 +423,8 @@ class ShardedSumStore:
             # Validate (or create) the whole batch up front so unknown
             # users fail as one typed error naming every id, not shard by
             # shard; each capture reads its rows off the same routing.
-            ids = list(map(int, ids))
+            # Interned ints are routed on their own vector, unwalked.
+            ids = int_ids(ids)
             groups = self._route(ids, create)
         if len(groups) == 1:  # one owner: that partition's capture
             s, __, __, rows = groups[0]

@@ -78,7 +78,7 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
-from repro.core.interned import Population
+from repro.core.interned import Population, int_ids
 from repro.core.seqlock import Seqlock, SeqlockStarved
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError, frozen_model
 from repro.core.updates import (
@@ -1005,7 +1005,7 @@ class ColumnarSumStore:
             user_ids = self.population()
         if isinstance(user_ids, Population) and user_ids.source is self:
             return self._capture(user_ids, user_ids.rows)
-        ids = list(map(int, user_ids))
+        ids = int_ids(user_ids)
         return self._capture(ids, self.rows_for(ids, create=create))
 
     def _capture(self, user_ids: Sequence[int], rows: np.ndarray) -> FrozenSumBatch:

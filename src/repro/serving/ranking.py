@@ -109,10 +109,12 @@ def top_k(
 ) -> Ranking[E]:
     """The best ``k`` cells (all of them for ``None``) as a :class:`Ranking`.
 
-    ``ids`` is an integer ndarray (user ids: ordered by ``np.lexsort``)
-    or any Python sequence (item ids are arbitrary hashables: ordered by
-    a Python sort, over the survivors only); the three score grids hold
-    one cell per id — the service's ``1 × n`` row or ``n × 1`` column.
+    ``ids`` is an integer ndarray (user ids: ordered by ``np.lexsort``,
+    or, ranking every cell, by one ``np.argsort`` of the scores when no
+    two tie and none is NaN) or any Python sequence (item ids are
+    arbitrary hashables: ordered by a Python sort, over the survivors
+    only); the three score grids hold one cell per id — the service's
+    ``1 × n`` row or ``n × 1`` column.
     The order is exactly ``sorted(cells, key=(-adjusted, id))[:k]``: the
     partition admits every cell not strictly below the ``k``-th score,
     so ties at the cut are broken by id like everywhere else.
@@ -120,17 +122,26 @@ def top_k(
     base, multiplier, adjusted = base.ravel(), multiplier.ravel(), adjusted.ravel()
     descending = -adjusted
     if k is None or k >= len(descending):
+        k = None  # the whole row
         keep = np.arange(len(descending))
     else:
         kth = np.partition(descending, k - 1)[k - 1]
         # "not after" rather than "<=": numpy orders NaN last, so a NaN
         # score survives to rank last instead of shortening the ranking
         keep = np.flatnonzero(~(descending > kth))
-    keys = descending[keep]
     if isinstance(ids, np.ndarray):
-        order = keep[np.lexsort((ids[keep], keys))[:k]]
+        if k is None:
+            # strictly increasing sorted keys hold no tie and no NaN, so
+            # the id never breaks one: the score order alone is the order
+            order = np.argsort(descending)
+            ranked = descending[order]
+            if not (ranked[1:] > ranked[:-1]).all():
+                order = np.lexsort((ids, descending))
+        else:
+            order = keep[np.lexsort((ids[keep], descending[keep]))[:k]]
         ranked_ids = ids[order].tolist()
     else:
+        keys = descending[keep]
         scores, kept = keys.tolist(), [ids[i] for i in keep.tolist()]
         cut = sorted(range(len(kept)), key=lambda j: (scores[j], kept[j]))[:k]
         order = keep[cut]

@@ -569,10 +569,14 @@ class RecommendationService:
         resolver = self.sums  # one capture per request; see recommend()
         trace_id = next_trace_id() if self.tracer.enabled else None
         stamps: list[float] | None = [] if self._obs_on else None
-        # the users' one id translation: scorer and ranking share it (a
-        # select-all's is the resolver's, made once per row set)
+        # the users' one id translation: scorer, stores and ranking share
+        # it (a select-all's is the resolver's, made once per row set);
+        # ids that get no int64 vector (bools, floats, strings, ids past
+        # 64 bits) are coerced with int() and interned again
         if request.user_ids is not None:
-            ids = InternedIds([int(uid) for uid in request.user_ids])
+            ids = InternedIds(request.user_ids)
+            if ids.vector is None:
+                ids = InternedIds([int(uid) for uid in ids])
         elif resolver is not None:
             ids = resolver.population()
         else:

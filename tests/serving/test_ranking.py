@@ -100,6 +100,15 @@ def reference(ids, base, multiplier, k):
     return sorted(cells, key=lambda cell: (-cell[3], cell[0]))[:k]
 
 
+def reference_positions(ids, adjusted, k):
+    """The reference order by position: NaN last, ties (``0.0`` and
+    ``-0.0`` among them) broken by id."""
+    nan = np.isnan(adjusted)
+    return sorted(
+        range(len(ids)), key=lambda p: (nan[p], 0.0 if nan[p] else -adjusted[p], ids[p])
+    )[:k]
+
+
 def cells_of(ranked):
     return [
         (
@@ -186,6 +195,52 @@ class TestOrderExactness:
         assert cells_of(response.ranked) == [
             (i, 0.0, 1.0, 0.0) for i in sorted(ids)[:k]
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), distinct=st.booleans(), n=st.integers(1, 24))
+    def test_integer_top_k_equals_the_sorted_reference(self, data, distinct, n):
+        """User ids in any order, whole rankings and cuts: with distinct
+        scores the whole row takes the one-``argsort`` path, and with
+        ties, signed zeros or NaN it falls back to the ``lexsort``."""
+        ids = data.draw(
+            st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n, unique=True)
+        )
+        scores = (
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+            if distinct else st.sampled_from([*QUANTISED, np.nan])
+        )
+        base = np.array(
+            data.draw(st.lists(scores, min_size=n, max_size=n, unique=distinct))
+        )
+        multiplier = np.array(
+            data.draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
+        )
+        adjusted = base * multiplier
+        k = data.draw(st.one_of(st.none(), st.integers(1, n + 2)))
+        ranked = top_k(
+            SelectedUser, np.array(ids, dtype=np.int64), base, multiplier,
+            adjusted, k,
+        )
+        want = reference_positions(ids, adjusted, k)
+        assert ranked.ids == [ids[p] for p in want]
+        for got, grid in zip(
+            (ranked.base, ranked.multiplier, ranked.adjusted),
+            (base, multiplier, adjusted),
+        ):
+            assert got.tobytes() == grid[want].tobytes()
+
+    @pytest.mark.parametrize("k", [None, 4, 5, 3])
+    @pytest.mark.parametrize("ids", [[40, 30, 20, 10], [10, 20, 30, 40]])
+    @pytest.mark.parametrize(
+        "adjusted",
+        [[0.5, -1.0, 2.0, 0.25], [0.0, -0.0, 1.0, 0.5], [1.0, np.nan, 1.0, 0.5]],
+        ids=["distinct", "signed-zeros", "tie-and-nan"],
+    )
+    def test_integer_top_k_on_fixed_rows(self, adjusted, ids, k):
+        """Both id orders, so a tie left in any position order shows."""
+        adjusted = np.array(adjusted)
+        ranked = top_k(SelectedUser, np.array(ids), adjusted, np.ones(4), adjusted, k)
+        assert ranked.ids == [ids[p] for p in reference_positions(ids, adjusted, k)]
 
     def test_nan_scores_rank_last_instead_of_shortening_the_ranking(self):
         ranked = top_k(
