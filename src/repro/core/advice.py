@@ -26,6 +26,13 @@ from repro.core.interned import InternedIds
 from repro.core.sum_model import SmartUserModel
 
 
+#: cap on a profile's :meth:`DomainProfile.active_layout` memo, one entry
+#: per distinct set of active columns: a select activates one item's
+#: attributes, so a catalog brings at most one set per distinct attribute
+#: combination; a memo that reaches this starts over
+_MAX_ACTIVE_LAYOUTS = 1024
+
+
 @dataclass(frozen=True)
 class DomainProfile:
     """Excitatory links of one interaction domain.
@@ -127,29 +134,38 @@ class DomainProfile:
 
     def active_layout(
         self, active: np.ndarray
-    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
         """``(emotions, emotion_rows, gains, starts)`` of the ``active``
-        attribute columns only (sorted, distinct), derived per call.
+        attribute columns only (sorted, distinct), read-only.
 
         :meth:`link_layout` cut down to the links of those attributes:
         ``emotions`` are the distinct emotions they read (the other
-        vectors index into *that* list), each attribute keeps its links
+        vectors index into *that* tuple), each attribute keeps its links
         in the same emotion order, so a product over them is the product
-        the full layout takes, bit for bit.
+        the full layout takes, bit for bit.  Memoised per column set on
+        the instance like :meth:`link_layout` (keyed by the columns'
+        bytes); a memo that reaches :data:`_MAX_ACTIVE_LAYOUTS` sets
+        starts over.
         """
-        emotion_rows, gains, starts = self.link_layout()
-        sizes = np.diff(np.append(starts, len(gains)))
-        keep = np.zeros(len(sizes), dtype=bool)
-        keep[active] = True
-        links = np.flatnonzero(np.repeat(keep, sizes))
-        used, rows = np.unique(emotion_rows[links], return_inverse=True)
-        emotions = self.layout()[0]
-        return (
-            [emotions[e] for e in used.tolist()],
-            rows,
-            gains[links],
-            np.cumsum(sizes[active]) - sizes[active],
-        )
+        memo = self.__dict__.setdefault("_active_links", {})
+        key = np.asarray(active, dtype=np.intp).tobytes()
+        cached = memo.get(key)
+        if cached is None:
+            emotion_rows, gains, starts = self.link_layout()
+            sizes = np.diff(np.append(starts, len(gains)))
+            keep = np.zeros(len(sizes), dtype=bool)
+            keep[active] = True
+            links = np.flatnonzero(np.repeat(keep, sizes))
+            used, rows = np.unique(emotion_rows[links], return_inverse=True)
+            emotions = self.layout()[0]
+            arrays = (rows, gains[links], np.cumsum(sizes[active]) - sizes[active])
+            for array in arrays:
+                array.setflags(write=False)
+            cached = (tuple(emotions[e] for e in used.tolist()), *arrays)
+            if len(memo) >= _MAX_ACTIVE_LAYOUTS:
+                memo.clear()
+            memo[key] = cached
+        return cached
 
     def item_attributes(self) -> list[str]:
         """All item attributes referenced by this profile, sorted."""

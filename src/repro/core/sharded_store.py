@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.interned import Population, int_ids
+from repro.core.interned import InternedIds, Population, int_ids
 from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
 from repro.core.sum_store import (
     BatchRead,
@@ -374,26 +374,22 @@ class ShardedSumStore:
             s = int(user_ids[0]) % n if n > 1 else 0
             rows = self.shards[s].rows_for(user_ids, create=create)
             return [(s, np.arange(len(rows)), user_ids, rows)]
-        # One pass: route the whole vector, then one C-speed dict walk
-        # per shard; unknown ids are collected by position so the error
-        # names them in request order whatever shard they fell in.
+        # One pass: route the whole vector, then one rows_for per touched
+        # shard (its dense map, or its dict where the map cannot answer);
+        # unknown ids are collected by position so the error names them
+        # in request order whatever shard they fell in.
         ids = np.asarray(user_ids, dtype=np.int64)  # interned: its vector
         groups: list[_Group] = []
         unknown: list[int] = []
         for s, positions in positions_by_shard(ids % n, n).items():
-            shard = self.shards[s]
-            shard_ids = ids[positions].tolist()
-            rows = list(map(shard._row_of.get, shard_ids))
-            if None in rows:
-                holes = [i for i, row in enumerate(rows) if row is None]
-                if not create:
-                    unknown.extend(positions[holes].tolist())
-                    continue
-                for i in holes:
-                    rows[i] = shard._new_row(shard_ids[i])
-            groups.append(
-                (s, positions, shard_ids, np.asarray(rows, dtype=np.intp))
-            )
+            shard_ids = InternedIds(ids[positions])
+            try:
+                rows = self.shards[s].rows_for(shard_ids, create=create)
+            except UnknownUserError as error:
+                missing = np.isin(shard_ids.vector, error.user_ids)
+                unknown.extend(positions[missing].tolist())
+                continue
+            groups.append((s, positions, shard_ids, rows))
         if unknown:
             raise UnknownUserError(ids[np.sort(unknown)].tolist())
         return groups

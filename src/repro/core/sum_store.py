@@ -173,6 +173,12 @@ _OpPlan = tuple[float, np.ndarray, np.ndarray, int]
 #: strengths and simply starts over
 _MAX_OP_PLANS = 4096
 
+#: widest dense id -> row map a store builds, in ids per row: one ``intp``
+#: cell per id up to the largest, so 16 keeps it at most 128 bytes a row
+#: (the row dict spends ~93 per user) and still covers every shard of a
+#: 16-way partition of dense ids; sparser ids stay on the dict
+_ROW_MAP_IDS_PER_ROW = 16
+
 #: attribute tuples already checked against the emotion catalog — streams
 #: repeat the same few tuples endlessly, so validation is O(1) per op
 #: after the first sighting of each tuple
@@ -778,6 +784,9 @@ class ColumnarSumStore:
         self._answered: list[set[str]] = []
         #: the last :meth:`population`, replaced when its key moves
         self._population: Population | None = None
+        #: ``(key, map)``: the dense id -> row map of :meth:`_row_map`,
+        #: under :meth:`population`'s key, replaced when it moves
+        self._dense_rows: tuple[tuple[int, int], np.ndarray | None] | None = None
         #: set by :meth:`load` with ``mmap=True``: the column pages are
         #: read-only memory maps shared across replica processes, and
         #: every write path raises instead of faulting or forking pages
@@ -922,7 +931,16 @@ class ColumnarSumStore:
 
         Unknown users (with ``create=False``) raise a single
         :class:`~repro.core.sum_model.UnknownUserError` naming them all.
+        An id vector (an interned audience's ``int64`` vector, or such an
+        array) reads its rows off the dense map (:meth:`_mapped_rows`);
+        a list, what every write path passes, and whatever the map cannot
+        answer walk the row dict, the source of truth.
         """
+        vector = getattr(user_ids, "vector", user_ids)
+        if isinstance(vector, np.ndarray) and vector.dtype == np.int64:
+            rows = self._mapped_rows(vector)
+            if rows is not None:
+                return rows
         # C-level bulk lookup: the serving read path resolves the whole
         # population per request, so no per-id Python bytecode here.
         rows_list = list(map(self._row_of.get, user_ids))
@@ -938,6 +956,46 @@ class ColumnarSumStore:
                     if row is None
                 )
         return np.asarray(rows_list, dtype=np.intp)
+
+    def _mapped_rows(self, ids: np.ndarray) -> np.ndarray | None:
+        """The rows of the ``int64`` id vector ``ids`` off the dense map
+        (:meth:`_row_map`), or ``None`` where the row dict must answer: a
+        single id (one dict ``get`` beats a gather), no map, an id
+        negative or past the map, or a miss (an unknown user, or one
+        registered since the map was built)."""
+        if len(ids) < 2:
+            return None
+        row_map = self._row_map()
+        if row_map is None or ids.min() < 0 or ids.max() >= len(row_map):
+            return None
+        rows = row_map[ids]
+        return None if rows.min() < 0 else rows
+
+    def _row_map(self) -> np.ndarray | None:
+        """The read-only ``intp`` map from user id to row (``-1``: no row),
+        or ``None`` when the ids are negative or too sparse for one
+        (:data:`_ROW_MAP_IDS_PER_ROW`).
+
+        Built on the read path, never maintained: keyed like
+        :meth:`population` (the published row count and the layout
+        epoch, read first) and scattered from ``_user_ids`` for the rows
+        that count covers.  ``_new_row`` writes a row's id before it
+        publishes the row and rows never move, so a hit is that user's
+        row for good and a user registered later is a miss.
+        """
+        key = (len(self._row_of), int(self.layout_epoch.cells[0]))
+        cached = self._dense_rows
+        if cached is None or cached[0] != key:
+            ids = self._user_ids[: key[0]]
+            row_map: np.ndarray | None = None
+            if len(ids) and ids.min() >= 0:
+                span = int(ids.max()) + 1
+                if span <= _ROW_MAP_IDS_PER_ROW * len(ids):
+                    row_map = np.full(span, -1, dtype=np.intp)
+                    row_map[ids] = np.arange(len(ids), dtype=np.intp)
+                    row_map.setflags(write=False)
+            cached = self._dense_rows = (key, row_map)
+        return cached[1]
 
     # -- repository duck-type ----------------------------------------------
 

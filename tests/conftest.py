@@ -8,7 +8,9 @@ The ``multiproc`` backend allocates named shared-memory segments;
 ``_shm_leak_gate`` asserts every test session releases all of them (the
 module ledger must be empty and ``/dev/shm`` must carry no new ``psm_``
 entries), so a forgotten ``close()`` fails the suite instead of filling
-the host.
+the host.  Under ``REPRO_LOCK_WITNESS=1``, ``_lock_witness_gate`` also
+fails the session if a lock ordering the tests took is missing from the
+static lock graph.
 """
 
 from __future__ import annotations
@@ -77,3 +79,24 @@ def _shm_leak_gate():
     assert not lingering, (
         f"/dev/shm entries leaked by the session: {sorted(lingering)}"
     )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _lock_witness_gate():
+    """Under ``REPRO_LOCK_WITNESS=1``: fail the session if the witness
+    recorded a lock ordering outside the static graph the analyzer
+    builds from ``src/repro`` (without the switch: nothing)."""
+    from repro.analysis.contracts import REGISTRY, WITNESS, witness_enabled
+
+    if not witness_enabled():
+        yield
+        return
+    WITNESS.reset()
+    yield
+    from repro.analysis.core import Project
+    from repro.analysis.lock_order import build_lock_graph
+
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    graph = build_lock_graph(Project.load([root]))
+    assert WITNESS.acquisitions > 0, "the witness saw no lock taken"
+    assert WITNESS.check(graph.allowed_edges(), REGISTRY) == []

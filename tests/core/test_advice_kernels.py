@@ -235,6 +235,23 @@ def worlds(draw):
     return profile, catalog, universes, states
 
 
+def fresh_active_layout(profile, active):
+    """``active_layout`` as it was: derived from ``link_layout`` per call."""
+    emotion_rows, link_gains, starts = profile.link_layout()
+    sizes = np.diff(np.append(starts, len(link_gains)))
+    keep = np.zeros(len(sizes), dtype=bool)
+    keep[active] = True
+    links = np.flatnonzero(np.repeat(keep, sizes))
+    used, rows = np.unique(emotion_rows[links], return_inverse=True)
+    emotions = profile.layout()[0]
+    return (
+        [emotions[e] for e in used.tolist()],
+        rows,
+        link_gains[links],
+        np.cumsum(sizes[active]) - sizes[active],
+    )
+
+
 def populate(cls, states):
     """``states`` seeded on an object repository, converted to ``cls``."""
     sums = SumRepository()
@@ -281,13 +298,52 @@ class TestActiveColumns:
         profile = DomainProfile("p", TestLinkKernel.LINKS)
         # attributes: cheap, online; emotions: hopeful, shy
         emotions, rows, link_gains, starts = profile.active_layout(np.array([1]))
-        assert emotions == ["hopeful", "shy"]
+        assert emotions == ("hopeful", "shy")
         assert (rows.tolist(), link_gains.tolist(), starts.tolist()) == ([0, 1], [1.0, 0.5], [0])
         emotions, rows, link_gains, starts = profile.active_layout(np.array([0]))
-        assert emotions == ["shy"]
+        assert emotions == ("shy",)
         assert (rows.tolist(), link_gains.tolist(), starts.tolist()) == ([0], [-0.25], [0])
         emotions, rows, __, starts = profile.active_layout(np.array([], dtype=np.intp))
-        assert (emotions, rows.tolist(), starts.tolist()) == ([], [], [])
+        assert (emotions, rows.tolist(), starts.tolist()) == ((), [], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles(), models=populations(), data=st.data())
+    def test_the_memo_equals_a_fresh_layout_and_moves_no_multiplier_bit(
+        self, profile, models, data
+    ):
+        width = len(profile.item_attributes())
+        active = np.array(
+            data.draw(st.lists(st.integers(0, max(width - 1, 0)), unique=True))
+            if width else [],
+            dtype=np.intp,
+        )
+        active.sort()
+        engine = AdviceEngine()
+        # a twin's first call is computed fresh, whatever the memo holds
+        twin = DomainProfile(profile.domain, {e: dict(t) for e, t in profile.links.items()})
+        cold = engine.boosts_matrix(models, twin, active)
+        got = profile.active_layout(active)
+        want = fresh_active_layout(profile, active)
+        assert got[0] == tuple(want[0])
+        for memo, fresh in zip(got[1:], want[1:]):
+            assert memo.dtype == fresh.dtype and memo.tobytes() == fresh.tobytes()
+            assert not memo.flags.writeable
+        assert profile.active_layout(active.copy()) is got
+        warm = engine.boosts_matrix(models, profile, active)
+        assert warm.tobytes() == cold.tobytes()
+        assert warm.tobytes() == engine.boosts_matrix(models, profile)[:, active].tobytes()
+
+    def test_the_memo_is_capped_and_starts_over(self, monkeypatch):
+        monkeypatch.setattr(advice_module, "_MAX_ACTIVE_LAYOUTS", 2)
+        profile = DomainProfile("p", TestLinkKernel.LINKS)
+        first = profile.active_layout(np.array([0]))
+        assert profile.active_layout(np.array([0])) is first
+        profile.active_layout(np.array([1]))
+        profile.active_layout(np.array([0, 1]))  # full: the memo starts over
+        again = profile.active_layout(np.array([0]))
+        assert again is not first
+        assert again[0] == first[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again[1:], first[1:]))
 
     def test_an_inactive_column_is_never_read(self):
         profile = DomainProfile("p", TestLinkKernel.LINKS)
