@@ -905,17 +905,24 @@ class ColumnarSumStore:
             row = self._row_of.get(user_id)
             if row is not None:  # lost a first-contact race: reuse
                 return row
-            row = self._n
-            self._grow_rows(row + 1)
-            self._clock.bump()
-            self._user_ids[row] = user_id
-            self._objective.append({})
-            self._asked.append(set())
-            self._answered.append(set())
-            self._n += 1
+            row = self._allocate_row(user_id)
             # published last: once visible, the row is fully initialized
             self._row_of[user_id] = row
             return row
+
+    @requires_lock("_lock")
+    def _allocate_row(self, user_id: int) -> int:
+        """A fully initialized empty row for ``user_id``, not yet
+        published: until ``_row_of`` names it, no reader can find it."""
+        row = self._n
+        self._grow_rows(row + 1)
+        self._clock.bump()
+        self._user_ids[row] = user_id
+        self._objective.append({})
+        self._asked.append(set())
+        self._answered.append(set())
+        self._n += 1
+        return row
 
     def row_index(self, user_id: int) -> int:
         """The row backing ``user_id`` (raises for unknown users)."""
@@ -979,8 +986,8 @@ class ColumnarSumStore:
         Built on the read path, never maintained: keyed like
         :meth:`population` (the published row count and the layout
         epoch, read first) and scattered from ``_user_ids`` for the rows
-        that count covers.  ``_new_row`` writes a row's id before it
-        publishes the row and rows never move, so a hit is that user's
+        that count covers.  A row's id is written before the row is
+        published and rows never move, so a hit is that user's
         row for good and a user registered later is a miss.
         """
         key = (len(self._row_of), int(self.layout_epoch.cells[0]))
@@ -1034,8 +1041,9 @@ class ColumnarSumStore:
         """Every user, sorted and interned, with their rows: one object
         per row set.
 
-        Keyed by the published row count (``_new_row`` publishes a row
-        last) and the layout epoch (``adopt_layout`` moves it), read
+        Keyed by the published row count (a row is published once it is
+        fully initialized; a commit's first-contact rows, inside its
+        window) and the layout epoch (``adopt_layout`` moves it), read
         *before* the listing, so no population lacks a user created
         before the call.  The ids are the row map's own keys.
         """
@@ -1315,7 +1323,13 @@ class ColumnarSumStore:
         if not batch.user_ids:
             return
         self._clock.bump()
-        rows = self.rows_for(batch.user_ids, create=True)
+        fresh: Sequence[tuple[int, int]] = ()
+        try:
+            rows = self.rows_for(batch.user_ids)
+        except UnknownUserError:
+            # first contact: the new rows are published inside the
+            # commit's window, so no capture finds one before its ops land
+            rows, fresh = self._allocate_rows(batch.user_ids)
         n_rounds = max(map(len, batch.ops))
         # One odd window for the whole commit: a lock-free capture must
         # observe a row before the first round or after the last, never a
@@ -1323,12 +1337,40 @@ class ColumnarSumStore:
         # fancy-indexed bump is one increment per row).
         if n_rounds:
             with self.row_generations.write(rows):
+                if fresh:
+                    self._publish_rows(fresh)
                 ops, hot_rows = batch.ops, rows.tolist()
                 if batch.scalar_users:
                     ops, hot_rows = self._apply_scalar_users(batch, hot_rows, policy)
                     n_rounds = max(map(len, ops), default=0)
                 if n_rounds:
                     self._apply_rounds(ops, hot_rows, n_rounds, policy)
+        elif fresh:
+            self._publish_rows(fresh)
+
+    @requires_lock("_lock")
+    def _allocate_rows(
+        self, user_ids: Sequence[int]
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The rows of ``user_ids``, allocating (:meth:`_allocate_row`)
+        one for each unknown user, and the unpublished ``(user id, row)``
+        pairs in row order."""
+        rows = list(map(self._row_of.get, user_ids))
+        fresh: list[tuple[int, int]] = []
+        for i, row in enumerate(rows):
+            if row is None:
+                user_id = int(user_ids[i])
+                rows[i] = row = self._allocate_row(user_id)
+                fresh.append((user_id, row))
+        return np.asarray(rows, dtype=np.intp), fresh
+
+    @requires_lock("_lock")
+    def _publish_rows(self, fresh: Sequence[tuple[int, int]]) -> None:
+        """Publish allocated rows in row order: a reader that counts ``n``
+        published rows (:meth:`population`, :meth:`_row_map`) finds rows
+        ``0..n-1`` named."""
+        for user_id, row in fresh:
+            self._row_of[user_id] = row
 
     def _apply_scalar_users(
         self, batch: OpBatch, rows: list[int], policy: Any

@@ -5,7 +5,11 @@ quantizer partitions the item embeddings into clusters, and each
 cluster's member vectors are rewritten into one *contiguous page* of a
 single backing matrix (plus a parallel id page), so probing a cluster is
 a dense ``page @ query`` matmul over rows that sit next to each other in
-memory — no gather, no fancy indexing on the hot path.
+memory — no gather, no fancy indexing on the hot path.  The pages are
+float32: a scan reads half the bytes of float64, and the score it ranks
+by is only a proxy for the shortlist (the served scorer and the Advice
+multiplier re-rank the survivors in float64).  The centroids stay
+float64, so the probe order is the float64 one.
 
 Search is multi-probe maximum inner product: rank clusters by
 ``centroid · query``, scan the ``n_probe`` best pages into one score
@@ -34,8 +38,12 @@ from repro.serving.scorer import ItemId
 #: cells (points x centers) of one float64 distance block: 2**18 cells
 #: is 2 MiB, about 1,000 rows against the 253 centers of a 64k catalog.
 #: k-means time is flat from 2**16 to 2**21 cells and grows outside that
-#: range (measured on 64k x 27 and 250k x 16); the peak grows with it
+#: range (measured on 64k x 27 and 250k x 16); the peak grows with it.
+#: ``ClusteredANNIndex.build`` gathers its pages in blocks of as many cells
 _ASSIGN_CELLS = 1 << 18
+
+#: the one page dtype: every proxy score is a float32 matrix-vector product
+_PAGE_DTYPE = np.dtype(np.float32)
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -174,18 +182,18 @@ class ClusteredANNIndex:
         The same ids as a read-only vector (``int64`` when every id is a
         Python ``int``, else ``object``): page rows gather from it.
     pages:
-        ``(n_items, dim)`` float64 matrix, rows grouped so each
-        cluster's members are one contiguous slice; read-only.
+        ``(n_items, dim)`` float32 matrix, rows grouped so each
+        cluster's members are one contiguous slice; read-only, C order.
     offsets:
         ``(n_clusters + 1,)`` page boundaries: cluster ``c`` owns rows
         ``offsets[c]:offsets[c + 1]``.
     centroids:
-        ``(n_clusters, dim)`` cluster centers, read-only.
+        ``(n_clusters, dim)`` float64 cluster centers, read-only.
     """
 
     __slots__ = (
         "item_ids", "ids", "pages", "offsets", "centroids", "_positions",
-        "_bounds", "dim",
+        "_bounds", "_sizes", "_ends", "dim",
     )
 
     def __init__(
@@ -200,6 +208,7 @@ class ClusteredANNIndex:
         if ids is None:
             ids = np.fromiter(interned, dtype=object, count=len(interned))
             ids.setflags(write=False)
+        pages = np.ascontiguousarray(pages, dtype=_PAGE_DTYPE)
         self.item_ids = tuple(interned)
         self.ids = ids
         self.pages = pages
@@ -209,6 +218,9 @@ class ClusteredANNIndex:
         self._positions = {item: row for row, item in enumerate(self.item_ids)}
         #: page boundaries as Python ints, read once
         self._bounds: list[int] = offsets.tolist()
+        #: rows per cluster and each cluster's page end, indexed by a probe
+        self._sizes = np.diff(offsets)
+        self._ends = offsets[1:]
 
     # -- construction ------------------------------------------------------
 
@@ -228,7 +240,10 @@ class ClusteredANNIndex:
         sizing: probe cost and page cost balance at the square root).
         Rows are permuted cluster-major with a *stable* sort, so members
         keep their relative input order inside each page — build is
-        deterministic for fixed inputs.
+        deterministic for fixed inputs.  The permuted rows are gathered
+        straight into the float32 pages in blocks of
+        :data:`_ASSIGN_CELLS` cells, so no float64 copy of the permuted
+        catalog is ever made.
         """
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
         if vectors.ndim != 2 or len(vectors) != len(item_ids):
@@ -249,7 +264,10 @@ class ClusteredANNIndex:
         counts = np.bincount(labels, minlength=n_clusters)
         offsets = np.zeros(n_clusters + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        pages = np.ascontiguousarray(vectors[order])
+        pages = np.empty(vectors.shape, dtype=_PAGE_DTYPE)
+        rows = max(1, _ASSIGN_CELLS // max(1, vectors.shape[1]))
+        for start in range(0, n, rows):
+            pages[start:start + rows] = vectors[order[start:start + rows]]
         pages.setflags(write=False)
         centroids.setflags(write=False)
         offsets.setflags(write=False)
@@ -302,35 +320,33 @@ class ClusteredANNIndex:
         """Page rows of the top-``k`` vectors by inner product, best first.
 
         Probes the ``n_probe`` clusters whose centroids score highest
-        against ``query`` and exact-scans their pages into one buffer;
-        page rows are recovered for the ``k`` survivors only.  With
-        ``allowed_rows`` the scan is restricted to those page rows
+        against ``query`` and exact-scans their pages into one float32
+        buffer; page rows are recovered for the ``k`` survivors only.
+        With ``allowed_rows`` the scan is restricted to those page rows
         (cluster structure is ignored — the restriction is already a
         candidate set, so a single dense pass over it is the cheapest
-        exact answer).
+        exact answer).  Every page score is the pages' dtype, with the
+        query cast to it once, as in :meth:`exact_topk`.
         """
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if query.shape[0] != self.dim:
-            raise ValueError(
-                f"query dim {query.shape[0]} != index dim {self.dim}"
-            )
+        query = self._checked(query)
+        pages = self.pages
+        cast = query.astype(pages.dtype)
         if allowed_rows is not None:
-            scores = self.pages[allowed_rows] @ query
+            scores = pages[allowed_rows] @ cast
             return allowed_rows[_topk_desc(scores, min(k, len(scores)))]
         n_probe = max(1, min(int(n_probe), self.n_clusters))
-        probe = _topk_desc(self.centroids @ query, n_probe).tolist()
-        bounds, pages = self._bounds, self.pages
+        probe = _topk_desc(self.centroids @ query, n_probe)
         # ends[j]: buffer cells used once probed cluster j is scanned
-        ends = np.cumsum([bounds[c + 1] - bounds[c] for c in probe])
-        scores = np.empty(ends[-1])
-        at = 0
-        for c, end in zip(probe, ends.tolist()):
+        ends = np.cumsum(self._sizes[probe])
+        scores = np.empty(int(ends[-1]), dtype=pages.dtype)
+        bounds, at = self._bounds, 0
+        for c, end in zip(probe.tolist(), ends.tolist()):
             if end > at:
-                np.dot(pages[bounds[c]:bounds[c + 1]], query, out=scores[at:end])
+                np.dot(pages[bounds[c]:bounds[c + 1]], cast, out=scores[at:end])
                 at = end
         top = _topk_desc(scores, min(k, len(scores)))
         # buffer cell -> page row: by its cluster's page end minus buffer end
-        shift = np.asarray([bounds[c + 1] for c in probe]) - ends
+        shift = self._ends[probe] - ends
         return top + shift[ends.searchsorted(top, side="right")]
 
     def search(
@@ -346,21 +362,37 @@ class ClusteredANNIndex:
         return self.ids[rows].tolist()
 
     def exact_topk(self, query: np.ndarray, k: int) -> list[ItemId]:
-        """Exact top-``k`` over every indexed vector (recall baseline)."""
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        scores = self.pages @ query
+        """Exact top-``k`` over every indexed vector (recall baseline),
+        scored as :meth:`search_rows` scores a page."""
+        pages = self.pages
+        scores = pages @ self._checked(query).astype(pages.dtype)
         return self.ids[_topk_desc(scores, min(k, len(scores)))].tolist()
+
+    def _checked(self, query: np.ndarray) -> np.ndarray:
+        """``query`` as a float64 vector of the index's dimension."""
+        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        if query.shape[0] != self.dim:
+            raise ValueError(
+                f"query dim {query.shape[0]} != index dim {self.dim}"
+            )
+        return query
 
 
 def _topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest scores, in descending score order.
 
-    ``argpartition`` keeps the select O(n); only the k survivors pay the
-    O(k log k) sort.  Ties break by index, so results are deterministic.
+    ``argpartition`` finds the k-th largest value in O(n); every score at
+    least that large is kept in index order (``flatnonzero``) and only
+    those pay the stable sort, so ties break by index, at the k boundary
+    too.  NaN ranks after every other score.
     """
     if k <= 0:
         return np.empty(0, dtype=np.int64)
+    neg = -scores
     if k >= len(scores):
-        return np.argsort(-scores, kind="stable")
-    part = np.argpartition(-scores, k - 1)[:k]
-    return part[np.argsort(-scores[part], kind="stable")]
+        return np.argsort(neg, kind="stable")
+    kth = neg[np.argpartition(neg, k - 1)[k - 1]]
+    if np.isnan(kth):  # fewer than k ordered scores: nothing to cut at
+        return np.argsort(neg, kind="stable")[:k]
+    keep = np.flatnonzero(neg <= kth)
+    return keep[np.argsort(neg[keep], kind="stable")[:k]]

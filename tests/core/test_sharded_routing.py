@@ -9,16 +9,20 @@ row.
 
 import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.seqlock as seqlock_module
 import repro.core.sum_store as sum_store_module
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.interned import InternedIds
 from repro.core.reward import ReinforcementPolicy
+from repro.core.seqlock import Seqlock
 from repro.core.sharded_store import ShardedBatch, ShardedSumStore, positions_by_shard
 from repro.core.shm_store import MultiProcSumStore
 from repro.core.sum_model import SumRepository, UnknownUserError
@@ -527,8 +531,72 @@ def test_explicit_reads_racing_registrations_never_see_a_wrong_row(kind):
     for ids, rows, intensities in captured:
         for uid, (shard, row) in zip(ids, owners(store, rows)):
             assert shard._user_ids[row] == uid
-        # each user is written once, by the commit that creates the row:
-        # a read sees the row before that commit (empty) or after it
+        # each user is written once, by the commit that creates the row,
+        # and the row is published inside that commit's window: a read
+        # that finds the row sees it committed
         final = np.frombuffer(dict_capture(store, ids)[0]).reshape(intensities.shape)
         for got, want in zip(intensities, final):
-            assert got.tobytes() in (want.tobytes(), np.zeros_like(want).tobytes())
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["columnar", "sharded-2"])
+@pytest.mark.parametrize("park", ["before-the-window", "inside-the-window"])
+def test_a_first_contact_row_is_found_only_committed(monkeypatch, kind, park):
+    """A commit that creates a user's row parks its writer after the row
+    exists and before its window opens, or inside the window before any
+    op lands; the read started there either misses the user or waits for
+    the commit, never returns the empty row (a read that found the row
+    before the window would copy it empty)."""
+    store = seeded(kind)
+    uid = 101
+    shard = parts(store)[uid % len(parts(store))]
+    n_rows = len(shard)
+    parked, progress = threading.Event(), threading.Event()
+
+    def spin(seconds):  # a seqlock reader yields before every retry
+        progress.set()
+        time.sleep(seconds)
+
+    monkeypatch.setattr(seqlock_module, "time", SimpleNamespace(sleep=spin))
+    if park == "before-the-window":
+        real_write = Seqlock.write
+
+        def parking_write(seqlock, idx):
+            if seqlock is shard.row_generations and not parked.is_set():
+                parked.set()
+                progress.wait(timeout=30)
+            return real_write(seqlock, idx)
+
+        monkeypatch.setattr(Seqlock, "write", parking_write)
+    else:
+        real_rounds = shard._apply_rounds
+
+        def parking_rounds(*args):
+            parked.set()
+            progress.wait(timeout=30)
+            real_rounds(*args)
+
+        monkeypatch.setattr(shard, "_apply_rounds", parking_rounds)
+
+    writer = threading.Thread(
+        target=store.batch_apply_ops, args=([reward(uid)], ReinforcementPolicy())
+    )
+    writer.start()
+    try:
+        assert parked.wait(timeout=30)
+        assert len(shard) == n_rows + 1  # the row exists
+        audience = InternedIds([KNOWN[0], uid, KNOWN[1]])
+        try:
+            got = store.batch(audience).intensity_matrix(EMOTION_NAMES)[1]
+        except UnknownUserError as unknown:
+            assert park == "before-the-window"
+            assert unknown.user_ids == (uid,)
+            got = None
+    finally:
+        progress.set()
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+    committed = store.batch([uid]).intensity_matrix(EMOTION_NAMES)[0]
+    assert committed.any()
+    if got is not None:
+        assert got.tobytes() == committed.tobytes()

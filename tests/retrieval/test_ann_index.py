@@ -58,6 +58,7 @@ class TestIndexLayout:
         assert not index.pages.flags.writeable
         assert not index.centroids.flags.writeable
         assert index.pages.flags.c_contiguous
+        assert index.pages.dtype == np.float32
         # offsets partition the catalog exactly
         assert index.offsets[0] == 0 and index.offsets[-1] == len(ids)
         assert (np.diff(index.offsets) >= 0).all()
@@ -65,7 +66,9 @@ class TestIndexLayout:
         assert sorted(index.item_ids) == sorted(ids)
         originals = {item: vectors[i] for i, item in enumerate(ids)}
         for row, item in enumerate(index.item_ids):
-            np.testing.assert_array_equal(index.pages[row], originals[item])
+            np.testing.assert_array_equal(
+                index.pages[row], originals[item].astype(np.float32)
+            )
 
     def test_default_cluster_count_is_sqrt_n(self):
         ids, vectors = clustered_catalog(900, 4)
@@ -131,6 +134,18 @@ class TestSearch:
         sub_vectors = np.vstack([vectors[int(s.split("-")[1])] for s in subset])
         assert got == brute_topk(sub_vectors, subset, query, 5)
         assert set(got) <= set(subset)
+
+    def test_every_path_ranks_by_the_float32_page_score(self):
+        # 1 + 1e-9 is 1.0 in float32: the rows tie there (and break by
+        # row) while a float64 score would put the second row first
+        index = ClusteredANNIndex(
+            ["first", "second"], np.asarray([[1.0, 0.0], [1.0, 1e-9]]),
+            np.asarray([0, 2]), np.asarray([[1.0, 0.0]]),
+        )
+        query = np.ones(2)
+        assert index.exact_topk(query, 1) == ["first"]
+        assert index.search(query, 1, n_probe=1) == ["first"]
+        assert index.search(query, 2, allowed_rows=np.asarray([0, 1])) == ["first", "second"]
 
     def test_k_larger_than_catalog_returns_everything_ranked(self):
         ids, vectors = clustered_catalog(30, 4, seed=8)

@@ -132,7 +132,9 @@ def test_index_build_peak_memory_is_bounded():
     """A 20,000 x 27 build stays far below a few catalog-sized distance
     matrices (141 centers x 20,000 rows of float64 is 22.6 MB each);
     numpy reports its buffers to tracemalloc, so the bound does not
-    depend on the host."""
+    depend on the host.  The pages are gathered into float32 in blocks
+    (4.4 MiB); float64 pages peaked at 6.2 MiB, and a float64 gather of
+    the permuted catalog cast to float32 afterwards at 6.5 MiB."""
     vectors = catalog(20_000, 27, seed=11)
     ids = list(range(20_000))
     tracemalloc.start()
@@ -142,3 +144,4 @@ def test_index_build_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, f"build peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 5.5 * 2**20, f"build peaked at {peak / 2**20:.2f} MiB"

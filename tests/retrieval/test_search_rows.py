@@ -7,6 +7,7 @@ built from all leave it as Python scalars.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ DIM = 5
 
 
 def reference_rows(index, query, k, n_probe=8, allowed_rows=None):
-    """``ClusteredANNIndex.search`` as it was, returning page rows."""
+    """``ClusteredANNIndex.search`` as it was, returning page rows; the
+    pages score against the query cast to their dtype, as the index does."""
     query = np.asarray(query, dtype=np.float64).reshape(-1)
+    cast = query.astype(index.pages.dtype)
     if allowed_rows is not None:
-        scores = index.pages[allowed_rows] @ query
+        scores = index.pages[allowed_rows] @ cast
         top = _topk_desc(scores, min(k, len(scores)))
         return [int(allowed_rows[t]) for t in top]
     n_probe = max(1, min(int(n_probe), index.n_clusters))
@@ -39,7 +42,7 @@ def reference_rows(index, query, k, n_probe=8, allowed_rows=None):
         lo, hi = int(index.offsets[c]), int(index.offsets[c + 1])
         if lo == hi:
             continue
-        score_blocks.append(index.pages[lo:hi] @ query)
+        score_blocks.append(index.pages[lo:hi] @ cast)
         row_blocks.append(np.arange(lo, hi, dtype=np.int64))
     if not score_blocks:
         return []
@@ -132,6 +135,43 @@ class TestAgainstThePerClusterLoop:
             index.search(query, 10, n_probe=n_probe)
             seen.append(dict(calls))
         assert seen[0] == seen[1] == seen[2] == {"arange": 0, "concatenate": 0}
+
+
+def reference_topk(scores, k):
+    """The ``k`` best indices in pure Python: descending score, ties by
+    index, NaN after every number."""
+    values = [float(s) for s in scores]
+
+    def key(i):
+        nan = math.isnan(values[i])
+        return (nan, 0.0 if nan else -values[i], i)
+
+    return sorted(range(len(values)), key=key)[:k]
+
+
+class TestTopkDesc:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.0, 3.0, -0.0, math.nan]),
+                st.floats(width=32),
+            ),
+            min_size=1, max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_ties_break_by_index_and_nan_ranks_last(self, dtype, values, data):
+        scores = np.asarray(values, dtype=dtype)
+        k = data.draw(st.integers(1, len(scores)))
+        assert _topk_desc(scores, k).tolist() == reference_topk(scores, k)
+
+    def test_tie_at_the_k_boundary_keeps_the_lowest_index(self):
+        scores = np.asarray([0, 1, 2, 3] * 10, dtype=np.float32)
+        assert _topk_desc(scores, 12).tolist() == [
+            3, 7, 11, 15, 19, 23, 27, 31, 35, 39, 2, 6,
+        ]
 
 
 class CountingScorer(ScorerBase):
